@@ -38,7 +38,7 @@ __all__ = [
 
 MAX_CHARACTER_SIZE = 1 << 11      # largest |G| for which U is materialized
 MAX_TABLE_SIZE = 1 << 12          # largest |G| for subtraction tables
-MAX_LOOKUP_KEYS = 1 << 20         # largest difference-key space
+_BLOCK_ENTRIES = 1 << 16          # table entries normalized per block
 
 
 class BallQuotient:
@@ -212,7 +212,14 @@ class BallQuotient:
 
     @property
     def sub_table(self):
-        """int32 table: sub_table[i, j] = index of coset(rep_i - rep_j)."""
+        """int32 table: sub_table[i, j] = index of coset(rep_i - rep_j).
+
+        Built by carry propagation: the digit-wise difference dig[i] - dig[j]
+        names rep_i - rep_j, because the digit system sum d * mono * pi^j is
+        linear, and ``_normalize`` brings every such integer vector back to
+        digits in [0, p) with D exact expansions in all.  Rows go in blocks,
+        so the temporaries stay small whatever the size of the group.
+        """
 
         def build():
             if self.size > MAX_TABLE_SIZE:
@@ -220,85 +227,77 @@ class BallQuotient:
                     f"subtraction table of size {self.size} refused "
                     f"(cap {MAX_TABLE_SIZE})"
                 )
-            if self.level.e == 1:
-                return self._sub_table_unramified()
-            return self._sub_table_generic()
+            n = self.size
+            dig = self.digit_matrix.T.astype(self._carries().dtype, order="C")
+            out = np.empty((n, n), dtype=np.int32)
+            rows = max(1, _BLOCK_ENTRIES // n)
+            for i0 in range(0, n, rows):
+                delta = dig[:, i0 : i0 + rows, None] - dig[:, None, :]
+                out[i0 : i0 + rows] = self._normalize(delta.reshape(self.D, -1)).reshape(-1, n)
+            return out
 
         return self._cache("sub", build)
 
-    def _sub_table_unramified(self):
-        # pi = p: each residue monomial carries an independent base-p integer
-        # mod p^J, so subtraction never mixes columns
-        p, J, f, D = self.p, self.J, self.f, self.D
-        dig = self.digit_matrix
-        pw = p ** np.arange(J, dtype=np.int64)
-        vals = np.empty((self.size, f), dtype=np.int64)
-        for mu in range(f):
-            vals[:, mu] = dig[:, mu::f] @ pw
-        mod = p**J
-        out = np.zeros((self.size, self.size), dtype=np.int64)
-        for mu in range(f):
-            diff = (vals[:, None, mu] - vals[None, :, mu]) % mod
-            for j in range(J):
-                weight = p ** (D - 1 - j * f - mu)
-                out += ((diff // p**j) % p) * weight
-        return out.astype(np.int32)
-
-    def _sub_table_generic(self):
-        # differences of digit strings, one exact normalization per distinct
-        # difference vector, assembled through an injective radix key
-        p, D = self.p, self.D
-        radix = 2 * p - 1
-        total = radix**D
-        if total > MAX_LOOKUP_KEYS:
-            raise ValueError(
-                f"difference lookup of size {total} refused (cap {MAX_LOOKUP_KEYS})"
-            )
-        lvl = self.level
-        basis = self._basis_elements(self.lo)
-        lookup = np.empty(total, dtype=np.int32)
-        # enumerate difference vectors; incremental updates keep the payload
-        # current as one digit changes at a time in odometer order
-        digits = [0] * D  # stored shifted: actual delta = digits[t] - (p - 1)
-        pay = lvl._zero_pay()
-        shift = p - 1
-        for t in range(D):
-            if shift:
-                pay = lvl._sub_pay(pay, lvl._smul_pay(shift, basis[t].pay))
-        key = 0
-        lookup[key] = self.index_of_digits(
-            lvl.digits_in_ball(pay, self.lo, self.s)
-        )
-        for key in range(1, total):
-            t = 0
-            k = key
-            while k % radix == 0:
-                k //= radix
-                t += 1
-            # digit t increments, lower digits reset from radix-1 to 0
-            digits[t] += 1
-            pay = lvl._add_pay(pay, basis[t].pay)
-            for u in range(t):
-                digits[u] = 0
-                pay = lvl._sub_pay(
-                    pay, lvl._smul_pay(radix - 1, basis[u].pay)
-                )
-            lookup[key] = self.index_of_digits(
-                lvl.digits_in_ball(pay, self.lo, self.s)
-            )
-        rvec = radix ** np.arange(D, dtype=np.int64)
-        a = self.digit_matrix @ rvec
-        offset = int(((p - 1) * rvec).sum())
-        return lookup[a[:, None] - a[None, :] + offset]
-
     @property
     def neg_table(self):
-        """neg_table[j] = index of coset(-rep_j)."""
+        """neg_table[j] = index of coset(-rep_j), normalized from the
+        digits of 0 - rep_j without building the subtraction table."""
 
         def build():
-            return self.sub_table[0, :].copy()
+            dig = self.digit_matrix.T.astype(self._carries().dtype, order="C")
+            return self._normalize(-dig)
 
         return self._cache("neg", build)
+
+    def _carries(self):
+        """Carry vectors, in the integer dtype normalization runs in.
+
+        E[t] holds the digits of p * mono_mu * pi^j for basis position
+        t = (j, mu): one exact expansion per position.  Since p lies in
+        pi^e O, E[t] is zero in rows <= j, so carries only move deeper.
+        """
+
+        def build():
+            lvl, p = self.level, self.p
+            basis = self._basis_elements(self.lo)
+            E = np.array(
+                [lvl.digits_in_ball(lvl._smul_pay(p, b.pay), self.lo, self.s) for b in basis]
+            )
+            if np.tril(E).any():
+                raise AssertionError("carry vectors must point to deeper rows")
+            # worst |entry| while normalizing entries in [-(p-1), p-1]: a
+            # position holding at most b passes on ceil(b / p) times its carry
+            # vector, c * p stays below b + p, and the index below size
+            bound = [p - 1] * self.D
+            for t in range(self.D):
+                carry = -(-bound[t] // p)
+                for u in range(t + 1, self.D):
+                    bound[u] += carry * int(E[t, u])
+            return E.astype(np.int16 if max(*bound, self.size) + p < 1 << 15 else np.int64)
+
+        return self._cache("carries", build)
+
+    def _normalize(self, delta):
+        """Coset indices of the integer digit vectors in the columns of
+        delta (D x m, entries in [-(p-1), p-1]), which is overwritten.
+
+        Position t keeps delta_t mod p and hands c = delta_t // p on as
+        c * E[t].  This is exact because the digit system is linear, and
+        one pass in position order settles everything because carries only
+        move deeper and fall off past row s.  The index accumulates as
+        delta @ p^(D-1-t).
+        """
+        E = self._carries()
+        p = self.p
+        idx = np.zeros(delta.shape[1], dtype=delta.dtype)
+        for t in range(self.D):
+            # floor division by a scalar is far cheaper than np.divmod here
+            c = delta[t] // p
+            idx *= p
+            idx += delta[t] - c * p
+            for u in np.flatnonzero(E[t]):
+                delta[u] += c * E[t, u]
+        return idx.astype(np.int32)
 
     # -- measures ------------------------------------------------------------
 

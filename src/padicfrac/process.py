@@ -161,13 +161,12 @@ def sample_endpoints(law, t, n_paths, seed, stream=0):
     jumps = rng.choice(law.quotient.size, size=int(counts.sum()), p=law.coset_probs)
     add = _add_table(law.quotient)
     states = np.zeros(n_paths, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    for i in range(n_paths):
-        chunk = jumps[offsets[i] : offsets[i + 1]]
-        state = 0
-        for j in chunk:
-            state = add[state, j]
-        states[i] = state
+    starts = np.cumsum(counts) - counts
+    # one vectorised step per jump rank k over the paths with more than k
+    # jumps, adding each path's jumps in drawing order
+    for k in range(int(counts.max(initial=0))):
+        live = np.flatnonzero(counts > k)
+        states[live] = add[states[live], jumps[starts[live] + k]]
     return states, counts
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from padicfrac.padic import base_level
+from padicfrac.padic import Level, base_level
 from padicfrac.funcspace import (
     BallQuotient,
     CylFunction,
@@ -101,6 +101,57 @@ def test_characters_are_homomorphisms(bq):
         lhs = Umat[:, sub[i, j]]
         rhs = Umat[:, i] * np.conj(Umat[:, j])
         assert np.abs(lhs - rhs).max() < 1e-11
+
+
+SEXTIC = U.extend_unramified(3)
+EU = E.extend_unramified(2)
+EE = E.extend_eisenstein([-E.uniformizer(), E.element(0)])
+
+# one small quotient (<= 64 cosets) of every level shape: base, unramified,
+# ramified, and the three mixed towers
+SMALL_QUOTIENTS = [
+    BallQuotient(Q2, -3, 3),
+    BallQuotient(Q3, -1, 2),
+    BallQuotient(U, -1, 2),
+    BallQuotient(SEXTIC, 1, 2),
+    BallQuotient(E, -3, 3),
+    BallQuotient(E3, -1, 2),
+    BallQuotient(W, 2, 5),
+    BallQuotient(EU, 0, 3),
+    BallQuotient(EE, -1, 4),
+]
+
+
+@pytest.mark.parametrize("bq", SMALL_QUOTIENTS, ids=repr)
+def test_sub_table_matches_element_arithmetic_on_every_pair(bq):
+    sub = bq.sub_table
+    neg = bq.neg_table
+    reps = bq.representatives()
+    expect = np.array(
+        [[bq.index_of_element(a - b) for b in reps] for a in reps]
+    )
+    assert sub.dtype == np.int32
+    assert (sub == expect).all()
+    assert (np.diag(sub) == 0).all()
+    assert (sub[0, neg] == np.arange(bq.size)).all()
+
+
+def test_cold_sub_table_expands_once_per_basis_position(monkeypatch):
+    # a return to one exact expansion per difference vector, (2p-1)^D of
+    # them, would make 59,049 calls here
+    calls = []
+    original = Level.digits_in_ball
+
+    def counting(self, pay, lo, s):
+        calls.append((lo, s))
+        return original(self, pay, lo, s)
+
+    monkeypatch.setattr(Level, "digits_in_ball", counting)
+    bq = BallQuotient(Q2.extend_eisenstein([-2, 0]), -5, 5)
+    assert bq.size == 1024
+    bq.sub_table
+    bq.neg_table
+    assert 0 < len(calls) <= bq.D == 10
 
 
 def test_neg_table():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from padicfrac import base_level
+from padicfrac import base_level, process
 from padicfrac.measures import levy_shell_mass, levy_tail_mass
 from padicfrac.process import (
     build_jump_law,
@@ -137,6 +137,39 @@ def test_simulate_path_rejects_bad_horizon():
         simulate_path(law, 0.0, seed=1)
     with pytest.raises(ValueError):
         simulate_path(law, -2.0, seed=1)
+
+
+@pytest.mark.parametrize(
+    "level,cutoff,t,n_paths",
+    [
+        (Q2, 2, 1.5, 400),
+        (E, 2, 1.0, 300),
+        (W, 6, 1.0, 200),
+        (E, 2, 1.0, 1),
+        (W, 6, 1e-9, 50),
+    ],
+)
+def test_sample_endpoints_matches_per_path_walk(level, cutoff, t, n_paths):
+    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    states, counts = sample_endpoints(law, t, n_paths, seed=9, stream=2)
+    # the same draws in the same order, folded path by path
+    rng = process._rng(9, 2)
+    expect_counts = rng.poisson(law.rate * t, size=n_paths)
+    jumps = rng.choice(law.quotient.size, size=int(expect_counts.sum()), p=law.coset_probs)
+    add = law.quotient.sub_table[:, law.quotient.neg_table]
+    expect = []
+    pos = 0
+    for count in expect_counts:
+        state = 0
+        for j in jumps[pos : pos + count]:
+            state = add[state, j]
+        expect.append(state)
+        pos += count
+    assert (counts == expect_counts).all()
+    assert (states == np.array(expect)).all()
+    assert states.shape == (n_paths,)
+    if t < 1e-6:
+        assert (counts == 0).all() and (states == 0).all()
 
 
 def test_sample_endpoints_is_reproducible_and_stream_separated():
