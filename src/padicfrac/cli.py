@@ -39,7 +39,7 @@ from .measures import (
 )
 from .process import expected_characteristic, mc_characteristic
 from .tower import min_positive_eigenvalue, resolve_tower, spectrum
-from .vladimirov import apply_eigensum, apply_hypersingular, apply_spectral
+from .vladimirov import apply_hypersingular, apply_spectral
 
 DEFAULT_TOWER = "unramified:p=2,f=1-2-6-24"
 
@@ -211,13 +211,9 @@ def cmd_apply(args):
     routes = {
         "hypersingular": apply_hypersingular(quotient, values, args.alpha),
         "spectral": apply_spectral(quotient, values, args.alpha),
-        "eigensum": apply_eigensum(quotient, values, args.alpha),
     }
-    deviation = 0.0
     names = sorted(routes)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            deviation = max(deviation, float(np.abs(routes[a] - routes[b]).max()))
+    deviation = float(np.abs(routes["hypersingular"] - routes["spectral"]).max())
     config = {
         "command": "apply", "tower": args.tower, "level": n,
         "alpha": args.alpha, "lo": quotient.lo, "s": quotient.s,

@@ -7,6 +7,10 @@ by residue monomials), and the whole machinery -- additive characters, Fourier
 transforms, subtraction tables, measure integrals, refinement to deeper
 levels -- works on those digit strings with exact rational character angles.
 
+Cosets are listed in lexicographic digit order, row lo first.  In this block
+order every coset of pi^k O is a run of q^(s-k) consecutive indices, which
+``BallQuotient.radial_apply`` uses to apply radial operators in O(|G|).
+
 The dual group of G is the quotient pi^(s0-s) O / pi^(s0-lo) O built from the
 annihilator identity of the standard ball pi^{s0} O; it has the same shape
 (rows x columns) as G, so characters are indexed by the digit strings of the
@@ -103,6 +107,20 @@ class BallQuotient:
             return np.stack(cols, axis=1).astype(np.int64)
 
         return self._cache("digits", build)
+
+    def radial_apply(self, values, k0, coeffs):
+        """sum_{k=k0}^{s} coeffs[k - k0] * P_k phi, where P_k phi averages
+        phi over each coset of pi^k O: a block of q^(s-k) consecutive
+        indices, so one reshape-mean per radius, O(|G|) in all."""
+        if not self.lo <= k0 <= self.s or len(coeffs) != self.s - k0 + 1:
+            raise ValueError("need one coefficient per radius k0..s, lo <= k0")
+        means = [np.asarray(values, dtype=np.complex128).reshape(self.size)]
+        for _ in range(self.s - k0):
+            means.append(means[-1].reshape(-1, self.q).mean(axis=1))
+        acc = coeffs[0] * means.pop()
+        for c in coeffs[1:]:
+            acc = np.repeat(acc, self.q) + c * means.pop()
+        return acc
 
     def index_of_digits(self, digits):
         idx = 0

@@ -34,8 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .funcspace import fourier
-from .vladimirov import kernel_constant, kernel_kappa, spectral_multiplier
+from .vladimirov import apply_spectral, kernel_constant, kernel_kappa
 
 __all__ = [
     "mu_ball_mass",
@@ -171,15 +170,14 @@ def heat_coset_vector(quotient, alpha, t):
     lvl = quotient.level
     q = float(lvl.q)
     ec = lvl.e * lvl.c
-    vals = quotient.val_pi_vector
-    out = np.empty(quotient.size, dtype=np.float64)
-    out[0] = heat_ball_mass(lvl, alpha, t, quotient.s - ec)
     cell = q ** float(-quotient.s)
-    nonzero = np.arange(quotient.size) != 0
-    for w in np.unique(vals[1:]):
-        dens = q**ec * heat_density(lvl, alpha, t, int(w) - ec)
-        out[(vals == w) & nonzero] = dens * cell
-    return out
+    per_shell = [
+        q**ec * heat_density(lvl, alpha, t, w - ec) * cell
+        for w in range(quotient.lo, quotient.s)
+    ]
+    # the zero coset is the only one of valuation s
+    per_shell.append(heat_ball_mass(lvl, alpha, t, quotient.s - ec))
+    return np.array(per_shell)[quotient.val_pi_vector - quotient.lo]
 
 
 def heat_lower_bound(level, alpha, t, N):
@@ -276,15 +274,13 @@ def levy_quotient_vector(quotient, alpha):
     """
     lvl = quotient.level
     q = float(lvl.q)
-    vals = quotient.val_pi_vector
-    out = np.empty(quotient.size, dtype=np.float64)
-    out[0] = np.inf
-    nonzero = np.arange(quotient.size) != 0
-    for w in np.unique(vals[1:]):
-        mass = levy_shell_mass(lvl, alpha, int(w))
-        per = mass * q ** float(int(w) - quotient.s) / (1.0 - 1.0 / q)
-        out[(vals == w) & nonzero] = per
-    return out
+    per_shell = [
+        levy_shell_mass(lvl, alpha, w) * q ** float(w - quotient.s) / (1.0 - 1.0 / q)
+        for w in range(quotient.lo, quotient.s)
+    ]
+    # the zero coset is the only one of valuation s
+    per_shell.append(np.inf)
+    return np.array(per_shell)[quotient.val_pi_vector - quotient.lo]
 
 
 def _require_zero_at_origin(values):
@@ -304,12 +300,11 @@ def levy_integral(quotient, alpha, values):
 
 def levy_integral_spectral(quotient, alpha, values):
     """Same integral through the Fourier side: minus the multiplier-weighted
-    sum of coefficients.  Needs the integrand to vanish at the origin, so
-    that its coefficients sum to zero."""
+    sum of coefficients, -sum_b lambda_b c_b = -(D phi)(0).  Needs the
+    integrand to vanish at the origin, so that its coefficients sum to
+    zero."""
     values = _require_zero_at_origin(values)
-    coeffs = fourier(quotient, values)
-    lam = spectral_multiplier(quotient, alpha)
-    return complex(-(lam * coeffs).sum())
+    return complex(-apply_spectral(quotient, values, alpha)[0])
 
 
 def levy_log_characteristic(level, alpha, lam_valuation, t=1.0):

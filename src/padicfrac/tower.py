@@ -23,7 +23,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import ExtElement, Level, base_level, enumerate_ball_quotient, vp
+from .funcspace import BallQuotient
+from .padic import ExtElement, Level, base_level, vp
 
 __all__ = [
     "TowerSpec",
@@ -212,24 +213,16 @@ def build_factorial_tower(p, depth, label=None):
 def multiplicity_count(level, N, cap=MULTIPLICITY_ENUM_CAP):
     """Number of character labels with norm exactly q**N on a level.
 
-    Enumerates the ball quotient and counts representatives of exact
-    valuation -N whenever that stays under ``cap`` cosets (and the level
-    supports element arithmetic); falls back to the closed form
-    (q - 1) * q**(N - 1) otherwise.  Returns (count, enumerated_flag).
+    Counts the cosets of exact valuation -N in pi^-N O / O from their digit
+    strings whenever that stays under ``cap`` cosets; falls back to the
+    closed form (q - 1) * q**(N - 1) otherwise.  Returns (count,
+    enumerated_flag).
     """
     if N < 1:
         raise ValueError("the radius exponent must be >= 1")
-    total = level.q**N
-    if total <= cap:
-        try:
-            cnt = 0
-            for coset in enumerate_ball_quotient(level, N, 0):
-                rep = level.coset_representative(coset)
-                if not rep.is_zero() and rep.val_pi() == -N:
-                    cnt += 1
-            return cnt, True
-        except NotImplementedError:
-            pass
+    if level.q**N <= cap:
+        vals = BallQuotient(level, -N, 0).val_pi_vector
+        return int((vals == -N).sum()), True
     return (level.q - 1) * level.q ** (N - 1), False
 
 

@@ -1,17 +1,26 @@
 """The fractional diffusion operator on a level: multiplier and kernel forms.
 
-The operator of exponent alpha acts on cylindrical functions over a level in
-two equivalent ways:
+The operator of exponent alpha is radial, so on a BallQuotient it is a short
+sum of ball averages, sum_k c_k P_k phi, where P_k averages phi over each
+coset of pi^k O (``BallQuotient.radial_apply``).  Two independent formulas
+give the coefficients:
 
-* **spectral route** -- multiply each Fourier coefficient by ||b||**alpha
-  (zero on the labels annihilating the standard ball), transform back;
+* **spectral route** -- the labels of radius k (valuation s0 - k) have
+  eigenvalue lambda_k = p^((k - s0) alpha / e) for k > s0, and 0 for k <= s0
+  (they annihilate the standard ball).  P_k projects onto the labels of
+  radius <= k, so c_k = lambda_k - lambda_{k+1} for k = s0..s, with
+  lambda_{s0} = lambda_{s+1} = 0.  The semigroup puts exp(-t lambda_k) in
+  place of lambda_k.
 * **hypersingular route** -- integrate the increment phi(z - x) - phi(z)
-  against an explicit radial kernel over the standard ball pi^{s0} O,
+  against the explicit radial kernel over the standard ball pi^{s0} O.  Its
+  weight W(v) is constant on each shell {v_pi(x) = v}, s0 <= v < s, and phi
+  sums to S_v - S_{v+1} over a shell around z, where S_k = q^(s-k) P_k phi.
 
-and the agreement of the two on every function is the discrete form of the
-classical identity between the multiplier and its hypersingular kernel.  The
-kernel combines a power of the norm with the additive constant kappa that
-accounts for the finite total mass of the ball.
+Their agreement on every function is the discrete form of the classical
+identity between the multiplier and its hypersingular kernel (the Haar
+wavelet diagonalisation of Vladimirov-type operators).  The kernel combines
+a power of the norm with the additive constant kappa that accounts for the
+finite total mass of the ball.
 
 All routes work on a BallQuotient with lo <= s0 <= s, which is exactly the
 condition for the ball convolution to stay inside the quotient.
@@ -21,17 +30,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .funcspace import fourier, inverse_fourier
-
 __all__ = [
     "kernel_constant",
     "kernel_kappa",
     "spectral_multiplier",
     "hypersingular_weights",
-    "hypersingular_matrix",
     "apply_spectral",
     "apply_hypersingular",
-    "apply_eigensum",
     "eigenvalue_estimates",
     "eigenvalue_defect",
     "heat_multiplier",
@@ -64,20 +69,34 @@ def kernel_kappa(level, alpha):
     return (1.0 - 1.0 / q) / (q**a_m - 1.0) * q ** (-level.d * (1.0 + a_m))
 
 
+def _norm_power(level, alpha, val):
+    """||b||**alpha for labels of pi-valuation val, zero where val >= 0."""
+    val = np.asarray(val, dtype=np.float64)
+    return np.where(val < 0, float(level.p) ** (-val * float(alpha) / level.e), 0.0)
+
+
 def spectral_multiplier(quotient, alpha):
     """Eigenvalue vector over the dual labels: ||b||**alpha, zero on labels
     of nonnegative valuation (they annihilate the standard ball)."""
     _check_domain(quotient)
-    dual = quotient.dual()
-    vals = dual.val_pi_vector.astype(np.float64)
-    lam = np.where(
-        vals < 0,
-        float(quotient.level.p) ** (-vals * float(alpha) / quotient.level.e),
-        0.0,
-    )
     # the zero label has sentinel valuation dual.s >= 0, so it lands in the
     # zero branch with the rest of the annihilator
-    return lam
+    return _norm_power(quotient.level, alpha, quotient.dual().val_pi_vector)
+
+
+def _kernel(quotient, alpha):
+    """(prefactor, weight): the kernel constant times the module of the
+    level degree times the Haar volume of one coset, and the kernel weight
+    p^((m + alpha)(v/e - c)) + kappa on the shell of pi-valuation v."""
+    _check_domain(quotient)
+    lvl = quotient.level
+    prefactor = (
+        kernel_constant(lvl, alpha)
+        * float(lvl.p) ** (lvl.c * lvl.m)
+        * float(quotient.q) ** (-quotient.s)
+    )
+    a, kappa = float(alpha), kernel_kappa(lvl, alpha)
+    return prefactor, lambda v: float(lvl.p) ** ((lvl.m + a) * (v / lvl.e - lvl.c)) + kappa
 
 
 def hypersingular_weights(quotient, alpha):
@@ -87,70 +106,47 @@ def hypersingular_weights(quotient, alpha):
     on the zero coset); the prefactor collects the kernel constant, the
     module of the level degree, and the Haar volume of one coset.
     """
-    _check_domain(quotient)
-    lvl = quotient.level
-    p, e, m, c, d = lvl.p, lvl.e, lvl.m, lvl.c, lvl.d
-    a = float(alpha)
+    prefactor, weight = _kernel(quotient, alpha)
     vals = quotient.val_pi_vector.astype(np.float64)
-    radial = float(p) ** ((m + a) * (vals / e - c))
-    w = np.where(
-        (vals >= lvl.s0) & (np.arange(quotient.size) != 0),
-        radial + kernel_kappa(lvl, alpha),
-        0.0,
-    )
-    prefactor = (
-        kernel_constant(lvl, alpha)
-        * float(p) ** (c * m)
-        * float(quotient.q) ** (-quotient.s)
-    )
-    return prefactor, w
+    inside = (vals >= quotient.level.s0) & (np.arange(quotient.size) != 0)
+    return prefactor, np.where(inside, weight(vals), 0.0)
 
 
-def hypersingular_matrix(quotient, alpha):
-    """Dense matrix of the kernel route (cached per quotient and alpha)."""
+def _radius_eigenvalues(quotient, alpha):
+    """lambda_k for k = s0..s: the eigenvalue on labels of valuation s0 - k."""
+    _check_domain(quotient)
+    s0 = quotient.level.s0
+    return _norm_power(quotient.level, alpha, s0 - np.arange(s0, quotient.s + 1))
 
-    def build():
-        prefactor, w = hypersingular_weights(quotient, alpha)
-        n = quotient.size
-        sub = quotient.sub_table
-        mat = np.zeros((n, n), dtype=np.float64)
-        rows = np.broadcast_to(np.arange(n)[:, None], sub.shape)
-        np.add.at(mat, (rows, sub), np.broadcast_to(w[None, :], sub.shape))
-        mat[np.arange(n), np.arange(n)] -= w.sum()
-        mat *= prefactor
-        return mat
 
-    key = ("bq", "hyp", quotient.lo, quotient.s, float(alpha))
-    cache = quotient.level._cache
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
+def _radial_multiplier(quotient, values, lam):
+    """Multiply the labels of radius k by lam[k - s0] (all labels of radius
+    <= s0 for k = s0): sum_k (lam_k - lam_{k+1}) P_k phi, lam_{s+1} = 0."""
+    return quotient.radial_apply(values, quotient.level.s0, -np.diff(lam, append=0.0))
 
 
 def apply_spectral(quotient, values, alpha):
-    """Multiplier route: Fourier, multiply by ||b||**alpha, invert."""
-    _check_domain(quotient)
-    coeffs = fourier(quotient, values)
-    return inverse_fourier(quotient, spectral_multiplier(quotient, alpha) * coeffs)
+    """Multiplier route: ||b||**alpha on each label, as ball averages."""
+    return _radial_multiplier(quotient, values, _radius_eigenvalues(quotient, alpha))
 
 
 def apply_hypersingular(quotient, values, alpha):
-    """Kernel route: integrate increments against the radial kernel."""
-    mat = hypersingular_matrix(quotient, alpha)
-    return mat @ np.asarray(values, dtype=np.complex128)
+    """Kernel route: integrate increments against the radial kernel,
 
+    psi = prefactor * sum_{v=s0}^{s-1} W(v) [(S_v - S_{v+1}) - n_v phi],
 
-def apply_eigensum(quotient, values, alpha):
-    """Rank-one route: accumulate lambda_b c_b chi_b label by label."""
-    _check_domain(quotient)
-    U = quotient.character_matrix
-    coeffs = fourier(quotient, values)
-    lam = spectral_multiplier(quotient, alpha)
-    out = np.zeros(quotient.size, dtype=np.complex128)
-    for b in range(quotient.size):
-        if lam[b] != 0.0 and coeffs[b] != 0.0:
-            out += (lam[b] * coeffs[b]) * U[b, :]
-    return out
+    with n_v = q^(s-v) - q^(s-v-1) cosets in the shell of valuation v.
+    """
+    prefactor, weight = _kernel(quotient, alpha)
+    s0, q, s = quotient.level.s0, quotient.q, quotient.s
+    v = np.arange(s0, s)
+    w = weight(v.astype(np.float64))
+    ball = float(q) ** (s - v)  # cosets in the ball of radius v
+    coeffs = np.zeros(s - s0 + 1)
+    coeffs[:-1] += w * ball
+    coeffs[1:] -= w * ball / q
+    coeffs[-1] -= (w * (ball - ball / q)).sum()
+    return prefactor * quotient.radial_apply(values, s0, coeffs)
 
 
 def eigenvalue_estimates(quotient, alpha):
@@ -182,7 +178,7 @@ def heat_multiplier(quotient, alpha, t):
 
 
 def semigroup_apply(quotient, values, alpha, t):
-    """Heat semigroup route: damp each coefficient by exp(-t lambda_b)."""
-    _check_domain(quotient)
-    coeffs = fourier(quotient, values)
-    return inverse_fourier(quotient, heat_multiplier(quotient, alpha, t) * coeffs)
+    """Heat semigroup route: damp each label by exp(-t lambda_b), as ball
+    averages."""
+    decay = np.exp(-float(t) * _radius_eigenvalues(quotient, alpha))
+    return _radial_multiplier(quotient, values, decay)

@@ -70,6 +70,35 @@ def test_valuation_vector_matches_representatives(bq):
 
 
 @pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
+def test_radial_apply_is_a_sum_of_ball_averages(bq):
+    # the oracle finds the balls from the group law, not from digit order:
+    # j lies in the ball of radius k around i iff v(rep_i - rep_j) >= k
+    dist = bq.val_pi_vector[bq.sub_table]
+    rng = np.random.default_rng(4)
+    phi = random_function(bq, rng)
+    averages = {}
+    for k in range(bq.lo, bq.s + 1):
+        ball = dist >= k
+        averages[k] = (ball @ phi) / ball.sum(axis=1)
+    assert np.abs(averages[bq.s] - phi).max() < 1e-12
+    for k0 in range(bq.lo, bq.s + 1):
+        coeffs = rng.standard_normal(bq.s - k0 + 1)
+        expect = sum(c * averages[k] for c, k in zip(coeffs, range(k0, bq.s + 1)))
+        assert np.abs(bq.radial_apply(phi, k0, coeffs) - expect).max() < 1e-12
+
+
+def test_radial_apply_validation():
+    bq = BallQuotient(Q2, -1, 2)
+    phi = np.ones(bq.size)
+    with pytest.raises(ValueError):
+        bq.radial_apply(phi, -2, np.ones(5))
+    with pytest.raises(ValueError):
+        bq.radial_apply(phi, 0, np.ones(2))
+    with pytest.raises(ValueError):
+        bq.radial_apply(np.ones(bq.size + 1), 0, np.ones(3))
+
+
+@pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
 def test_character_matrix_is_scaled_unitary(bq):
     Umat = bq.character_matrix
     N = bq.size

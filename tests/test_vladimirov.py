@@ -11,13 +11,11 @@ from padicfrac.funcspace import (
 )
 from padicfrac.tower import resolve_tower
 from padicfrac.vladimirov import (
-    apply_eigensum,
     apply_hypersingular,
     apply_spectral,
     eigenvalue_defect,
     eigenvalue_estimates,
     heat_multiplier,
-    hypersingular_matrix,
     hypersingular_weights,
     kernel_constant,
     kernel_kappa,
@@ -38,7 +36,9 @@ QUOTIENTS = [
     BallQuotient(U, 1, 3),
     BallQuotient(U, 0, 3),
     BallQuotient(E, -1, 3),
-    BallQuotient(W, 2, 4),
+    BallQuotient(W, 2, 4),     # s = s0: the operator is zero
+    BallQuotient(W, 2, 5),     # s = s0 + 1 on the wild level
+    BallQuotient(E, -1, 0),    # lo = s0 and s = s0 + 1
 ]
 
 ALPHAS = [0.5, 1.0, 2.0]
@@ -94,31 +94,75 @@ def test_annihilator_labels_are_exact_kernel(quotient):
     assert (dead == 0).all()
 
 
+def _dense_kernel(quotient, alpha):
+    """The kernel route as an n x n matrix, summed coset by coset through
+    the subtraction table: psi_i = pref * sum_j w_j (phi_sub(i,j) - phi_i)."""
+    prefactor, w = hypersingular_weights(quotient, alpha)
+    n = quotient.size
+    mat = np.zeros((n, n))
+    rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
+    np.add.at(mat, (rows, quotient.sub_table), np.broadcast_to(w, (n, n)))
+    mat[np.arange(n), np.arange(n)] -= w.sum()
+    return prefactor * mat
+
+
 @pytest.mark.parametrize("quotient", QUOTIENTS, ids=lambda q: q.key())
 @pytest.mark.parametrize("alpha", ALPHAS)
-def test_three_routes_agree(quotient, alpha):
+def test_radial_routes_match_dense_oracles(quotient, alpha):
+    rng = np.random.default_rng(21)
+    phi = random_function(quotient, rng)
+    coeffs = fourier(quotient, phi)
+    cases = [
+        (apply_spectral(quotient, phi, alpha),
+         inverse_fourier(quotient, spectral_multiplier(quotient, alpha) * coeffs)),
+        (semigroup_apply(quotient, phi, alpha, 0.7),
+         inverse_fourier(quotient, heat_multiplier(quotient, alpha, 0.7) * coeffs)),
+        (apply_hypersingular(quotient, phi, alpha), _dense_kernel(quotient, alpha) @ phi),
+    ]
+    for radial, dense in cases:
+        scale = max(1.0, np.abs(dense).max())
+        assert np.abs(radial - dense).max() / scale < 1e-10
+
+
+@pytest.mark.parametrize("quotient", QUOTIENTS, ids=lambda q: q.key())
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_kernel_and_multiplier_routes_agree(quotient, alpha):
     rng = np.random.default_rng(20)
     phi = random_function(quotient, rng)
     via_multiplier = apply_spectral(quotient, phi, alpha)
     via_kernel = apply_hypersingular(quotient, phi, alpha)
-    via_sum = apply_eigensum(quotient, phi, alpha)
     scale = max(1.0, np.abs(via_multiplier).max())
     assert np.abs(via_multiplier - via_kernel).max() / scale < 1e-9
-    assert np.abs(via_multiplier - via_sum).max() / scale < 1e-9
-
-
-def test_matrix_is_cached():
-    q = BallQuotient(Q2, 0, 3)
-    assert hypersingular_matrix(q, 1.0) is hypersingular_matrix(q, 1.0)
-    assert hypersingular_matrix(q, 1.0) is not hypersingular_matrix(q, 2.0)
 
 
 @pytest.mark.parametrize("quotient", QUOTIENTS, ids=lambda q: q.key())
 def test_matrix_symmetric_and_psd(quotient):
-    mat = hypersingular_matrix(quotient, 1.0)
+    basis = np.eye(quotient.size)
+    mat = np.stack([apply_hypersingular(quotient, e, 1.0) for e in basis], axis=1)
+    assert np.abs(mat.imag).max() == 0.0
+    mat = mat.real
     assert np.abs(mat - mat.T).max() < 1e-12
     eigs = np.linalg.eigvalsh(mat)
     assert eigs.min() > -1e-10
+
+
+def test_routes_run_past_the_dense_table_caps():
+    q = BallQuotient(Q2, -7, 7)  # 16384 cosets, above MAX_CHARACTER_SIZE
+    rng = np.random.default_rng(8)
+    phi = random_function(q, rng)
+    for alpha in ALPHAS:
+        via_multiplier = apply_spectral(q, phi, alpha)
+        via_kernel = apply_hypersingular(q, phi, alpha)
+        scale = max(1.0, np.abs(via_multiplier).max())
+        assert np.abs(via_multiplier - via_kernel).max() / scale < 1e-9
+        ones = np.ones(q.size)
+        assert np.abs(apply_spectral(q, ones, alpha)).max() < 1e-9
+        assert np.abs(apply_hypersingular(q, ones, alpha)).max() < 1e-9
+    dense = [
+        key for key in Q2._cache
+        if isinstance(key, tuple) and key[1] in ("U", "sub", "hyp") and key[2:4] == (-7, 7)
+    ]
+    assert dense == []
 
 
 def test_self_adjoint_for_mu_inner_product():
