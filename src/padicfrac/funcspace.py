@@ -179,22 +179,16 @@ class BallQuotient:
                 out.append(ExtElement(self.level, self.level._mul_pay(pw, mpay)))
         return out
 
-    @property
-    def character_matrix(self):
-        """U[b, g] = chi(<b, g>) for dual label b and coset g.
+    def _pairing(self):
+        """(theta_int, kappa): the exact D x D table of basis pairing angles
+        as integers over their common denominator kappa, a power of p.
 
-        Built from the exact D x D table of basis pairing angles: the angle
-        of (b, g) is bilinear in the digit strings, so a pair of integer
-        matrix products modulo the common denominator gives every character
-        value without rounding.
+        The angle of (b, g) is bilinear in the digit strings, so
+        dig[b] @ theta_int @ dig[g] mod kappa is kappa times the angle of
+        <b, g>, with no rounding.
         """
 
         def build():
-            if self.size > MAX_CHARACTER_SIZE:
-                raise ValueError(
-                    f"character matrix of size {self.size} refused "
-                    f"(cap {MAX_CHARACTER_SIZE})"
-                )
             s0 = self.level.s0
             basis = self._basis_elements(self.lo)
             dual_basis = self._basis_elements(s0 - self.s)
@@ -220,8 +214,30 @@ class BallQuotient:
             bound = (self.D * (self.p - 1)) ** 2 * kappa
             if bound >= 1 << 62:
                 raise ValueError("character table would overflow int64")
-            dig = self.digit_matrix
-            phases = (dig @ theta_int @ dig.T) % kappa
+            return theta_int, kappa
+
+        return self._cache("pairing", build)
+
+    def character_phases(self, b=slice(None)):
+        """(phases, kappa) with chi_b(g) = exp(2 pi i phases[g] / kappa) for
+        dual label b (an index, or by default every label): rows of the
+        character table as exact integers, O(|G| D) per row."""
+        theta_int, kappa = self._pairing()
+        dig = self.digit_matrix
+        return (dig[b] @ theta_int @ dig.T) % kappa, kappa
+
+    @property
+    def character_matrix(self):
+        """U[b, g] = chi(<b, g>) for dual label b and coset g, from the
+        exact integer phases of ``character_phases``."""
+
+        def build():
+            if self.size > MAX_CHARACTER_SIZE:
+                raise ValueError(
+                    f"character matrix of size {self.size} refused "
+                    f"(cap {MAX_CHARACTER_SIZE})"
+                )
+            phases, kappa = self.character_phases()
             return np.exp((2j * np.pi / kappa) * phases)
 
         return self._cache("U", build)

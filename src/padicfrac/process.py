@@ -4,8 +4,12 @@ Truncating the jump measure at a finite size threshold leaves a finite
 total rate, and the process restricted to those jumps is compound Poisson:
 exponential inter-arrival times, jump values drawn shell by shell from the
 truncated measure.  Everything a character can see of the running sum lives
-in a finite ball quotient, so paths are simulated exactly as coset indices,
-with group addition done by table lookup.
+in a finite ball quotient, so paths are simulated exactly as coset indices.
+Path states (``simulate_path``, ``sample_endpoints``) fold the jumps by
+group addition, one table lookup per jump.  The characteristic function
+needs no states: a character is a homomorphism, chi_b(sum of jumps) =
+prod chi_b(jump), so ``mc_characteristic`` sums the jumps' exact integer
+phases mod kappa along each path and takes one exponential per path.
 
 The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
@@ -36,6 +40,8 @@ __all__ = [
     "expected_characteristic",
     "truncated_log_characteristic",
 ]
+
+_BLOCK_DRAWS = 1 << 16            # jumps drawn and reduced per block
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,36 @@ def _rng(seed, stream):
     return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
 
 
+def _jump_sampler(law):
+    """draw(rng, n): n jump cosets of the law, equal element for element to
+    ``rng.choice(size, n, p=law.coset_probs)`` and leaving the generator in
+    the same state.
+
+    Same cdf and the same uniforms as numpy, but the inverse-cdf lookup uses
+    a guide table (indexed search; Chen & Asau 1974, Devroye 1986 III.2.4):
+    guide[k] is the answer for u = k / M, and u * M is exact for a power of
+    two M, so guide[floor(u * M)] is a lower bound that a few steps finish.
+    """
+    cdf = law.coset_probs.cumsum()
+    cdf /= cdf[-1]
+    M = 1 << (16 * cdf.size - 1).bit_length()
+    guide = cdf.searchsorted(np.arange(M) / M, side="right")
+
+    def draw(rng, n):
+        out = np.empty(n, dtype=np.int64)
+        for a in range(0, n, _BLOCK_DRAWS):
+            u = rng.random(min(_BLOCK_DRAWS, n - a))
+            g = guide[(u * M).astype(np.intp)]
+            live = np.flatnonzero(cdf[g] <= u)
+            while live.size:
+                g[live] += 1
+                live = live[cdf[g[live]] <= u[live]]
+            out[a : a + u.size] = g
+        return out
+
+    return draw
+
+
 def _add_table(quotient):
     # group addition from the cached tables: i + j = i - (-j)
     return quotient.sub_table[:, quotient.neg_table]
@@ -142,7 +178,7 @@ def simulate_path(law, t, seed, stream=0):
             break
         times.append(clock)
     times = np.asarray(times, dtype=np.float64)
-    jumps = rng.choice(law.quotient.size, size=times.size, p=law.coset_probs)
+    jumps = _jump_sampler(law)(rng, times.size)
     states = _fold(_add_table(law.quotient), jumps)
     return PathSample(horizon=float(t), times=times, jumps=jumps, states=states)
 
@@ -158,7 +194,7 @@ def sample_endpoints(law, t, n_paths, seed, stream=0):
         raise ValueError("time horizon must be positive")
     rng = _rng(seed, stream)
     counts = rng.poisson(law.rate * t, size=n_paths)
-    jumps = rng.choice(law.quotient.size, size=int(counts.sum()), p=law.coset_probs)
+    jumps = _jump_sampler(law)(rng, int(counts.sum()))
     add = _add_table(law.quotient)
     states = np.zeros(n_paths, dtype=np.int64)
     starts = np.cumsum(counts) - counts
@@ -177,18 +213,42 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     The cutoff is chosen so the truncation is exact in law (it covers both
     the label's size threshold and the last nontrivially-paired shell), so
     the estimate targets exp(-t ||label||^alpha) with no truncation bias.
-    Returns (estimate, stderr).
+    Returns (estimate, stderr).  The draws are those of ``sample_endpoints``
+    and each path's value is chi_b(endpoint), computed as the sum of its
+    jumps' integer phases mod kappa, whole paths at a time in blocks of
+    about ``_BLOCK_DRAWS`` jumps.
     """
     lam_valuation = int(lam_valuation)
     if lam_valuation >= 0:
         raise ValueError("label must lie outside the unit ball")
+    if t <= 0:
+        raise ValueError("time horizon must be positive")
+    if n_paths < 2:
+        raise ValueError("a standard error needs at least two paths")
     L = -lam_valuation
     cutoff = max(L, level.s0 + L - 1)
     law = build_jump_law(level, alpha, cutoff_valuation=cutoff)
-    states, _ = sample_endpoints(law, t, n_paths, seed, stream)
-    dual = law.quotient.dual()
-    b = dual.index_of_element(level.uniformizer_pow(-L))
-    z = law.quotient.character_matrix[b, states]
+    b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
+    phases, kappa = law.quotient.character_phases(b)
+    rng = _rng(seed, stream)
+    counts = rng.poisson(law.rate * t, size=n_paths)
+    draw = _jump_sampler(law)
+    ends = np.cumsum(counts)
+    total = np.empty(n_paths, dtype=np.int64)
+    i0 = 0
+    while i0 < n_paths:
+        # paths i0 .. i1-1 hold at most _BLOCK_DRAWS jumps, or one path all
+        # of its own.  int64 wraparound in acc cancels in the differences,
+        # and a path's own sum stays exact: kappa divides |G| <= 2^24
+        base = ends[i0] - counts[i0]
+        i1 = max(i0 + 1, int(ends.searchsorted(base + _BLOCK_DRAWS, side="right")))
+        jumps = draw(rng, int(ends[i1 - 1] - base))
+        acc = np.zeros(jumps.size + 1, dtype=np.int64)
+        np.cumsum(phases[jumps], out=acc[1:])
+        end = ends[i0:i1] - base
+        total[i0:i1] = acc[end] - acc[end - counts[i0:i1]]
+        i0 = i1
+    z = np.exp((2j * np.pi / kappa) * (total % kappa))
     estimate = z.mean()
     stderr = float(
         np.sqrt((np.abs(z - estimate) ** 2).sum() / ((n_paths - 1) * n_paths))

@@ -208,6 +208,14 @@ def test_simulate_seeded_run_matches_the_closed_form(tmp_path):
     assert abs(row["expected"] - math.exp(-2.0)) < 1e-15
 
 
+@pytest.mark.parametrize("flags", [("--paths", "1"), ("--paths", "0"), ("--t", "0")])
+def test_simulate_rejects_too_few_paths_and_empty_horizons(tmp_path, flags):
+    code, doc = run(
+        tmp_path, "simulate", "--tower", Q2_TOWER, "--lam-valuation", "-1", *flags,
+    )
+    assert code == 2 and doc is None
+
+
 # ---------------------------------------------------------------------------
 # verify-all and plumbing
 

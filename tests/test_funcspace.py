@@ -132,6 +132,18 @@ def test_characters_are_homomorphisms(bq):
         assert np.abs(lhs - rhs).max() < 1e-11
 
 
+@pytest.mark.parametrize("bq", [QUOTIENTS[1], QUOTIENTS[3], QUOTIENTS[4]], ids=repr)
+def test_character_phases_are_the_character_rows(bq):
+    Umat = bq.character_matrix
+    sub = bq.sub_table
+    for b in range(bq.size):
+        phases, kappa = bq.character_phases(b)
+        assert phases.min() >= 0 and phases.max() < kappa
+        assert (np.exp((2j * np.pi / kappa) * phases) == Umat[b]).all()
+        # additive mod kappa: the exact form of chi_b(g - h) = chi_b(g) / chi_b(h)
+        assert (phases[sub] == (phases[:, None] - phases[None, :]) % kappa).all()
+
+
 SEXTIC = U.extend_unramified(3)
 EU = E.extend_unramified(2)
 EE = E.extend_eisenstein([-E.uniformizer(), E.element(0)])

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from padicfrac import base_level, process
+from padicfrac import base_level, funcspace, process
+from padicfrac.padic import Level
 from padicfrac.measures import levy_shell_mass, levy_tail_mass
 from padicfrac.process import (
     build_jump_law,
@@ -21,6 +22,7 @@ Q2 = base_level(2)
 U = Q2.extend_unramified(2)
 E = Q2.extend_eisenstein([-2, 0])
 W = resolve_tower("factorial:p=2,depth=4").level(4)
+Q3 = base_level(3)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +174,43 @@ def test_sample_endpoints_matches_per_path_walk(level, cutoff, t, n_paths):
         assert (counts == 0).all() and (states == 0).all()
 
 
+@pytest.mark.parametrize("level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1)])
+@pytest.mark.parametrize("n", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+def test_jump_sampler_matches_rng_choice(level, cutoff, n):
+    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    rng_a, rng_b = process._rng(4, 1), process._rng(4, 1)
+    got = process._jump_sampler(law)(rng_a, n)
+    want = rng_b.choice(law.quotient.size, size=n, p=law.coset_probs)
+    assert got.dtype == want.dtype and got.shape == (n,)
+    assert (got == want).all()
+    # the generator is left where rng.choice leaves it
+    assert rng_a.random() == rng_b.random()
+
+
+class _FixedUniforms:
+    """Stands in for a generator: hands out the given uniforms in order."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        out, self.u = self.u[:n], self.u[n:]
+        return out
+
+
+@pytest.mark.parametrize("level, cutoff", [(Q2, 2), (E, 2), (Q3, 1)])
+def test_jump_sampler_on_cdf_ties(level, cutoff):
+    # uniforms equal to a cdf value, or just below one: draws of probability
+    # 2^-53 each, where the lookup must still agree with numpy's
+    # searchsorted(cdf, u, side="right")
+    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    cdf = law.coset_probs.cumsum()
+    cdf /= cdf[-1]
+    u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf, 0.0)])
+    got = process._jump_sampler(law)(_FixedUniforms(u), u.size)
+    assert (got == cdf.searchsorted(u, side="right")).all()
+
+
 def test_sample_endpoints_is_reproducible_and_stream_separated():
     law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
     s_a, c_a = sample_endpoints(law, 1.0, 500, seed=42)
@@ -243,6 +282,67 @@ def test_mc_characteristic_is_reproducible():
     assert a == b
     c = mc_characteristic(Q2, 1.0, -1, 1.0, n_paths=1000, seed=3, stream=1)
     assert c != a
+
+
+def _mc_oracle(level, alpha, lam_valuation, t, n_paths, seed, stream):
+    # the same estimate from path endpoints and the character table
+    L = -lam_valuation
+    law = build_jump_law(level, alpha, cutoff_valuation=max(L, level.s0 + L - 1))
+    states, counts = sample_endpoints(law, t, n_paths, seed, stream)
+    b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
+    z = law.quotient.character_matrix[b, states]
+    estimate = z.mean()
+    stderr = float(
+        np.sqrt((np.abs(z - estimate) ** 2).sum() / ((n_paths - 1) * n_paths))
+    )
+    return (complex(estimate), stderr), int(counts.sum())
+
+
+@pytest.mark.parametrize(
+    "level, alpha, lam_valuation, t, n_paths",
+    [
+        (Q2, 1.0, -1, 1.0, 2),
+        (Q2, 0.5, -3, 1.0, 3000),
+        (U, 1.0, -2, 0.5, 1000),
+        (E, 2.0, -1, 1.0, 1000),
+        (W, 1.0, -1, 1.0, 500),
+        (Q3, 2.0, -1, 1.0, 10_000),
+        (Q3, 1.0, -1, 1e-9, 300),
+    ],
+)
+def test_mc_characteristic_matches_the_endpoint_oracle(
+    level, alpha, lam_valuation, t, n_paths
+):
+    got = mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed=17, stream=3)
+    want, jumps = _mc_oracle(level, alpha, lam_valuation, t, n_paths, 17, 3)
+    assert got == want
+    if n_paths == 10_000:
+        assert jumps > 4 * process._BLOCK_DRAWS  # several path blocks
+    if t < 1e-6:
+        assert jumps == 0 and got == (1.0, 0.0)
+
+
+def test_mc_characteristic_runs_past_the_table_caps():
+    level = Level(2)  # a fresh cache, so every table below is built here
+    t = 1.0 / 4096
+    estimate, stderr = mc_characteristic(level, 1.0, -12, t, 20_000, seed=23)
+    quotient = build_jump_law(level, 1.0, cutoff_valuation=12).quotient
+    assert quotient.size == 8192 > funcspace.MAX_TABLE_SIZE
+    target = expected_characteristic(level, 1.0, -12, t)
+    assert 0 < stderr and abs(estimate.real - target) <= 3 * stderr
+    assert abs(estimate.imag) <= 3 * stderr
+    names = {key[1] for key in level._cache if isinstance(key, tuple)}
+    assert not names & {"U", "sub", "neg"}
+
+
+@pytest.mark.parametrize("t, n_paths", [(1.0, 0), (1.0, 1), (0.0, 10), (-1.0, 10)])
+def test_mc_characteristic_rejects_bad_paths_and_horizons(monkeypatch, t, n_paths):
+    def no_law(*args, **kwargs):
+        raise AssertionError("the law must not be built")
+
+    monkeypatch.setattr(process, "build_jump_law", no_law)
+    with pytest.raises(ValueError):
+        mc_characteristic(Q2, 1.0, -1, t, n_paths, seed=1)
 
 
 def test_expected_characteristic_values():
