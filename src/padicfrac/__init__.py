@@ -9,15 +9,9 @@ from .padic import (
     BallCoset,
     ExtElement,
     Level,
-    PadicScalar,
-    PrecisionError,
     base_level,
-    character_chi,
-    chi_of_angle,
-    enumerate_ball_quotient,
     frac_part,
     pairing_angle,
-    pairing_character,
     project_T,
     trace,
     vp,
@@ -29,15 +23,9 @@ __all__ = [
     "BallCoset",
     "ExtElement",
     "Level",
-    "PadicScalar",
-    "PrecisionError",
     "base_level",
-    "character_chi",
-    "chi_of_angle",
-    "enumerate_ball_quotient",
     "frac_part",
     "pairing_angle",
-    "pairing_character",
     "project_T",
     "trace",
     "vp",

@@ -364,6 +364,11 @@ def cmd_simulate(args):
             level, args.alpha, args.lam_valuation, args.t,
             n_paths=args.paths, seed=args.seed,
         )
+        if stderr == 0:
+            raise CommandError(
+                "every path gave the same value, so no z-score exists; "
+                "raise --t or --paths"
+            )
         z = abs(estimate.real - expected) / stderr
     config = {
         "command": "simulate", "tower": args.tower, "level": n,
@@ -379,7 +384,7 @@ def cmd_simulate(args):
     failures = []
     if z > args.z_max:
         failures.append(f"estimate is {z!r} standard errors from the closed form")
-    if stderr and abs(estimate.imag) > args.z_max * stderr:
+    if abs(estimate.imag) > args.z_max * stderr:
         failures.append("imaginary part inconsistent with a symmetric jump law")
     return config, columns, rows, failures
 

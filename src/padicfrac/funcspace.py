@@ -97,7 +97,7 @@ class BallQuotient:
         """All digit strings, one row per coset, lexicographic order."""
 
         def build():
-            if self.size > MAX_TABLE_SIZE * MAX_TABLE_SIZE:
+            if self.size * self.D > MAX_TABLE_SIZE * MAX_TABLE_SIZE:
                 raise ValueError("quotient too large to enumerate")
             cols = []
             for t in range(self.D):

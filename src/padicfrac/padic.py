@@ -5,8 +5,8 @@ A field is presented as a chain of simple steps over Q_p: *unramified* steps
 (monic polynomials whose non-leading coefficients sit in the maximal ideal of
 the level below, with constant term of valuation exactly one).  An element is
 a nested coordinate vector over the chain whose innermost entries are exact
-rationals, so valuations, traces, characters and digit expansions are computed
-without any rounding.
+rationals, so valuations, traces, character angles and digit expansions are
+computed without any rounding.
 
 Conventions used throughout:
 
@@ -24,30 +24,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from cmath import exp as _cexp
 from fractions import Fraction
 from typing import NamedTuple
 
 __all__ = [
-    "PrecisionError",
-    "PadicScalar",
     "Level",
     "ExtElement",
     "BallCoset",
     "base_level",
     "vp",
     "frac_part",
-    "chi_of_angle",
-    "character_chi",
-    "enumerate_ball_quotient",
 ]
 
 _INF = math.inf
-_TWO_PI = 2.0 * math.pi
-
-
-class PrecisionError(ArithmeticError):
-    """A query needs more p-adic digits than the element carries."""
 
 
 def vp(x, p):
@@ -86,213 +75,6 @@ def frac_part(x, p):
     pw = p**w
     k = (x.numerator * pow(den, -1, pw)) % pw
     return Fraction(k, pw)
-
-
-def chi_of_angle(angle):
-    """exp(2 pi i angle) for a rational (or float) angle."""
-    return _cexp(1j * _TWO_PI * float(angle))
-
-
-def character_chi(x, p=None):
-    """The additive character chi(x) = exp(2 pi i {x}) of Q_p.
-
-    ``x`` may be a PadicScalar (carrying its own prime) or any rational,
-    in which case ``p`` must be given.
-    """
-    if isinstance(x, PadicScalar):
-        return chi_of_angle(x.frac())
-    if p is None:
-        raise ValueError("character_chi needs the prime for plain rationals")
-    return chi_of_angle(frac_part(x, p))
-
-
-class PadicScalar:
-    """An element of Q_p: an exact rational plus an optional precision cap.
-
-    ``prec`` is an *absolute* precision: the element is asserted to be known
-    modulo ``p**prec`` only.  ``prec is None`` means the value is exact.  The
-    stored value is always exact, so arithmetic is exact; the cap is
-    propagated pessimistically and the reporting methods (``digits``,
-    ``frac``, ``valuation``) refuse to answer beyond it.
-    """
-
-    __slots__ = ("p", "value", "prec")
-
-    def __init__(self, p, value=0, prec=None):
-        self.p = int(p)
-        if self.p < 2:
-            raise ValueError("p must be a prime >= 2")
-        self.value = Fraction(value)
-        self.prec = None if prec is None else int(prec)
-
-    # -- helpers ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, PadicScalar):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PadicScalar(self.p, other)
-        return NotImplemented
-
-    def _val_lower(self):
-        # Lower bound for the valuation, valid also for zero-at-precision.
-        if self.value != 0:
-            return vp(self.value, self.p)
-        return _INF if self.prec is None else self.prec
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def is_exact(self):
-        return self.prec is None
-
-    def is_zero(self):
-        """True when the value is exactly zero (and known to be so)."""
-        return self.value == 0 and self.prec is None
-
-    def valuation(self):
-        if self.value != 0:
-            return vp(self.value, self.p)
-        if self.prec is None:
-            return _INF
-        raise PrecisionError(
-            "valuation of a zero-at-precision scalar is only bounded below "
-            f"(>= {self.prec})"
-        )
-
-    def norm(self):
-        v = self.valuation()
-        return 0.0 if v is _INF else float(self.p) ** (-v)
-
-    def unit_part(self):
-        """The unit u with x = p**v * u; fails on zero."""
-        v = self.valuation()
-        if v is _INF:
-            raise ZeroDivisionError("zero has no unit part")
-        return self.value / Fraction(self.p) ** v
-
-    def digits(self, count=16):
-        """Base-p digits of the unit part, least significant first.
-
-        Raises PrecisionError when ``count`` digits exceed the stored
-        precision.
-        """
-        v = self.valuation()
-        if v is _INF:
-            return (0,) * count
-        if self.prec is not None and v + count > self.prec:
-            raise PrecisionError(
-                f"only {self.prec - v} digits known, {count} requested"
-            )
-        u = self.unit_part()
-        mod = self.p**count
-        r = (u.numerator * pow(u.denominator, -1, mod)) % mod
-        out = []
-        for _ in range(count):
-            out.append(r % self.p)
-            r //= self.p
-        return tuple(out)
-
-    def frac(self):
-        """Fractional part {x} as an exact rational in [0, 1)."""
-        if self.prec is not None and self.prec < 0:
-            raise PrecisionError("fractional part needs precision down to p^0")
-        return frac_part(self.value, self.p)
-
-    def chi(self):
-        return chi_of_angle(self.frac())
-
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        prec = _min_prec(self.prec, other.prec)
-        return PadicScalar(self.p, self.value + other.value, prec)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PadicScalar(self.p, -self.value, self.prec)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        prec = None
-        if self.prec is not None or other.prec is not None:
-            terms = []
-            if other.prec is not None:
-                va = self._val_lower()
-                terms.append(_INF if va is _INF else va + other.prec)
-            if self.prec is not None:
-                vb = other._val_lower()
-                terms.append(_INF if vb is _INF else vb + self.prec)
-            lo = min(terms)
-            prec = None if lo is _INF else lo
-        return PadicScalar(self.p, self.value * other.value, prec)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        if self.value == 0:
-            if self.prec is None:
-                raise ZeroDivisionError("division by exact zero")
-            raise PrecisionError("cannot invert a zero-at-precision scalar")
-        v = vp(self.value, self.p)
-        prec = None if self.prec is None else self.prec - 2 * v
-        return PadicScalar(self.p, 1 / self.value, prec)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PadicScalar(self.p, other)
-        if not isinstance(other, PadicScalar):
-            return NotImplemented
-        if self.p != other.p:
-            return False
-        if self.prec is None and other.prec is None:
-            return self.value == other.value
-        cut = min(x for x in (self.prec, other.prec) if x is not None)
-        d = self.value - other.value
-        return d == 0 or vp(d, self.p) >= cut
-
-    def __hash__(self):
-        if self.prec is not None:
-            raise TypeError("capped scalars are not hashable")
-        return hash((self.p, self.value))
-
-    def __repr__(self):
-        tail = "" if self.prec is None else f" + O({self.p}^{self.prec})"
-        return f"PadicScalar({self.p}, {self.value}{tail})"
-
-
-def _min_prec(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +163,7 @@ class Level:
         self.f = f
         self.m = e * f
         self.q = self.p**f
+        self.c = vp(self.m, self.p)  # v_p of the level degree m
         self._cache = {}
 
     # -- construction ----------------------------------------------------
@@ -425,11 +208,6 @@ class Level:
     @property
     def depth(self):
         return len(self.steps)
-
-    @property
-    def c(self):
-        """v_p of the level degree m."""
-        return int(vp(self.m, self.p)) if self.m > 1 else 0
 
     @property
     def d(self):
@@ -521,10 +299,6 @@ class Level:
             raise ValueError(f"{x.level!r} is not a prefix of {self!r}")
         if isinstance(x, (int, Fraction)):
             return self._scalar_pay(x)
-        if isinstance(x, PadicScalar):
-            if x.p != self.p:
-                raise ValueError("mixed primes")
-            return self._scalar_pay(x.value)
         if self.depth == 0:
             return Fraction(x)
         if isinstance(x, (tuple, list)):
@@ -931,9 +705,6 @@ class Level:
     def uniformizer_pow(self, j):
         return ExtElement(self, self._pi_pow_pay(j))
 
-    def residue_monomials(self):
-        return [ExtElement(self, m) for m in self._monomials()]
-
 
 def _solve_fraction_system(mat, rhs):
     """Exact Gaussian elimination; mat is a list of rows of Fractions."""
@@ -965,15 +736,13 @@ def base_level(p):
 
 
 class ExtElement:
-    """An element of a Level: nested exact coordinates plus an optional
-    absolute-precision watermark (in v_p units)."""
+    """An element of a Level: nested exact coordinates."""
 
-    __slots__ = ("level", "pay", "prec")
+    __slots__ = ("level", "pay")
 
-    def __init__(self, level, pay, prec=None):
+    def __init__(self, level, pay):
         self.level = level
         self.pay = pay
-        self.prec = prec
 
     # -- coordination ------------------------------------------------------
 
@@ -985,22 +754,13 @@ class ExtElement:
                 return ExtElement(
                     self.level,
                     self.level._embed_pay(other.pay, other.level.depth),
-                    other.prec,
                 )
             if self.level.is_prefix_of(other.level):
                 return NotImplemented  # let the deeper side handle it
             raise ValueError("elements live on incomparable levels")
-        if isinstance(other, (int, Fraction, PadicScalar)):
+        if isinstance(other, (int, Fraction)):
             return ExtElement(self.level, self.level._as_pay(other))
         return None
-
-    def coords(self):
-        """Coordinates over the top step as elements one level down."""
-        if self.level.depth == 0:
-            return (PadicScalar(self.level.p, self.pay,
-                                None if self.prec is None else math.ceil(self.prec)),)
-        par = self.level.parent
-        return tuple(ExtElement(par, c, self.prec) for c in self.pay)
 
     def flat_coords(self):
         """Rational coordinates over the full Q-basis of the level."""
@@ -1013,10 +773,7 @@ class ExtElement:
 
     def val_pi(self):
         """Integer valuation in pi-units; math.inf for zero."""
-        v = self.level._val_pi_pay(self.pay)
-        if v is _INF and self.prec is not None:
-            raise PrecisionError("valuation only bounded below")
-        return v
+        return self.level._val_pi_pay(self.pay)
 
     def valuation(self):
         """Valuation in v_p units (a Fraction with denominator | e)."""
@@ -1028,81 +785,48 @@ class ExtElement:
         v = self.valuation()
         return 0.0 if v is _INF else float(self.level.p) ** (-float(v))
 
-    def norm_exponent(self):
-        """Exact exponent: ||x|| = p**norm_exponent(); None for zero."""
-        v = self.valuation()
-        return None if v is _INF else -v
-
-    def module(self):
-        """|x|_n = ||x||^m as a float."""
-        v = self.valuation()
-        return 0.0 if v is _INF else float(self.level.p) ** (-float(v * self.level.m))
-
     # -- arithmetic ----------------------------------------------------------
 
-    def _wrap(self, pay, prec):
-        return ExtElement(self.level, pay, prec)
+    def _wrap(self, pay):
+        return ExtElement(self.level, pay)
 
     def __add__(self, other):
         o = self._pair(other)
         if o is None or o is NotImplemented:
             return NotImplemented
-        return self._wrap(
-            self.level._add_pay(self.pay, o.pay), _min_prec(self.prec, o.prec)
-        )
+        return self._wrap(self.level._add_pay(self.pay, o.pay))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._wrap(self.level._neg_pay(self.pay), self.prec)
+        return self._wrap(self.level._neg_pay(self.pay))
 
     def __sub__(self, other):
         o = self._pair(other)
         if o is None or o is NotImplemented:
             return NotImplemented
-        return self._wrap(
-            self.level._sub_pay(self.pay, o.pay), _min_prec(self.prec, o.prec)
-        )
+        return self._wrap(self.level._sub_pay(self.pay, o.pay))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._wrap(self.level._smul_pay(other, self.pay), self.prec)
+            return self._wrap(self.level._smul_pay(other, self.pay))
         o = self._pair(other)
         if o is None or o is NotImplemented:
             return NotImplemented
-        prec = None
-        if self.prec is not None or o.prec is not None:
-            e = self.level.e
-            va = self.level._val_pi_pay(self.pay)
-            vb = self.level._val_pi_pay(o.pay)
-            cands = []
-            if o.prec is not None:
-                cands.append(_INF if va is _INF else Fraction(va, e) + o.prec)
-            if self.prec is not None:
-                cands.append(_INF if vb is _INF else Fraction(vb, e) + self.prec)
-            lo = min(cands)
-            prec = None if lo is _INF else lo
-        return self._wrap(self.level._mul_pay(self.pay, o.pay), prec)
+        return self._wrap(self.level._mul_pay(self.pay, o.pay))
 
     __rmul__ = __mul__
 
     def inv(self):
-        prec = None
-        if self.prec is not None:
-            v = self.valuation()
-            if v is _INF:
-                raise PrecisionError("cannot invert a zero-at-precision element")
-            prec = self.prec - 2 * v
-        return self._wrap(self.level._inv_pay(self.pay), prec)
+        return self._wrap(self.level._inv_pay(self.pay))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._wrap(
-                self.level._smul_pay(Fraction(1, 1) / Fraction(other), self.pay),
-                self.prec,
+                self.level._smul_pay(Fraction(1, 1) / Fraction(other), self.pay)
             )
         o = self._pair(other)
         if o is None or o is NotImplemented:
@@ -1130,7 +854,7 @@ def _freeze(pay):
 
 
 # ---------------------------------------------------------------------------
-# traces, averaged projections, characters
+# traces, averaged projections, the pairing angle
 
 
 def trace(x, target):
@@ -1138,8 +862,7 @@ def trace(x, target):
     if not target.is_prefix_of(x.level):
         raise ValueError("trace target must be a prefix of the element level")
     pay = x.level._trace_to_pay(x.pay, target.depth)
-    prec = None if x.prec is None else math.floor(x.prec)
-    return ExtElement(target, pay, prec)
+    return ExtElement(target, pay)
 
 
 def project_T(x, target):
@@ -1148,10 +871,7 @@ def project_T(x, target):
         raise ValueError("projection target must be a prefix of the element level")
     t = trace(x, target)
     scale = Fraction(target.m, x.level.m)
-    prec = None
-    if x.prec is not None:
-        prec = math.floor(x.prec) + vp(scale, x.level.p)
-    return ExtElement(target, target._smul_pay(scale, t.pay), prec)
+    return ExtElement(target, target._smul_pay(scale, t.pay))
 
 
 def T_to_rational(x):
@@ -1171,27 +891,3 @@ def pairing_angle(a, x):
     xn = project_T(x, a.level) if x.level.depth != a.level.depth else x
     y = a * xn
     return frac_part(T_to_rational(y), a.level.p)
-
-
-def pairing_character(a, x):
-    """chi(<a, x>) = exp(2 pi i {T(a T_n(x))})."""
-    return chi_of_angle(pairing_angle(a, x))
-
-
-def enumerate_ball_quotient(level, r, s):
-    """All cosets of pi^s O inside pi^(-r) O, in digit-lexicographic order.
-
-    The count is q**(r + s); a guard refuses to materialize more than 2^20
-    cosets.
-    """
-    lo = -r
-    if s <= lo:
-        raise ValueError("inner radius exponent must exceed the outer one")
-    n_digits = (s - lo) * level.f
-    total = level.p**n_digits
-    if total > 1 << 20:
-        raise ValueError(f"quotient too large to enumerate ({total} cosets)")
-    return [
-        BallCoset(level, lo, s, digs)
-        for digs in itertools.product(range(level.p), repeat=n_digits)
-    ]

@@ -1,11 +1,17 @@
 import csv
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from padicfrac.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 Q2_TOWER = "qp:p=2,depth=1"
 UNRAM_TOWER = "unramified:p=2,f=1-2-6"
 
@@ -214,6 +220,39 @@ def test_simulate_rejects_too_few_paths_and_empty_horizons(tmp_path, flags):
         tmp_path, "simulate", "--tower", Q2_TOWER, "--lam-valuation", "-1", *flags,
     )
     assert code == 2 and doc is None
+
+
+def test_simulate_with_equal_paths_has_no_z_score(tmp_path, capsys):
+    # at t = 1e-9 no path jumps, so every path gives 1 and the stderr is 0
+    code, doc = run(
+        tmp_path, "simulate", "--tower", Q2_TOWER, "--lam-valuation", "-1",
+        "--t", "1e-9", "--paths", "100",
+    )
+    assert code == 2 and doc is None
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["command"] == "simulate"
+    assert "z-score" in record["error"]
+
+
+def test_default_simulate_fails_fast_within_a_memory_limit():
+    # the default tower's top level gives a 2^24-coset jump quotient; its
+    # digit matrix must be refused before it is allocated
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicfrac.cli", "simulate"],
+        capture_output=True, text=True, timeout=120, env=env,
+        preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.strip().splitlines()[-1]) == {
+        "command": "simulate", "error": "quotient too large to enumerate",
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Core p-adic arithmetic: scalars, extension chains, traces, characters."""
+"""Core p-adic arithmetic: exact extension levels, elements, traces, the
+pairing angle."""
 
 import math
 from fractions import Fraction
@@ -7,15 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicfrac.funcspace import BallQuotient
 from padicfrac.padic import (
     BallCoset,
     ExtElement,
-    PadicScalar,
-    PrecisionError,
     base_level,
-    character_chi,
-    chi_of_angle,
-    enumerate_ball_quotient,
     frac_part,
     pairing_angle,
     project_T,
@@ -76,70 +73,31 @@ def test_frac_part_additive_mod_1(x, y):
     assert s.denominator == 1
 
 
-@given(x=rationals, y=rationals)
-def test_chi_is_a_character(x, y):
-    lhs = character_chi(x + y, 2)
-    rhs = character_chi(x, 2) * character_chi(y, 2)
-    assert abs(lhs - rhs) < 1e-12
-
-
-def test_chi_half_is_minus_one():
-    assert abs(character_chi(Fraction(1, 2), 2) + 1) < 1e-15
-    assert abs(character_chi(Fraction(1, 3), 3) - chi_of_angle(Fraction(1, 3))) < 1e-15
-
-
 # ---------------------------------------------------------------------------
-# PadicScalar
+# elements of Q_2
 
 
 def test_scalar_digits_of_one_third():
     # 1/3 in Q_2: inverse of 3 mod 2^8 is 171 = 0b10101011
-    x = PadicScalar(2, Fraction(1, 3))
-    digs = x.digits(8)
+    digs = Q2.digits_in_ball(Fraction(1, 3), 0, 8)
     assert digs == (1, 1, 0, 1, 0, 1, 0, 1)
     val = sum(d * 2**k for k, d in enumerate(digs))
     assert (3 * val) % 2**8 == 1
 
 
 def test_scalar_valuation_and_norm():
-    x = PadicScalar(2, Fraction(12, 5))
+    x = Q2.from_rational(Fraction(12, 5))
     assert x.valuation() == 2
     assert x.norm() == 0.25
-    assert PadicScalar(2, 0).valuation() == math.inf
-    assert PadicScalar(2, 0).norm() == 0.0
-
-
-def test_scalar_precision_propagation():
-    a = PadicScalar(2, 5, prec=8)
-    b = PadicScalar(2, Fraction(1, 2))
-    assert (a + b).prec == 8
-    assert (a * b).prec == 7          # v(b) = -1 shifts the cap down
-    assert (a * 4).prec == 10         # v = 2 shifts it up
-    assert a.inv().prec == 8          # unit: prec - 2*0
-
-
-def test_scalar_zero_at_precision():
-    z = PadicScalar(2, 0, prec=6)
-    with pytest.raises(PrecisionError):
-        z.valuation()
-    with pytest.raises(PrecisionError):
-        z.norm()
-    assert (z + 1).valuation() == 0
-    with pytest.raises(PrecisionError):
-        PadicScalar(2, 3, prec=4).digits(6)
+    assert Q2.zero().valuation() == math.inf
+    assert Q2.zero().norm() == 0.0
 
 
 def test_scalar_division():
-    x = PadicScalar(2, Fraction(7, 3)) / PadicScalar(2, Fraction(7, 6))
-    assert x.value == 2
+    x = Q2.from_rational(Fraction(7, 3)) / Q2.from_rational(Fraction(7, 6))
+    assert x == 2
     with pytest.raises(ZeroDivisionError):
-        PadicScalar(2, 0).inv()
-
-
-def test_scalar_frac_needs_integer_precision():
-    with pytest.raises(PrecisionError):
-        PadicScalar(2, Fraction(1, 2), prec=-1).frac()
-    assert PadicScalar(2, Fraction(1, 2), prec=3).frac() == Fraction(1, 2)
+        Q2.zero().inv()
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +292,6 @@ def test_digits_reject_outside_ball():
         E.digits_in_ball(E.uniformizer_pow(-2).pay, -1, 3)
 
 
-def test_enumerate_ball_quotient_counts():
-    cosets = enumerate_ball_quotient(E, 1, 2)
-    assert len(cosets) == 2**3              # q^(r+s), q = 2
-    assert len(set(c.digits for c in cosets)) == len(cosets)
-    cosets = enumerate_ball_quotient(U, 0, 2)
-    assert len(cosets) == 4**2
-    with pytest.raises(ValueError):
-        enumerate_ball_quotient(U, 0, 20)
-
-
 @given(a=element_strategy(U), x=element_strategy(W), y=element_strategy(W))
 @settings(max_examples=25)
 def test_pairing_is_additive(a, x, y):
@@ -356,10 +304,7 @@ def test_annihilator_of_standard_ball_is_ring_of_integers(level):
     # the pairing a -> chi(T(a x)) kills the ball pi^{s0} O exactly for
     # integral a; probe the boundary on a deep digit system
     s0 = level.s0
-    reps = [
-        level.coset_representative(c)
-        for c in enumerate_ball_quotient(level, -s0, s0 + max(2, level.e))
-    ]
+    reps = BallQuotient(level, s0, s0 + max(2, level.e)).representatives()
 
     def annihilates(a):
         return all(pairing_angle(a, r) == 0 for r in reps)
