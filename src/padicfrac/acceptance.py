@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import stats
 
 from .funcspace import (
     BallQuotient,
@@ -34,7 +33,13 @@ from .measures import (
     singularity_report,
 )
 from .padic import ExtElement, base_level, project_T
-from .process import build_jump_law, expected_characteristic, mc_characteristic, sample_endpoints
+from .process import (
+    build_jump_law,
+    expected_characteristic,
+    mc_characteristic,
+    poisson_gof_pvalue,
+    sample_endpoints,
+)
 from .tower import (
     build_factorial_tower,
     build_qp_tower,
@@ -289,17 +294,7 @@ def check_monte_carlo():
 
         law = build_jump_law(q2, alpha, delta=Fraction(1, 2 ** (-v)))
         _, counts = sample_endpoints(law, t_val, n_paths, seed)
-        lam = law.rate * t_val
-        kmax = int(stats.poisson.ppf(1.0 - 1e-6, lam))
-        observed = np.bincount(counts, minlength=kmax + 1)[: kmax + 1].astype(float)
-        observed[kmax] += (counts > kmax).sum()
-        expected = stats.poisson.pmf(np.arange(kmax + 1), lam) * n_paths
-        expected[kmax] = n_paths - expected[:kmax].sum()
-        while expected.size > 2 and expected[-1] < 5:
-            expected[-2] += expected[-1]
-            observed[-2] += observed[-1]
-            expected, observed = expected[:-1], observed[:-1]
-        pval = float(stats.chisquare(observed, expected).pvalue)
+        pval = poisson_gof_pvalue(counts, law.rate * t_val)
         pvals.append(pval)
         ok = ok and pval > 0.01
     detail = (

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -290,7 +291,9 @@ class Level:
         return (par._scalar_pay(r),) + rest
 
     def _as_pay(self, x):
-        """Accept payloads, rationals, ExtElement at this or a prefix level."""
+        """Accept payloads, rationals, ExtElement at this or a prefix level.
+        Floats are refused at every depth: a binary float is not the
+        rational it was written as."""
         if isinstance(x, ExtElement):
             if x.level is self or x.level == self:
                 return x.pay
@@ -299,9 +302,9 @@ class Level:
             raise ValueError(f"{x.level!r} is not a prefix of {self!r}")
         if isinstance(x, (int, Fraction)):
             return self._scalar_pay(x)
-        if self.depth == 0:
-            return Fraction(x)
-        if isinstance(x, (tuple, list)):
+        if isinstance(x, numbers.Rational):  # numpy integers, say
+            return self._scalar_pay(Fraction(int(x.numerator), int(x.denominator)))
+        if self.depth and isinstance(x, (tuple, list)):
             st = self.steps[-1]
             if len(x) != st.degree:
                 raise ValueError(

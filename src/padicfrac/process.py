@@ -15,13 +15,19 @@ The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
 so once the cutoff covers that shell the truncated process has exactly the
 characteristic function exp(-t ||label||^alpha) of the full one.
+
+The jump counts of a path are Poisson(rate * t); ``poisson_gof_pvalue``
+tests them with a chi-square statistic, its Poisson and chi-square laws
+written with the standard library alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, Philox  # numpy loads numpy.random lazily: pay it at import
 
 from .funcspace import BallQuotient
 from .measures import (
@@ -38,6 +44,10 @@ __all__ = [
     "sample_endpoints",
     "mc_characteristic",
     "expected_characteristic",
+    "poisson_pmf",
+    "poisson_quantile",
+    "chi2_sf",
+    "poisson_gof_pvalue",
     "truncated_log_characteristic",
 ]
 
@@ -115,7 +125,7 @@ def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
 
 
 def _rng(seed, stream):
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
+    return Generator(Philox(key=[int(seed), int(stream)]))
 
 
 def _jump_sampler(law):
@@ -263,6 +273,59 @@ def expected_characteristic(level, alpha, lam_valuation, t):
         return 1.0
     L = -lam_valuation
     return float(np.exp(-float(t) * float(level.p) ** (L * float(alpha) / level.e)))
+
+
+def poisson_pmf(k, lam):
+    """P(N = k) for N ~ Poisson(lam), lam > 0."""
+    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+
+
+def poisson_quantile(q, lam):
+    """Smallest k with P(N <= k) >= q for N ~ Poisson(lam)."""
+    terms = []
+    while True:
+        terms.append(poisson_pmf(len(terms), lam))
+        if math.fsum(terms) >= q:
+            return len(terms) - 1
+
+
+def chi2_sf(x, df):
+    """P(X >= x) for X ~ chi-square with a positive integer df: the
+    regularised upper incomplete gamma Q(df/2, x/2), a finite sum built by
+    Q(a + 1, h) = Q(a, h) + h^a e^-h / Gamma(a + 1) from Q(0, h) = 0 or
+    Q(1/2, h) = erfc(sqrt h) (Abramowitz & Stegun 26.4.4-26.4.5)."""
+    if x <= 0:
+        return 1.0
+    h = x / 2.0
+    if df % 2 == 0:
+        a, total, term = 0.0, 0.0, math.exp(-h)
+    else:
+        a, total = 0.5, math.erfc(math.sqrt(h))
+        term = 2.0 * math.sqrt(h / math.pi) * math.exp(-h)  # h^(1/2) e^-h / Gamma(3/2)
+    while a < df / 2.0:
+        total += term
+        a += 1.0
+        term *= h / a
+    return total
+
+
+def poisson_gof_pvalue(counts, lam):
+    """Chi-square goodness-of-fit p-value of integer counts against
+    Poisson(lam).  The bins are 0..k for k the 1 - 1e-6 quantile, the last
+    taking the whole upper tail; the sparse upper bins are then pooled until
+    the last expects at least 5 hits, and df is the bin count - 1."""
+    counts = np.asarray(counts)
+    n = counts.size
+    kmax = poisson_quantile(1.0 - 1e-6, lam)
+    observed = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1).astype(float)
+    expected = np.array([poisson_pmf(k, lam) for k in range(kmax + 1)]) * n
+    expected[kmax] = n - expected[:kmax].sum()
+    while expected.size > 2 and expected[-1] < 5:
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    stat = float(((observed - expected) ** 2 / expected).sum())
+    return chi2_sf(stat, expected.size - 1)
 
 
 def truncated_log_characteristic(law, lam_valuation, t):

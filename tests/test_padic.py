@@ -4,6 +4,7 @@ pairing angle."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +92,24 @@ def test_scalar_valuation_and_norm():
     assert x.norm() == 0.25
     assert Q2.zero().valuation() == math.inf
     assert Q2.zero().norm() == 0.0
+
+
+@pytest.mark.parametrize("level", [Q2, U], ids=["Q2", "U"])
+def test_element_refuses_floats_at_every_depth(level):
+    with pytest.raises(TypeError, match="float"):
+        level.element(0.1)
+    with pytest.raises(TypeError, match="float"):
+        level.element(np.float64(2.0))
+
+
+@pytest.mark.parametrize("level", [Q2, U], ids=["Q2", "U"])
+def test_element_accepts_numpy_integers_as_python_ints(level):
+    x = level.element(np.int64(3))
+    assert x == level.element(3)
+    assert all(type(c.numerator) is int for c in x.flat_coords())
+    y = level.element(1) + np.int64(2)
+    assert y == level.element(3)
+    assert all(type(c.numerator) is int for c in y.flat_coords())
 
 
 def test_scalar_division():

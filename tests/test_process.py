@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from padicfrac import base_level, funcspace, process
 from padicfrac.padic import Level
@@ -11,7 +10,11 @@ from padicfrac.measures import levy_shell_mass, levy_tail_mass
 from padicfrac.process import (
     build_jump_law,
     expected_characteristic,
+    chi2_sf,
     mc_characteristic,
+    poisson_gof_pvalue,
+    poisson_pmf,
+    poisson_quantile,
     sample_endpoints,
     simulate_path,
     truncated_log_characteristic,
@@ -228,19 +231,92 @@ def test_jump_counts_pass_poisson_goodness_of_fit():
     law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
     t, n = 1.0, 4000
     _, counts = sample_endpoints(law, t, n, seed=11)
-    lam = law.rate * t
+    assert poisson_gof_pvalue(counts, law.rate * t) > 0.01
+
+
+# the three rates of acceptance.check_monte_carlo, then a grid
+POISSON_RATES = [2.5, 2.625, 9.0, 0.01, 0.3, 1.0, 4.7, 17.25, 33.0, 60.0]
+
+
+@pytest.mark.parametrize("lam", POISSON_RATES)
+def test_poisson_pmf_sums_to_one_up_to_the_quantile(lam):
+    kmax = poisson_quantile(1 - 1e-6, lam)
+    mass = math.fsum(poisson_pmf(k, lam) for k in range(kmax + 1))
+    assert 1 - 1e-6 <= mass <= 1 + 1e-12
+    assert math.fsum(poisson_pmf(k, lam) for k in range(kmax)) < 1 - 1e-6
+    assert abs(math.fsum(poisson_pmf(k, lam) for k in range(kmax + 200)) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("df", range(1, 41))
+def test_chi2_sf_closed_forms(df):
+    assert chi2_sf(0.0, df) == 1.0
+    xs = [0.01, 0.5, 1.0, 3.0, 10.0, 40.0, 150.0]
+    values = [chi2_sf(x, df) for x in xs]
+    assert all(0.0 <= v <= 1.0 for v in values)
+    assert values == sorted(values, reverse=True)
+    for x in xs:
+        if df == 1:
+            assert chi2_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-14)
+        if df == 2:
+            assert chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-14)
+        # adding two degrees of freedom adds one term: Q(a+1, h) - Q(a, h)
+        h, a = x / 2, df / 2
+        gap = math.exp(a * math.log(h) - h - math.lgamma(a + 1))
+        assert chi2_sf(x, df + 2) - chi2_sf(x, df) == pytest.approx(gap, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("lam", [2.5, 2.625, 9.0])
+def test_poisson_gof_of_exact_expected_counts_is_one(lam):
+    n = 100_000
+    kmax = poisson_quantile(1 - 1e-6, lam)
+    hits = [round(n * poisson_pmf(k, lam)) for k in range(kmax + 1)]
+    hits[int(lam)] += n - sum(hits)  # the rounding slack goes to the mode
+    counts = np.repeat(np.arange(kmax + 1), hits)
+    assert poisson_gof_pvalue(counts, lam) > 0.99
+    assert poisson_gof_pvalue(counts, 2 * lam) < 1e-6
+
+
+@pytest.mark.parametrize("lam", POISSON_RATES)
+def test_poisson_quantile_and_pmf_match_scipy(lam):
+    stats = pytest.importorskip("scipy.stats")
+    for q in (0.01, 0.5, 0.99, 1 - 1e-6):
+        assert poisson_quantile(q, lam) == int(stats.poisson.ppf(q, lam))
+    ks = np.arange(poisson_quantile(1 - 1e-6, lam) + 5)
+    mine = np.array([poisson_pmf(int(k), lam) for k in ks])
+    np.testing.assert_allclose(mine, stats.poisson.pmf(ks, lam), rtol=1e-12)
+
+
+def test_poisson_quantile_matches_scipy_on_a_dense_grid():
+    stats = pytest.importorskip("scipy.stats")
+    lams = np.linspace(0.01, 60.0, 600)
+    mine = [poisson_quantile(1 - 1e-6, float(lam)) for lam in lams]
+    assert mine == [int(k) for k in stats.poisson.ppf(1 - 1e-6, lams)]
+
+
+@pytest.mark.parametrize("df", range(1, 41))
+def test_chi2_sf_matches_scipy(df):
+    stats = pytest.importorskip("scipy.stats")
+    xs = np.linspace(0.0, 150.0, 301)
+    mine = np.array([chi2_sf(float(x), df) for x in xs])
+    np.testing.assert_allclose(mine, stats.chi2.sf(xs, df), rtol=1e-12, atol=1e-300)
+
+
+def test_poisson_gof_pvalue_matches_scipy_chisquare():
+    stats = pytest.importorskip("scipy.stats")
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
+    lam, n = law.rate, 4000
+    _, counts = sample_endpoints(law, 1.0, n, seed=11)
     kmax = int(stats.poisson.ppf(1 - 1e-6, lam))
     observed = np.bincount(counts, minlength=kmax + 1)[: kmax + 1].astype(float)
     observed[kmax] += (counts > kmax).sum()
     expected = stats.poisson.pmf(np.arange(kmax + 1), lam) * n
     expected[kmax] = n - expected[:kmax].sum()
-    # pool the sparse upper tail until every bin expects at least 5 hits
     while expected.size > 2 and expected[-1] < 5:
         expected[-2] += expected[-1]
         observed[-2] += observed[-1]
         expected, observed = expected[:-1], observed[:-1]
-    gof = stats.chisquare(observed, expected)
-    assert gof.pvalue > 0.01
+    reference = stats.chisquare(observed, expected).pvalue
+    assert poisson_gof_pvalue(counts, lam) == pytest.approx(reference, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
