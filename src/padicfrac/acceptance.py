@@ -257,7 +257,10 @@ def check_kernel_jump_consistency():
     worst = 0.0
     rng = np.random.default_rng(7001)
     for bq in cases:
-        add = bq.sub_table[:, bq.neg_table]
+        # add[i, j] = index of rep_i + rep_j, by carrying digit sums
+        dT = bq.digit_matrix.T
+        add = bq.index_of_digits((dT[:, :, None] + dT[:, None, :]).reshape(bq.D, -1))
+        add = add.reshape(bq.size, bq.size)
         for k in range(20):
             f = random_function(bq, rng)
             alpha = alphas[k % len(alphas)]

@@ -507,6 +507,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if not getattr(args, "alpha", 1.0) > 0:
+            raise CommandError("--alpha must be positive")
         config, columns, rows, failures = args.func(args)
     except CommandError as exc:
         _fail(args.command, str(exc))

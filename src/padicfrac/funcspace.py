@@ -4,8 +4,11 @@ The working model for a locally constant function with bounded support is a
 vector of values on the quotient G = pi^lo O / pi^s O of a level.  Cosets are
 named by digit strings (rows indexed by the power of the uniformizer, columns
 by residue monomials), and the whole machinery -- additive characters, Fourier
-transforms, subtraction tables, measure integrals, refinement to deeper
-levels -- works on those digit strings with exact rational character angles.
+transforms, measure integrals, refinement to deeper levels -- works on those
+digit strings with exact rational character angles.  The digit system
+sum d * mono * pi^j is linear, so group sums and differences are digit sums:
+``BallQuotient.index_of_digits`` carries any integer digit vector back to a
+coset index.
 
 Cosets are listed in lexicographic digit order, row lo first.  In this block
 order every coset of pi^k O is a run of q^(s-k) consecutive indices, which
@@ -20,7 +23,6 @@ dual quotient in the same lexicographic order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -29,8 +31,6 @@ from .padic import BallCoset, ExtElement, pairing_angle, project_T
 
 __all__ = [
     "BallQuotient",
-    "CylFunction",
-    "SpectralCoefficients",
     "haar_integral",
     "mu_integral",
     "fourier",
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 MAX_CHARACTER_SIZE = 1 << 11      # largest |G| for which U is materialized
-MAX_TABLE_SIZE = 1 << 12          # largest |G| for subtraction tables
-_BLOCK_ENTRIES = 1 << 16          # table entries normalized per block
+MAX_DIGIT_ENTRIES = 1 << 24       # largest |G| * D held as a digit matrix
 
 
 class BallQuotient:
@@ -97,7 +96,7 @@ class BallQuotient:
         """All digit strings, one row per coset, lexicographic order."""
 
         def build():
-            if self.size * self.D > MAX_TABLE_SIZE * MAX_TABLE_SIZE:
+            if self.size * self.D > MAX_DIGIT_ENTRIES:
                 raise ValueError("quotient too large to enumerate")
             cols = []
             for t in range(self.D):
@@ -122,12 +121,6 @@ class BallQuotient:
             acc = np.repeat(acc, self.q) + c * means.pop()
         return acc
 
-    def index_of_digits(self, digits):
-        idx = 0
-        for d in digits:
-            idx = idx * self.p + int(d)
-        return idx
-
     def coset(self, index):
         return BallCoset(
             self.level, self.lo, self.s, tuple(int(x) for x in self.digit_matrix[index])
@@ -145,8 +138,7 @@ class BallQuotient:
     def index_of_element(self, x):
         """Coset index of an element of pi^lo O (an ExtElement or payload)."""
         pay = x.pay if isinstance(x, ExtElement) else x
-        digs = self.level.digits_in_ball(pay, self.lo, self.s)
-        return self.index_of_digits(digs)
+        return self.index_of_digits(self.level.digits_in_ball(pay, self.lo, self.s))
 
     @property
     def val_pi_vector(self):
@@ -242,53 +234,13 @@ class BallQuotient:
 
         return self._cache("U", build)
 
-    # -- group tables ----------------------------------------------------------
-
-    @property
-    def sub_table(self):
-        """int32 table: sub_table[i, j] = index of coset(rep_i - rep_j).
-
-        Built by carry propagation: the digit-wise difference dig[i] - dig[j]
-        names rep_i - rep_j, because the digit system sum d * mono * pi^j is
-        linear, and ``_normalize`` brings every such integer vector back to
-        digits in [0, p) with D exact expansions in all.  Rows go in blocks,
-        so the temporaries stay small whatever the size of the group.
-        """
-
-        def build():
-            if self.size > MAX_TABLE_SIZE:
-                raise ValueError(
-                    f"subtraction table of size {self.size} refused "
-                    f"(cap {MAX_TABLE_SIZE})"
-                )
-            n = self.size
-            dig = self.digit_matrix.T.astype(self._carries().dtype, order="C")
-            out = np.empty((n, n), dtype=np.int32)
-            rows = max(1, _BLOCK_ENTRIES // n)
-            for i0 in range(0, n, rows):
-                delta = dig[:, i0 : i0 + rows, None] - dig[:, None, :]
-                out[i0 : i0 + rows] = self._normalize(delta.reshape(self.D, -1)).reshape(-1, n)
-            return out
-
-        return self._cache("sub", build)
-
-    @property
-    def neg_table(self):
-        """neg_table[j] = index of coset(-rep_j), normalized from the
-        digits of 0 - rep_j without building the subtraction table."""
-
-        def build():
-            dig = self.digit_matrix.T.astype(self._carries().dtype, order="C")
-            return self._normalize(-dig)
-
-        return self._cache("neg", build)
+    # -- group law -------------------------------------------------------------
 
     def _carries(self):
-        """Carry vectors, in the integer dtype normalization runs in.
-
-        E[t] holds the digits of p * mono_mu * pi^j for basis position
-        t = (j, mu): one exact expansion per position.  Since p lies in
-        pi^e O, E[t] is zero in rows <= j, so carries only move deeper.
+        """carries[t] lists (u, E[t, u]) for the nonzero digits E[t] of
+        p * mono_mu * pi^j, basis position t = (j, mu): one exact expansion
+        per position.  Since p lies in pi^e O, E[t] is zero in positions
+        <= t (rows <= j), so carries only move deeper.
         """
 
         def build():
@@ -299,39 +251,49 @@ class BallQuotient:
             )
             if np.tril(E).any():
                 raise AssertionError("carry vectors must point to deeper rows")
-            # worst |entry| while normalizing entries in [-(p-1), p-1]: a
-            # position holding at most b passes on ceil(b / p) times its carry
-            # vector, c * p stays below b + p, and the index below size
-            bound = [p - 1] * self.D
-            for t in range(self.D):
-                carry = -(-bound[t] // p)
-                for u in range(t + 1, self.D):
-                    bound[u] += carry * int(E[t, u])
-            return E.astype(np.int16 if max(*bound, self.size) + p < 1 << 15 else np.int64)
+            return [[(int(u), int(E[t, u])) for u in np.flatnonzero(E[t])] for t in range(self.D)]
 
         return self._cache("carries", build)
 
-    def _normalize(self, delta):
-        """Coset indices of the integer digit vectors in the columns of
-        delta (D x m, entries in [-(p-1), p-1]), which is overwritten.
+    def index_of_digits(self, vectors):
+        """Coset indices of integer digit vectors of any magnitude: a
+        D-tuple gives an int, exactly; the columns of a D x m array give m
+        int64s, or ValueError where int64 could wrap.
 
-        Position t keeps delta_t mod p and hands c = delta_t // p on as
-        c * E[t].  This is exact because the digit system is linear, and
-        one pass in position order settles everything because carries only
+        Sums and differences of cosets are digit sums and differences,
+        because the digit system sum d * mono * pi^j is linear.  Position t
+        keeps delta_t mod p and hands c = delta_t // p on as c * E[t]; one
+        pass in position order settles everything because carries only
         move deeper and fall off past row s.  The index accumulates as
         delta @ p^(D-1-t).
         """
-        E = self._carries()
-        p = self.p
-        idx = np.zeros(delta.shape[1], dtype=delta.dtype)
+        carries, p = self._carries(), self.p
+        if np.ndim(vectors) == 1:
+            delta, idx = [int(d) for d in vectors], 0
+        else:
+            try:
+                delta = np.array(vectors, dtype=np.int64)  # overwritten below
+            except OverflowError as exc:
+                raise ValueError("digit vectors overflow int64") from exc
+            idx = np.zeros(delta.shape[1], dtype=np.int64)
+            # worst |entry| while normalizing entries bounded by m: a position
+            # holding at most b passes on ceil(b / p) times its carry vector,
+            # c * p stays below b + p, and the index below size
+            m = max(-int(delta.min(initial=0)), int(delta.max(initial=0)))
+            bound = [m] * self.D
+            for t in range(self.D):
+                for u, e in carries[t]:
+                    bound[u] += -(-bound[t] // p) * e
+            if max(*bound, self.size) + p >= 1 << 63:
+                raise ValueError("digit vectors overflow int64 while carrying")
         for t in range(self.D):
             # floor division by a scalar is far cheaper than np.divmod here
             c = delta[t] // p
             idx *= p
             idx += delta[t] - c * p
-            for u in np.flatnonzero(E[t]):
-                delta[u] += c * E[t, u]
-        return idx.astype(np.int32)
+            for u, e in carries[t]:
+                delta[u] += c * e
+        return idx
 
     # -- measures ------------------------------------------------------------
 
@@ -346,32 +308,6 @@ class BallQuotient:
     @property
     def mu_total_mass(self):
         return Fraction(self.q) ** (self.level.s0 - self.lo)
-
-
-@dataclass
-class CylFunction:
-    """A cylindrical function: values on the cosets of a ball quotient."""
-
-    quotient: BallQuotient
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.quotient.size,):
-            raise ValueError("one value per coset required")
-
-
-@dataclass
-class SpectralCoefficients:
-    """Fourier coefficients indexed by the dual quotient's cosets."""
-
-    quotient: BallQuotient
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != (self.quotient.size,):
-            raise ValueError("one coefficient per dual label required")
 
 
 def haar_integral(quotient, values):
@@ -430,7 +366,7 @@ def refine_function(src, values, target_level):
     dst = BallQuotient(target_level, target_level.s0, t_star)
 
     def build_map():
-        if dst.size > MAX_TABLE_SIZE * 64:
+        if dst.size > MAX_DIGIT_ENTRIES >> 6:
             raise ValueError("refined quotient too large")
         idx = np.empty(dst.size, dtype=np.int64)
         for g in range(dst.size):

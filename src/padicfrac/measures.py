@@ -307,20 +307,26 @@ def levy_integral_spectral(quotient, alpha, values):
     return complex(-apply_spectral(quotient, values, alpha)[0])
 
 
-def levy_log_characteristic(level, alpha, lam_valuation, t=1.0):
+def levy_log_characteristic(level, alpha, lam_valuation, t=1.0, cutoff=None):
     """Log of the jump part of the characteristic function at a label of
-    the given pi-valuation, by exact shell bookkeeping.
+    the given pi-valuation, by exact shell bookkeeping; with a ``cutoff``,
+    of the process that keeps only the shells of valuation <= cutoff.
 
     Shell averages of the pairing character telescope: shells far inside
     the label's conductor average to 1, the boundary shell to -1/(q-1),
     everything outside to 0.  The result is exactly 0.0 for labels of
-    nonnegative valuation and matches -t ||label||**alpha on the rest.
+    nonnegative valuation and matches -t ||label||**alpha on the rest once
+    the cutoff (if any) covers the boundary shell s0 + L - 1.
     """
     if lam_valuation >= 0:
         return 0.0
     L = -lam_valuation
     q = float(level.q)
     s0 = level.s0
-    acc = sum(levy_shell_mass(level, alpha, w) for w in range(s0, s0 + L - 1))
-    acc += q / (q - 1.0) * levy_shell_mass(level, alpha, s0 + L - 1)
+    boundary = s0 + L - 1
+    if cutoff is None:
+        cutoff = boundary
+    acc = sum(levy_shell_mass(level, alpha, w) for w in range(s0, min(boundary, cutoff + 1)))
+    if boundary <= cutoff:
+        acc += q / (q - 1.0) * levy_shell_mass(level, alpha, boundary)
     return -float(t) * acc

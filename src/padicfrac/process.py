@@ -5,11 +5,13 @@ total rate, and the process restricted to those jumps is compound Poisson:
 exponential inter-arrival times, jump values drawn shell by shell from the
 truncated measure.  Everything a character can see of the running sum lives
 in a finite ball quotient, so paths are simulated exactly as coset indices.
-Path states (``simulate_path``, ``sample_endpoints``) fold the jumps by
-group addition, one table lookup per jump.  The characteristic function
-needs no states: a character is a homomorphism, chi_b(sum of jumps) =
-prod chi_b(jump), so ``mc_characteristic`` sums the jumps' exact integer
-phases mod kappa along each path and takes one exponential per path.
+The digit system is linear, so a path state is the carry normalisation of
+the summed digit vectors of its jumps: ``simulate_path`` normalises prefix
+sums, ``sample_endpoints`` one digit sum per path.  The characteristic
+function needs no states: a character is a homomorphism, chi_b(sum of
+jumps) = prod chi_b(jump), so ``mc_characteristic`` sums the jumps' exact
+integer phases mod kappa along each path and takes one exponential per
+path.  Both samplers share one block loop, ``_path_sums``.
 
 The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
@@ -32,8 +34,8 @@ from numpy.random import Generator, Philox  # numpy loads numpy.random lazily: p
 from .funcspace import BallQuotient
 from .measures import (
     levy_cutoff_valuation,
+    levy_log_characteristic,
     levy_quotient_vector,
-    levy_shell_mass,
 )
 
 __all__ = [
@@ -158,20 +160,6 @@ def _jump_sampler(law):
     return draw
 
 
-def _add_table(quotient):
-    # group addition from the cached tables: i + j = i - (-j)
-    return quotient.sub_table[:, quotient.neg_table]
-
-
-def _fold(add, jumps):
-    state = 0
-    out = np.empty(len(jumps), dtype=np.int64)
-    for k, j in enumerate(jumps):
-        state = add[state, j]
-        out[k] = state
-    return out
-
-
 def simulate_path(law, t, seed, stream=0):
     """Draw one trajectory on [0, t]: exponential inter-arrival times at the
     law's rate, jump cosets from the truncated measure, states by group
@@ -189,8 +177,34 @@ def simulate_path(law, t, seed, stream=0):
         times.append(clock)
     times = np.asarray(times, dtype=np.float64)
     jumps = _jump_sampler(law)(rng, times.size)
-    states = _fold(_add_table(law.quotient), jumps)
+    quotient = law.quotient
+    states = quotient.index_of_digits(quotient.digit_matrix[jumps].cumsum(axis=0).T)
     return PathSample(horizon=float(t), times=times, jumps=jumps, states=states)
+
+
+def _path_sums(law, t, n_paths, seed, stream, columns):
+    """(sums, counts) for n_paths paths of the law on [0, t]: counts are
+    the Poisson jump counts and sums[:, i] the sum of columns[:, j] over
+    path i's jumps j, drawn in order in blocks of whole paths holding at
+    most ``_BLOCK_DRAWS`` jumps (or one path all of its own)."""
+    rng = _rng(seed, stream)
+    counts = rng.poisson(law.rate * t, size=n_paths)
+    draw = _jump_sampler(law)
+    ends = np.cumsum(counts)
+    sums = np.empty((len(columns), n_paths), dtype=np.int64)
+    i0 = 0
+    while i0 < n_paths:
+        base = ends[i0] - counts[i0]
+        i1 = max(i0 + 1, int(ends.searchsorted(base + _BLOCK_DRAWS, side="right")))
+        jumps = draw(rng, int(ends[i1 - 1] - base))
+        end = ends[i0:i1] - base
+        acc = np.zeros(jumps.size + 1, dtype=np.int64)
+        for row, column in zip(sums, columns):
+            # int64 wraparound in acc cancels in the differences
+            np.cumsum(column[jumps], out=acc[1:])
+            row[i0:i1] = acc[end] - acc[end - counts[i0:i1]]
+        i0 = i1
+    return sums, counts
 
 
 def sample_endpoints(law, t, n_paths, seed, stream=0):
@@ -198,22 +212,14 @@ def sample_endpoints(law, t, n_paths, seed, stream=0):
 
     Returns (states, counts): the final coset index of each path and its
     jump count.  Jump counts are Poisson(rate * t); endpoints are the
-    group sums of the jumps.
+    group sums of the jumps, one digit-sum normalisation per path.
     """
     if t <= 0:
         raise ValueError("time horizon must be positive")
-    rng = _rng(seed, stream)
-    counts = rng.poisson(law.rate * t, size=n_paths)
-    jumps = _jump_sampler(law)(rng, int(counts.sum()))
-    add = _add_table(law.quotient)
-    states = np.zeros(n_paths, dtype=np.int64)
-    starts = np.cumsum(counts) - counts
-    # one vectorised step per jump rank k over the paths with more than k
-    # jumps, adding each path's jumps in drawing order
-    for k in range(int(counts.max(initial=0))):
-        live = np.flatnonzero(counts > k)
-        states[live] = add[states[live], jumps[starts[live] + k]]
-    return states, counts
+    quotient = law.quotient
+    columns = np.ascontiguousarray(quotient.digit_matrix.T)
+    sums, counts = _path_sums(law, t, n_paths, seed, stream, columns)
+    return quotient.index_of_digits(sums), counts
 
 
 def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
@@ -224,9 +230,9 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     the label's size threshold and the last nontrivially-paired shell), so
     the estimate targets exp(-t ||label||^alpha) with no truncation bias.
     Returns (estimate, stderr).  The draws are those of ``sample_endpoints``
-    and each path's value is chi_b(endpoint), computed as the sum of its
-    jumps' integer phases mod kappa, whole paths at a time in blocks of
-    about ``_BLOCK_DRAWS`` jumps.
+    through the shared ``_path_sums``, and each path's value is
+    chi_b(endpoint), computed as the sum of its jumps' integer phases mod
+    kappa: a path's own sum stays exact, as kappa divides |G| <= 2^24.
     """
     lam_valuation = int(lam_valuation)
     if lam_valuation >= 0:
@@ -240,24 +246,7 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     law = build_jump_law(level, alpha, cutoff_valuation=cutoff)
     b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
     phases, kappa = law.quotient.character_phases(b)
-    rng = _rng(seed, stream)
-    counts = rng.poisson(law.rate * t, size=n_paths)
-    draw = _jump_sampler(law)
-    ends = np.cumsum(counts)
-    total = np.empty(n_paths, dtype=np.int64)
-    i0 = 0
-    while i0 < n_paths:
-        # paths i0 .. i1-1 hold at most _BLOCK_DRAWS jumps, or one path all
-        # of its own.  int64 wraparound in acc cancels in the differences,
-        # and a path's own sum stays exact: kappa divides |G| <= 2^24
-        base = ends[i0] - counts[i0]
-        i1 = max(i0 + 1, int(ends.searchsorted(base + _BLOCK_DRAWS, side="right")))
-        jumps = draw(rng, int(ends[i1 - 1] - base))
-        acc = np.zeros(jumps.size + 1, dtype=np.int64)
-        np.cumsum(phases[jumps], out=acc[1:])
-        end = ends[i0:i1] - base
-        total[i0:i1] = acc[end] - acc[end - counts[i0:i1]]
-        i0 = i1
+    (total,), _ = _path_sums(law, t, n_paths, seed, stream, phases[None, :])
     z = np.exp((2j * np.pi / kappa) * (total % kappa))
     estimate = z.mean()
     stderr = float(
@@ -334,18 +323,4 @@ def truncated_log_characteristic(law, lam_valuation, t):
     the kept shell masses.  Coincides with -t ||label||^alpha once the
     cutoff covers the boundary shell s0 + L - 1.
     """
-    if lam_valuation >= 0:
-        lam_boundary = None
-    else:
-        lam_boundary = law.level.s0 - lam_valuation - 1
-    q = float(law.level.q)
-    acc = 0.0
-    for w in range(law.level.s0, law.cutoff + 1):
-        if lam_boundary is None or w > lam_boundary:
-            avg = 1.0
-        elif w == lam_boundary:
-            avg = -1.0 / (q - 1.0)
-        else:
-            avg = 0.0
-        acc += (avg - 1.0) * levy_shell_mass(law.level, law.alpha, w)
-    return float(t) * acc
+    return levy_log_characteristic(law.level, law.alpha, lam_valuation, t, cutoff=law.cutoff)

@@ -155,14 +155,13 @@ def eigenvalue_estimates(quotient, alpha):
     Every character is an exact eigenvector of the kernel form, because the
     increment factors as chi_b(z - x) - chi_b(z) = chi_b(z) (chi_b(-x) - 1);
     the eigenvalue is the weighted sum of chi_b(-x_j) - 1 over the coset
-    representatives.  Returns the complex vector of those sums, to be held
-    against ||b||**alpha on labels of negative valuation and against zero on
-    the annihilator.
+    representatives, which is the weighted sum of chi_b(x_j) - 1 because
+    the weights depend only on valuation and v(-x) = v(x).  Returns the
+    complex vector of those sums, to be held against ||b||**alpha on labels
+    of negative valuation and against zero on the annihilator.
     """
     prefactor, w = hypersingular_weights(quotient, alpha)
-    U = quotient.character_matrix
-    neg = quotient.neg_table
-    return prefactor * ((U[:, neg] - 1.0) @ w)
+    return prefactor * ((quotient.character_matrix - 1.0) @ w)
 
 
 def eigenvalue_defect(quotient, alpha):

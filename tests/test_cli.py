@@ -280,6 +280,17 @@ def test_unknown_tower_exits_with_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("alpha", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command", ["spectrum", "apply", "singularity", "levy", "heat", "simulate"]
+)
+def test_non_positive_alpha_is_a_config_error(tmp_path, capsys, command, alpha):
+    code, doc = run(tmp_path, command, "--tower", Q2_TOWER, "--alpha", alpha)
+    assert code == 2 and doc is None
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {"command": command, "error": "--alpha must be positive"}
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_reruns_are_byte_identical(tmp_path, fmt):
     argv = [

@@ -10,8 +10,6 @@ import pytest
 from padicfrac.padic import Level, base_level
 from padicfrac.funcspace import (
     BallQuotient,
-    CylFunction,
-    SpectralCoefficients,
     fourier,
     haar_integral,
     inverse_fourier,
@@ -27,6 +25,13 @@ U = Q2.extend_unramified(2)
 E = Q2.extend_eisenstein([Fraction(-2), Fraction(0)])
 W = U.extend_eisenstein([U.element(2), U.element(2)])
 E3 = Q3.extend_eisenstein([Fraction(3), Fraction(3)])
+
+def _sub_table(bq):
+    """sub[i, j] = index of rep_i - rep_j, carried from digit differences."""
+    dT = bq.digit_matrix.T
+    delta = (dT[:, :, None] - dT[:, None, :]).reshape(bq.D, -1)
+    return bq.index_of_digits(delta).reshape(bq.size, bq.size)
+
 
 QUOTIENTS = [
     BallQuotient(Q2, 0, 4),
@@ -73,7 +78,7 @@ def test_valuation_vector_matches_representatives(bq):
 def test_radial_apply_is_a_sum_of_ball_averages(bq):
     # the oracle finds the balls from the group law, not from digit order:
     # j lies in the ball of radius k around i iff v(rep_i - rep_j) >= k
-    dist = bq.val_pi_vector[bq.sub_table]
+    dist = bq.val_pi_vector[_sub_table(bq)]
     rng = np.random.default_rng(4)
     phi = random_function(bq, rng)
     averages = {}
@@ -108,7 +113,7 @@ def test_character_matrix_is_scaled_unitary(bq):
 
 @pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
 def test_sub_table_matches_element_arithmetic(bq):
-    sub = bq.sub_table
+    sub = _sub_table(bq)
     reps = bq.representatives()
     rng = random.Random(7)
     for _ in range(50):
@@ -122,7 +127,7 @@ def test_characters_are_homomorphisms(bq):
     # chi_b(g - h) = chi_b(g) * conj(chi_b(h)): ties the character matrix to
     # the subtraction table, two tables built by independent routes
     Umat = bq.character_matrix
-    sub = bq.sub_table
+    sub = _sub_table(bq)
     rng = random.Random(3)
     for _ in range(30):
         i = rng.randrange(bq.size)
@@ -135,7 +140,7 @@ def test_characters_are_homomorphisms(bq):
 @pytest.mark.parametrize("bq", [QUOTIENTS[1], QUOTIENTS[3], QUOTIENTS[4]], ids=repr)
 def test_character_phases_are_the_character_rows(bq):
     Umat = bq.character_matrix
-    sub = bq.sub_table
+    sub = _sub_table(bq)
     for b in range(bq.size):
         phases, kappa = bq.character_phases(b)
         assert phases.min() >= 0 and phases.max() < kappa
@@ -165,16 +170,46 @@ SMALL_QUOTIENTS = [
 
 @pytest.mark.parametrize("bq", SMALL_QUOTIENTS, ids=repr)
 def test_sub_table_matches_element_arithmetic_on_every_pair(bq):
-    sub = bq.sub_table
-    neg = bq.neg_table
+    # a - b, a + b and -a on every pair, by digit sums against field arithmetic
+    dT = bq.digit_matrix.T
+    n = bq.size
     reps = bq.representatives()
-    expect = np.array(
-        [[bq.index_of_element(a - b) for b in reps] for a in reps]
-    )
-    assert sub.dtype == np.int32
-    assert (sub == expect).all()
-    assert (np.diag(sub) == 0).all()
-    assert (sub[0, neg] == np.arange(bq.size)).all()
+    sums = {
+        "sub": dT[:, :, None] - dT[:, None, :],
+        "add": dT[:, :, None] + dT[:, None, :],
+    }
+    got = {k: bq.index_of_digits(v.reshape(bq.D, -1)).reshape(n, n) for k, v in sums.items()}
+    assert (got["sub"] == [[bq.index_of_element(a - b) for b in reps] for a in reps]).all()
+    # a + b = b + a: field arithmetic on i <= j, symmetry for the rest
+    add = got["add"]
+    assert (add == add.T).all()
+    for i, a in enumerate(reps):
+        assert (add[i, i:] == [bq.index_of_element(a + b) for b in reps[i:]]).all()
+    neg = bq.index_of_digits(-dT)
+    assert (neg == [bq.index_of_element(-a) for a in reps]).all()
+    assert got["sub"].dtype == neg.dtype == np.int64
+    assert (np.diag(got["sub"]) == 0).all()
+    assert (got["sub"][0] == neg).all()
+
+
+@pytest.mark.parametrize("bq", SMALL_QUOTIENTS, ids=repr)
+def test_index_of_digits_of_sums_of_several_terms(bq):
+    dig = bq.digit_matrix
+    reps = bq.representatives()
+    rng = np.random.default_rng(13)
+    for terms in (3, 4, 5):
+        picks = rng.integers(bq.size, size=(40, terms))
+        signs = rng.choice([-1, 1], size=(40, terms))
+        vectors = np.einsum("mk,mkd->dm", signs, dig[picks])
+        got = bq.index_of_digits(vectors)
+        for m in range(40):
+            total = reps[0]
+            for g, sign in zip(picks[m], signs[m]):
+                total = total + reps[g] if sign > 0 else total - reps[g]
+            assert got[m] == bq.index_of_element(total)
+    # the tuple form on in-range digits is the plain base-p index
+    for i in range(bq.size):
+        assert bq.index_of_digits(tuple(int(d) for d in dig[i])) == i
 
 
 def test_cold_sub_table_expands_once_per_basis_position(monkeypatch):
@@ -190,14 +225,29 @@ def test_cold_sub_table_expands_once_per_basis_position(monkeypatch):
     monkeypatch.setattr(Level, "digits_in_ball", counting)
     bq = BallQuotient(Q2.extend_eisenstein([-2, 0]), -5, 5)
     assert bq.size == 1024
-    bq.sub_table
-    bq.neg_table
+    _sub_table(bq)
+    bq.index_of_digits(-bq.digit_matrix.T)
     assert 0 < len(calls) <= bq.D == 10
+
+
+def test_index_of_digits_refuses_int64_overflow():
+    bq = BallQuotient(Q2, 0, 4)
+    assert bq.index_of_digits((1 << 40, 0, 0, -(1 << 40))) == 0
+    # every entry 3 * 2^61: carrying would push position 1 to 9 * 2^61
+    for sign in (1, -1):
+        vectors = np.full((bq.D, 3), sign * (3 << 61), dtype=np.int64)
+        with pytest.raises(ValueError):
+            bq.index_of_digits(vectors)
+        # the tuple form carries Python ints, exactly
+        assert bq.index_of_digits(tuple(int(d) for d in vectors[:, 0])) == 0
+    with pytest.raises(ValueError):
+        bq.index_of_digits([[1 << 70], [0], [0], [0]])
+    assert bq.index_of_digits((1 << 70, 0, 1, 5)) == 3
 
 
 def test_neg_table():
     bq = BallQuotient(W, 2, 4)
-    neg = bq.neg_table
+    neg = bq.index_of_digits(-bq.digit_matrix.T)
     reps = bq.representatives()
     for j in range(bq.size):
         assert bq.index_of_element(reps[j] + reps[neg[j]]) == 0
@@ -299,22 +349,10 @@ def test_same_level_refinement_is_identity():
 
 
 # ---------------------------------------------------------------------------
-# containers and guards
-
-
-def test_cyl_function_validation():
-    bq = BallQuotient(Q2, 0, 2)
-    CylFunction(bq, np.zeros(4))
-    with pytest.raises(ValueError):
-        CylFunction(bq, np.zeros(5))
-    SpectralCoefficients(bq, np.zeros(4))
-    with pytest.raises(ValueError):
-        SpectralCoefficients(bq, np.zeros(3))
+# guards
 
 
 def test_size_guards():
     big = BallQuotient(Q2, 0, 14)
     with pytest.raises(ValueError):
         big.character_matrix
-    with pytest.raises(ValueError):
-        big.sub_table

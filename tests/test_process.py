@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from padicfrac import base_level, funcspace, process
+from padicfrac import base_level, process
 from padicfrac.padic import Level
 from padicfrac.measures import levy_shell_mass, levy_tail_mass
 from padicfrac.process import (
@@ -26,6 +26,13 @@ U = Q2.extend_unramified(2)
 E = Q2.extend_eisenstein([-2, 0])
 W = resolve_tower("factorial:p=2,depth=4").level(4)
 Q3 = base_level(3)
+
+
+def _add_table(quotient):
+    """add[i, j] = index of rep_i + rep_j, carried from digit sums."""
+    dT = quotient.digit_matrix.T
+    sums = (dT[:, :, None] + dT[:, None, :]).reshape(quotient.D, -1)
+    return quotient.index_of_digits(sums).reshape(quotient.size, quotient.size)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +103,8 @@ def test_coset_probs_are_a_symmetric_distribution():
         assert (probs[1:] > 0).all()
         assert abs(probs.sum() - 1.0) < 1e-12
         # the jump measure is invariant under negation, coset by coset
-        assert (probs == probs[law.quotient.neg_table]).all()
+        neg = law.quotient.index_of_digits(-law.quotient.digit_matrix.T)
+        assert (probs == probs[neg]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +129,7 @@ def test_simulate_path_invariants():
     assert path.times.size == path.jumps.size == path.states.size == 7
     assert (np.diff(path.times) > 0).all()
     assert path.times[0] > 0 and path.times[-1] <= 3.0
-    add = law.quotient.sub_table[:, law.quotient.neg_table]
+    add = _add_table(law.quotient)
     state = 0
     for k, j in enumerate(path.jumps):
         state = add[state, j]
@@ -161,7 +169,7 @@ def test_sample_endpoints_matches_per_path_walk(level, cutoff, t, n_paths):
     rng = process._rng(9, 2)
     expect_counts = rng.poisson(law.rate * t, size=n_paths)
     jumps = rng.choice(law.quotient.size, size=int(expect_counts.sum()), p=law.coset_probs)
-    add = law.quotient.sub_table[:, law.quotient.neg_table]
+    add = _add_table(law.quotient)
     expect = []
     pos = 0
     for count in expect_counts:
@@ -212,6 +220,45 @@ def test_jump_sampler_on_cdf_ties(level, cutoff):
     u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf, 0.0)])
     got = process._jump_sampler(law)(_FixedUniforms(u), u.size)
     assert (got == cdf.searchsorted(u, side="right")).all()
+
+
+def _entries(value):
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, (list, tuple)):
+        return sum(_entries(v) for v in value)
+    return 1
+
+
+def test_sampling_runs_past_the_old_table_cap():
+    # 8,192 cosets: a dense n x n group table would hold 2^26 entries
+    level = Level(2)  # a fresh cache, so every table below is built here
+    law = build_jump_law(level, 1.0, cutoff_valuation=12)
+    quotient = law.quotient
+    assert quotient.size == 8192
+    t, n_paths = 1.0 / 4096, 3000
+    states, counts = sample_endpoints(law, t, n_paths, seed=5)
+    path = simulate_path(law, 1.0 / 1024, seed=3)
+    assert 0 < counts.sum() and 0 < path.jumps.size
+    # the same draws again; chi_b(endpoint) = prod chi_b(jump) for every b
+    rng = process._rng(5, 0)
+    expect_counts = rng.poisson(law.rate * t, size=n_paths)
+    jumps = rng.choice(quotient.size, size=int(expect_counts.sum()), p=law.coset_probs)
+    owner = np.repeat(np.arange(n_paths), expect_counts)
+    assert (counts == expect_counts).all()
+    for b in (1, 1000, 8191):
+        phases, kappa = quotient.character_phases(b)
+        sums = np.bincount(owner, weights=phases[jumps], minlength=n_paths)
+        assert (phases[states] == sums.astype(np.int64) % kappa).all()
+        walk = np.cumsum(phases[path.jumps]) % kappa
+        assert (phases[path.states] == walk).all()
+    # and by field arithmetic on the single path
+    state = quotient.representative(0)
+    for k, j in enumerate(path.jumps):
+        state = state + quotient.representative(j)
+        assert path.states[k] == quotient.index_of_element(state)
+    limit = quotient.size * quotient.D
+    assert max(_entries(v) for v in level._cache.values()) <= limit
 
 
 def test_sample_endpoints_is_reproducible_and_stream_separated():
@@ -403,7 +450,7 @@ def test_mc_characteristic_runs_past_the_table_caps():
     t = 1.0 / 4096
     estimate, stderr = mc_characteristic(level, 1.0, -12, t, 20_000, seed=23)
     quotient = build_jump_law(level, 1.0, cutoff_valuation=12).quotient
-    assert quotient.size == 8192 > funcspace.MAX_TABLE_SIZE
+    assert quotient.size == 8192 > 4096
     target = expected_characteristic(level, 1.0, -12, t)
     assert 0 < stderr and abs(estimate.real - target) <= 3 * stderr
     assert abs(estimate.imag) <= 3 * stderr

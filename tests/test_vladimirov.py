@@ -96,12 +96,15 @@ def test_annihilator_labels_are_exact_kernel(quotient):
 
 def _dense_kernel(quotient, alpha):
     """The kernel route as an n x n matrix, summed coset by coset through
-    the subtraction table: psi_i = pref * sum_j w_j (phi_sub(i,j) - phi_i)."""
+    the subtraction table: psi_i = pref * sum_j w_j (phi_sub(i,j) - phi_i),
+    sub(i, j) = index of rep_i - rep_j carried from digit differences."""
     prefactor, w = hypersingular_weights(quotient, alpha)
     n = quotient.size
+    dT = quotient.digit_matrix.T
+    sub = quotient.index_of_digits((dT[:, :, None] - dT[:, None, :]).reshape(quotient.D, -1))
     mat = np.zeros((n, n))
     rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    np.add.at(mat, (rows, quotient.sub_table), np.broadcast_to(w, (n, n)))
+    np.add.at(mat, (rows, sub.reshape(n, n)), np.broadcast_to(w, (n, n)))
     mat[np.arange(n), np.arange(n)] -= w.sum()
     return prefactor * mat
 
