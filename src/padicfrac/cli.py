@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import acceptance
-from .funcspace import BallQuotient, random_function
+from .funcspace import MAX_DIGIT_ENTRIES, BallQuotient, random_function
 from .measures import (
     heat_coset_vector,
     heat_cylinder_mass,
@@ -153,6 +153,9 @@ def _load_function(args, level):
         return quotient, out
     lo = args.lo if args.lo is not None else level.s0 - 1
     quotient = BallQuotient(level, lo, lo + args.span)
+    # the routes need the digit matrix, so refuse before drawing |G| values
+    if quotient.size * quotient.D > MAX_DIGIT_ENTRIES:
+        raise CommandError("quotient too large to enumerate")
     rng = np.random.default_rng(args.seed)
     return quotient, random_function(quotient, rng)
 

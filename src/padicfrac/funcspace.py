@@ -110,15 +110,25 @@ class BallQuotient:
     def radial_apply(self, values, k0, coeffs):
         """sum_{k=k0}^{s} coeffs[k - k0] * P_k phi, where P_k phi averages
         phi over each coset of pi^k O: a block of q^(s-k) consecutive
-        indices, so one reshape-mean per radius, O(|G|) in all."""
-        if not self.lo <= k0 <= self.s or len(coeffs) != self.s - k0 + 1:
+        indices.
+
+        One descending cascade, O(|G|) in all: the block sums S_j over runs
+        of q^j indices come from repeated reduction, then, from the coarsest
+        radius down, each level is the scaled copy S_j * (c_k / q^j) plus
+        the coarser level broadcast over its q sub-blocks -- three numpy
+        calls per radius.  Returns a new complex array; ``values`` is never
+        written."""
+        q, depth = self.q, self.s - k0
+        if not self.lo <= k0 <= self.s or len(coeffs) != depth + 1:
             raise ValueError("need one coefficient per radius k0..s, lo <= k0")
-        means = [np.asarray(values, dtype=np.complex128).reshape(self.size)]
-        for _ in range(self.s - k0):
-            means.append(means[-1].reshape(-1, self.q).mean(axis=1))
-        acc = coeffs[0] * means.pop()
-        for c in coeffs[1:]:
-            acc = np.repeat(acc, self.q) + c * means.pop()
+        sums = [np.asarray(values, dtype=np.complex128).reshape(self.size)]
+        for _ in range(depth):
+            sums.append(np.add.reduce(sums[-1].reshape(-1, q), axis=1))
+        acc = sums[depth] * (coeffs[0] / q**depth)
+        for j in range(depth - 1, -1, -1):
+            nxt = sums[j] * (coeffs[depth - j] / q**j)
+            nxt.reshape(-1, q)[...] += acc[:, None]
+            acc = nxt
         return acc
 
     def coset(self, index):

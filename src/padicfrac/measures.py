@@ -169,14 +169,24 @@ def heat_coset_vector(quotient, alpha, t):
     """
     lvl = quotient.level
     q = float(lvl.q)
-    ec = lvl.e * lvl.c
+    d, ec = lvl.d, lvl.e * lvl.c
     cell = q ** float(-quotient.s)
-    per_shell = [
-        q**ec * heat_density(lvl, alpha, t, w - ec) * cell
-        for w in range(quotient.lo, quotient.s)
-    ]
+    # heat_density and heat_ball_mass share the prefix sums
+    # A[k] = 1 + (1 - 1/q) sum_{j=1}^{k} q^j u_j, built once in their order:
+    # the density at w is q^-d (A[k] - q^k u_{k+1}) with k = w + d, and the
+    # ball mass of {v_pi >= v0} is q^-k0 A[k0] with k0 = v0 + d
+    k0 = quotient.s - ec + d
+    u = [_decay(lvl, alpha, t, j) for j in range(k0 + 1)]
+    prefix = [1.0]
+    for j in range(1, k0 + 1):
+        prefix.append(prefix[-1] + (1.0 - 1.0 / q) * q**j * u[j])
+    per_shell = []
+    for w in range(quotient.lo, quotient.s):
+        k = w - ec + d
+        density = q ** (-d) * (prefix[k] - q**k * u[k + 1]) if k >= 0 else 0.0
+        per_shell.append(q**ec * density * cell)
     # the zero coset is the only one of valuation s
-    per_shell.append(heat_ball_mass(lvl, alpha, t, quotient.s - ec))
+    per_shell.append(q ** (-k0) * prefix[k0] if k0 > 0 else 1.0)
     return np.array(per_shell)[quotient.val_pi_vector - quotient.lo]
 
 

@@ -164,18 +164,31 @@ def simulate_path(law, t, seed, stream=0):
     """Draw one trajectory on [0, t]: exponential inter-arrival times at the
     law's rate, jump cosets from the truncated measure, states by group
     addition.  Reproducible: (seed, stream) keys a counter-based generator.
+
+    Inter-arrival times are drawn in blocks of about rate * t plus three
+    standard deviations, accumulated and cut at t, until a block crosses t.
+    The arrival times are those of one draw per jump, but the draws past
+    the crossing are spent, so the jumps come from a later point of the
+    stream than one draw per jump would leave it at: the law of the path is
+    the same, the path of a given (seed, stream) is not.
     """
     if t <= 0:
         raise ValueError("time horizon must be positive")
     rng = _rng(seed, stream)
-    times = []
+    mean = law.rate * t
+    block = int(mean + 3.0 * math.sqrt(mean)) + 1
+    chunks = []
     clock = 0.0
     while True:
-        clock += rng.exponential(1.0 / law.rate)
-        if clock > t:
+        arrivals = rng.exponential(1.0 / law.rate, size=block)
+        arrivals[0] += clock
+        np.cumsum(arrivals, out=arrivals)
+        cut = int(arrivals.searchsorted(t, side="right"))
+        chunks.append(arrivals[:cut])
+        if cut < block:
             break
-        times.append(clock)
-    times = np.asarray(times, dtype=np.float64)
+        clock = arrivals[-1]
+    times = np.concatenate(chunks)
     jumps = _jump_sampler(law)(rng, times.size)
     quotient = law.quotient
     states = quotient.index_of_digits(quotient.digit_matrix[jumps].cumsum(axis=0).T)

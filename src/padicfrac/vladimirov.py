@@ -22,11 +22,19 @@ wavelet diagonalisation of Vladimirov-type operators).  The kernel combines
 a power of the norm with the additive constant kappa that accounts for the
 finite total mass of the ball.
 
+Both routes reduce to at most s - s0 + 1 coefficients, which are built as
+plain Python floats; the work on the values is one ``radial_apply``
+cascade: block sums by repeated reduction, then from the coarsest radius
+down a scaled copy of each level's sums plus the coarser level broadcast
+over its q sub-blocks, three numpy calls per radius and O(|G|) in all.
+
 All routes work on a BallQuotient with lo <= s0 <= s, which is exactly the
 condition for the ball convolution to stay inside the quotient.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,12 +53,14 @@ __all__ = [
 
 
 def _check_domain(quotient):
+    """The level's s0, once the quotient is known to satisfy lo <= s0 <= s."""
     s0 = quotient.level.s0
     if not (quotient.lo <= s0 <= quotient.s):
         raise ValueError(
             "operator needs a quotient with lo <= s0 <= s "
             f"(got lo={quotient.lo}, s0={s0}, s={quotient.s})"
         )
+    return s0
 
 
 def kernel_constant(level, alpha):
@@ -85,10 +95,11 @@ def spectral_multiplier(quotient, alpha):
 
 
 def _kernel(quotient, alpha):
-    """(prefactor, weight): the kernel constant times the module of the
-    level degree times the Haar volume of one coset, and the kernel weight
-    p^((m + alpha)(v/e - c)) + kappa on the shell of pi-valuation v."""
-    _check_domain(quotient)
+    """(s0, prefactor, weight): the level's s0, the kernel constant times
+    the module of the level degree times the Haar volume of one coset, and
+    the kernel weight p^((m + alpha)(v/e - c)) + kappa on the shell of
+    pi-valuation v."""
+    s0 = _check_domain(quotient)
     lvl = quotient.level
     prefactor = (
         kernel_constant(lvl, alpha)
@@ -96,7 +107,7 @@ def _kernel(quotient, alpha):
         * float(quotient.q) ** (-quotient.s)
     )
     a, kappa = float(alpha), kernel_kappa(lvl, alpha)
-    return prefactor, lambda v: float(lvl.p) ** ((lvl.m + a) * (v / lvl.e - lvl.c)) + kappa
+    return s0, prefactor, lambda v: float(lvl.p) ** ((lvl.m + a) * (v / lvl.e - lvl.c)) + kappa
 
 
 def hypersingular_weights(quotient, alpha):
@@ -106,28 +117,34 @@ def hypersingular_weights(quotient, alpha):
     on the zero coset); the prefactor collects the kernel constant, the
     module of the level degree, and the Haar volume of one coset.
     """
-    prefactor, weight = _kernel(quotient, alpha)
+    s0, prefactor, weight = _kernel(quotient, alpha)
     vals = quotient.val_pi_vector.astype(np.float64)
-    inside = (vals >= quotient.level.s0) & (np.arange(quotient.size) != 0)
+    inside = (vals >= s0) & (np.arange(quotient.size) != 0)
     return prefactor, np.where(inside, weight(vals), 0.0)
 
 
 def _radius_eigenvalues(quotient, alpha):
-    """lambda_k for k = s0..s: the eigenvalue on labels of valuation s0 - k."""
-    _check_domain(quotient)
-    s0 = quotient.level.s0
-    return _norm_power(quotient.level, alpha, s0 - np.arange(s0, quotient.s + 1))
+    """(s0, [lambda_k for k = s0..s]): the eigenvalue on labels of
+    valuation s0 - k, as plain floats."""
+    s0 = _check_domain(quotient)
+    lvl = quotient.level
+    p, a = float(lvl.p), float(alpha)
+    return s0, [0.0] + [p ** (r * a / lvl.e) for r in range(1, quotient.s - s0 + 1)]
 
 
-def _radial_multiplier(quotient, values, lam):
+def _radial_multiplier(quotient, values, s0, lam):
     """Multiply the labels of radius k by lam[k - s0] (all labels of radius
     <= s0 for k = s0): sum_k (lam_k - lam_{k+1}) P_k phi, lam_{s+1} = 0."""
-    return quotient.radial_apply(values, quotient.level.s0, -np.diff(lam, append=0.0))
+    # the negated forward difference -(lam_{k+1} - lam_k): where it is zero
+    # it is -0.0, and the sign of exact zeros in the rendered output
+    # depends on it
+    coeffs = [-(b - a) for a, b in zip(lam, lam[1:] + [0.0])]
+    return quotient.radial_apply(values, s0, coeffs)
 
 
 def apply_spectral(quotient, values, alpha):
     """Multiplier route: ||b||**alpha on each label, as ball averages."""
-    return _radial_multiplier(quotient, values, _radius_eigenvalues(quotient, alpha))
+    return _radial_multiplier(quotient, values, *_radius_eigenvalues(quotient, alpha))
 
 
 def apply_hypersingular(quotient, values, alpha):
@@ -137,15 +154,18 @@ def apply_hypersingular(quotient, values, alpha):
 
     with n_v = q^(s-v) - q^(s-v-1) cosets in the shell of valuation v.
     """
-    prefactor, weight = _kernel(quotient, alpha)
-    s0, q, s = quotient.level.s0, quotient.q, quotient.s
-    v = np.arange(s0, s)
-    w = weight(v.astype(np.float64))
-    ball = float(q) ** (s - v)  # cosets in the ball of radius v
-    coeffs = np.zeros(s - s0 + 1)
-    coeffs[:-1] += w * ball
-    coeffs[1:] -= w * ball / q
-    coeffs[-1] -= (w * (ball - ball / q)).sum()
+    s0, prefactor, weight = _kernel(quotient, alpha)
+    q, s = quotient.q, quotient.s
+    coeffs = [0.0] * (s - s0 + 1)
+    total = 0.0
+    for i, v in enumerate(range(s0, s)):
+        w = weight(float(v))
+        ball = float(q) ** (s - v)  # cosets in the ball of radius v
+        wb = w * ball
+        coeffs[i] += wb
+        coeffs[i + 1] -= wb / q
+        total += w * (ball - ball / q)
+    coeffs[-1] -= total
     return prefactor * quotient.radial_apply(values, s0, coeffs)
 
 
@@ -179,5 +199,6 @@ def heat_multiplier(quotient, alpha, t):
 def semigroup_apply(quotient, values, alpha, t):
     """Heat semigroup route: damp each label by exp(-t lambda_b), as ball
     averages."""
-    decay = np.exp(-float(t) * _radius_eigenvalues(quotient, alpha))
-    return _radial_multiplier(quotient, values, decay)
+    s0, lam = _radius_eigenvalues(quotient, alpha)
+    t = float(t)
+    return _radial_multiplier(quotient, values, s0, [math.exp(-t * x) for x in lam])

@@ -234,24 +234,47 @@ def test_simulate_with_equal_paths_has_no_z_score(tmp_path, capsys):
     assert "z-score" in record["error"]
 
 
-def test_default_simulate_fails_fast_within_a_memory_limit():
-    # the default tower's top level gives a 2^24-coset jump quotient; its
-    # digit matrix must be refused before it is allocated
-    limit = 1 << 30
+def _run_capped(argv, limit, timeout):
+    """Run the CLI in a subprocess under its own address-space limit."""
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-m", "padicfrac.cli", "simulate"],
-        capture_output=True, text=True, timeout=120, env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "padicfrac.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
         preexec_fn=cap_memory,
     )
+
+
+def test_default_simulate_fails_fast_within_a_memory_limit():
+    # the default tower's top level gives a 2^24-coset jump quotient; its
+    # digit matrix must be refused before it is allocated
+    proc = _run_capped(["simulate"], 1 << 30, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert json.loads(proc.stderr.strip().splitlines()[-1]) == {
         "command": "simulate", "error": "quotient too large to enumerate",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "--level", "1", "--span", "26"],  # 2^26 cosets: 1 GiB of values
+        ["apply"],  # the top level at span 3: 2^48 cosets
+        ["levy", "--integrate"],
+    ],
+    ids=" ".join,
+)
+def test_oversized_random_function_fails_fast_within_a_memory_limit(argv):
+    # the quotient is refused before its random function is drawn
+    proc = _run_capped(argv, 1536 << 20, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.strip().splitlines()[-1]) == {
+        "command": argv[0], "error": "quotient too large to enumerate",
     }
 
 

@@ -151,6 +151,30 @@ def test_heat_coset_vector_matches_semigroup():
         assert np.abs(via_operator - via_density).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "quotient",
+    [
+        BallQuotient(Q2, -3, 3), BallQuotient(Q2, -3, 0), BallQuotient(Q3, -2, 2),
+        BallQuotient(U, -1, 3), BallQuotient(E, -4, 2), BallQuotient(W, 2, 6),
+    ],
+    ids=lambda q: q.key(),
+)
+def test_heat_coset_vector_is_the_shell_densities_exactly(quotient):
+    # one shell at a time, through the public single-shell closed forms
+    lvl = quotient.level
+    q = float(lvl.q)
+    ec = lvl.e * lvl.c
+    cell = q ** float(-quotient.s)
+    for alpha, t in [(0.5, 0.1), (1.0, 1.0), (2.0, 3.0)]:
+        per_shell = [
+            q**ec * heat_density(lvl, alpha, t, w - ec) * cell
+            for w in range(quotient.lo, quotient.s)
+        ]
+        per_shell.append(heat_ball_mass(lvl, alpha, t, quotient.s - ec))
+        expect = np.array(per_shell)[quotient.val_pi_vector - quotient.lo]
+        assert heat_coset_vector(quotient, alpha, t).tobytes() == expect.tobytes()
+
+
 def test_singular_vs_mu_report():
     tower = build_unramified_tower(2, [1, 2, 6, 24])
     rows = singularity_report(tower, 1.0, 1.0, 1)

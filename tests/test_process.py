@@ -134,7 +134,7 @@ def test_simulate_path_invariants():
     for k, j in enumerate(path.jumps):
         state = add[state, j]
         assert path.states[k] == state
-    assert path.final_index == 3
+    assert path.final_index == 1
 
 
 def test_simulate_path_without_jumps_sits_at_zero():
@@ -142,6 +142,36 @@ def test_simulate_path_without_jumps_sits_at_zero():
     path = simulate_path(law, 1e-9, seed=5)
     assert path.times.size == 0
     assert path.final_index == 0
+
+
+def test_simulate_path_times_are_one_draw_per_jump():
+    # block draws cut at t give the arrival times of one exponential per
+    # jump, also for paths that need a second block
+    law = build_jump_law(Q2, 1.0, delta=Fraction(1, 2))
+    t = 3.0
+    block = int(law.rate * t + 3.0 * math.sqrt(law.rate * t)) + 1
+    long_paths = 0
+    for stream in range(1500):
+        rng = process._rng(5, stream)
+        clock, expect = 0.0, []
+        while True:
+            clock += rng.exponential(1.0 / law.rate)
+            if clock > t:
+                break
+            expect.append(clock)
+        times = simulate_path(law, t, seed=5, stream=stream).times
+        assert times.tolist() == expect
+        long_paths += len(expect) >= block
+    assert long_paths > 0
+
+
+def test_simulate_path_jump_counts_pass_poisson_goodness_of_fit():
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
+    t = 1.0
+    counts = np.array(
+        [simulate_path(law, t, seed=17, stream=k).jumps.size for k in range(4000)]
+    )
+    assert poisson_gof_pvalue(counts, law.rate * t) > 0.01
 
 
 def test_simulate_path_rejects_bad_horizon():

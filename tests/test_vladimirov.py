@@ -195,6 +195,21 @@ def test_operator_positive_on_mean_zero():
     assert abs(energy.imag) < 1e-12
 
 
+@pytest.mark.parametrize("quotient", QUOTIENTS, ids=lambda q: q.key())
+def test_routes_take_python_and_numpy_scalars_alike(quotient):
+    phi = random_function(quotient, np.random.default_rng(12))
+    ones = (1, 1.0, np.float64(1.0))
+    outs = [
+        [route(quotient, phi, alpha).tobytes() for alpha in ones]
+        for route in (apply_spectral, apply_hypersingular)
+    ]
+    outs.append(
+        [semigroup_apply(quotient, phi, alpha, t).tobytes() for alpha in ones for t in (1, 1.0)]
+    )
+    for same in outs:
+        assert len(set(same)) == 1
+
+
 def test_domain_validation():
     bad = BallQuotient(U, 2, 4)  # lo = 2 > s0 = 1
     with pytest.raises(ValueError):
