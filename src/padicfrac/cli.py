@@ -217,12 +217,14 @@ def cmd_apply(args):
     }
     names = sorted(routes)
     deviation = float(np.abs(routes["hypersingular"] - routes["spectral"]).max())
+    # the tolerance is relative to the largest route value, absolute below 1
+    scale = max(1.0, *(float(np.abs(route).max()) for route in routes.values()))
     config = {
         "command": "apply", "tower": args.tower, "level": n,
         "alpha": args.alpha, "lo": quotient.lo, "s": quotient.s,
         "function": args.function or f"random(seed={args.seed})",
-        "tolerance": args.tolerance, "max_pairwise_deviation": deviation,
-        "format": args.format,
+        "tolerance": args.tolerance, "deviation_scale": scale,
+        "max_pairwise_deviation": deviation, "format": args.format,
     }
     columns = ["coset", "valuation", "input_re", "input_im"]
     for name in names:
@@ -239,9 +241,10 @@ def cmd_apply(args):
             row[f"{name}_im"] = float(routes[name][g].imag)
         rows.append(row)
     failures = []
-    if deviation > args.tolerance:
+    if deviation > args.tolerance * scale:
         failures.append(
-            f"route deviation {deviation!r} exceeds tolerance {args.tolerance!r}"
+            f"route deviation {deviation!r} exceeds tolerance {args.tolerance!r} "
+            f"x scale {scale!r}"
         )
     return config, columns, rows, failures
 
@@ -325,6 +328,8 @@ def cmd_heat(args):
     level, n = _pick_level(tower, args)
     if args.N < 0:
         raise CommandError("--N must be nonnegative")
+    if not 0.0 < args.t < math.inf:
+        raise CommandError("--t must be positive and finite")
     closed = heat_cylinder_mass(level, args.alpha, args.t, args.N)
     shells = heat_cylinder_mass_shells(level, args.alpha, args.t, args.N, tol=1e-14)
     lo = level.s0

@@ -10,8 +10,13 @@ the summed digit vectors of its jumps: ``simulate_path`` normalises prefix
 sums, ``sample_endpoints`` one digit sum per path.  The characteristic
 function needs no states: a character is a homomorphism, chi_b(sum of
 jumps) = prod chi_b(jump), so ``mc_characteristic`` sums the jumps' exact
-integer phases mod kappa along each path and takes one exponential per
-path.  Both samplers share one block loop, ``_path_sums``.
+integer phases mod kappa along each path and reads its root of unity from
+a kappa-entry table.  Both samplers share one block loop, ``_path_sums``.
+
+Jump cosets are those ``Generator.choice`` would draw, found without
+floats: ``_jump_sampler`` reads the raw Philox words behind numpy's
+uniforms and inverts the cdf on 53-bit integers through a guide table,
+leaving the generator where ``choice`` leaves it.
 
 The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
@@ -53,7 +58,10 @@ __all__ = [
     "truncated_log_characteristic",
 ]
 
-_BLOCK_DRAWS = 1 << 16            # jumps drawn and reduced per block
+# jumps drawn and reduced per block; a block's 64 KiB temporaries stay under
+# malloc's mmap threshold, so the heap reuses them instead of mapping and
+# page-faulting fresh pages for every block
+_BLOCK_DRAWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -130,31 +138,47 @@ def _rng(seed, stream):
     return Generator(Philox(key=[int(seed), int(stream)]))
 
 
+def _guide_table(law):
+    """(cdf53, m, guide): the law's integer inverse-cdf tables.
+
+    numpy's ``choice`` inverts the cdf at the uniform u = (w >> 11) 2^-53 of
+    a raw 64-bit word w.  Scaling by 2^53 is exact, so cdf[g] <= u exactly
+    when cdf53[g] <= w >> 11 for cdf53 = ceil(cdf 2^53).  ``guide`` is an
+    indexed search table (Chen & Asau 1974, Devroye 1986 III.2.4) on
+    M = 2^m >= 16 |G| buckets keyed by the top m bits of w: bucket k holds
+    the coset of every word in it when no cdf53 breakpoint falls inside,
+    and -1 otherwise.
+    """
+    cdf = law.coset_probs.cumsum()
+    cdf /= cdf[-1]
+    cdf53 = np.ceil(np.ldexp(cdf, 53)).astype(np.int64)
+    m = (16 * cdf.size - 1).bit_length()
+    width = 1 << (53 - m)  # values of w >> 11 per bucket
+    starts = np.arange(0, 1 << 53, width, dtype=np.int64)
+    guide = cdf53.searchsorted(starts, side="right")
+    guide[guide != cdf53.searchsorted(starts + (width - 1), side="right")] = -1
+    return cdf53, m, guide
+
+
 def _jump_sampler(law):
     """draw(rng, n): n jump cosets of the law, equal element for element to
     ``rng.choice(size, n, p=law.coset_probs)`` and leaving the generator in
     the same state.
 
-    Same cdf and the same uniforms as numpy, but the inverse-cdf lookup uses
-    a guide table (indexed search; Chen & Asau 1974, Devroye 1986 III.2.4):
-    guide[k] is the answer for u = k / M, and u * M is exact for a power of
-    two M, so guide[floor(u * M)] is a lower bound that a few steps finish.
+    It reads the raw words ``choice`` turns into uniforms and looks each one
+    up on integers in ``_guide_table``: a word in a pure bucket takes the
+    bucket's coset, and only the words in -1 buckets are searched in cdf53.
     """
-    cdf = law.coset_probs.cumsum()
-    cdf /= cdf[-1]
-    M = 1 << (16 * cdf.size - 1).bit_length()
-    guide = cdf.searchsorted(np.arange(M) / M, side="right")
+    cdf53, m, guide = _guide_table(law)
 
     def draw(rng, n):
         out = np.empty(n, dtype=np.int64)
         for a in range(0, n, _BLOCK_DRAWS):
-            u = rng.random(min(_BLOCK_DRAWS, n - a))
-            g = guide[(u * M).astype(np.intp)]
-            live = np.flatnonzero(cdf[g] <= u)
-            while live.size:
-                g[live] += 1
-                live = live[cdf[g[live]] <= u[live]]
-            out[a : a + u.size] = g
+            w = rng.bit_generator.random_raw(min(_BLOCK_DRAWS, n - a))
+            g = guide.take((w >> (64 - m)).view(np.int64))
+            tied = np.flatnonzero(g < 0)
+            g[tied] = cdf53.searchsorted((w[tied] >> 11).view(np.int64), side="right")
+            out[a : a + w.size] = g
         return out
 
     return draw
@@ -214,7 +238,7 @@ def _path_sums(law, t, n_paths, seed, stream, columns):
         acc = np.zeros(jumps.size + 1, dtype=np.int64)
         for row, column in zip(sums, columns):
             # int64 wraparound in acc cancels in the differences
-            np.cumsum(column[jumps], out=acc[1:])
+            np.cumsum(column.take(jumps), out=acc[1:])
             row[i0:i1] = acc[end] - acc[end - counts[i0:i1]]
         i0 = i1
     return sums, counts
@@ -246,6 +270,8 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     through the shared ``_path_sums``, and each path's value is
     chi_b(endpoint), computed as the sum of its jumps' integer phases mod
     kappa: a path's own sum stays exact, as kappa divides |G| <= 2^24.
+    The law and the label's dual index are kept in the level's cache, keyed
+    by (alpha, cutoff); the cutoff grows with L, so it fixes the label.
     """
     lam_valuation = int(lam_valuation)
     if lam_valuation >= 0:
@@ -256,11 +282,15 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
         raise ValueError("a standard error needs at least two paths")
     L = -lam_valuation
     cutoff = max(L, level.s0 + L - 1)
-    law = build_jump_law(level, alpha, cutoff_valuation=cutoff)
-    b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
+    key = ("jump_law", float(alpha), cutoff)
+    if key not in level._cache:
+        law = build_jump_law(level, alpha, cutoff_valuation=cutoff)
+        b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
+        level._cache[key] = (law, b)
+    law, b = level._cache[key]
     phases, kappa = law.quotient.character_phases(b)
     (total,), _ = _path_sums(law, t, n_paths, seed, stream, phases[None, :])
-    z = np.exp((2j * np.pi / kappa) * (total % kappa))
+    z = np.exp((2j * np.pi / kappa) * np.arange(kappa)).take(total % kappa)
     estimate = z.mean()
     stderr = float(
         np.sqrt((np.abs(z - estimate) ** 2).sum() / ((n_paths - 1) * n_paths))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from padicfrac import cli
 from padicfrac.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -102,6 +103,30 @@ def test_apply_random_routes_agree(tmp_path):
     assert len(doc["rows"]) == 16
 
 
+Q3_APPLY = ("apply", "--tower", "qp:p=3", "--level", "1", "--alpha", "2", "--span", "8")
+
+
+def test_apply_gate_is_relative_to_the_route_values(tmp_path):
+    # values up to ~1.5e7, where the routes differ in the 16th digit
+    code, doc = run(tmp_path, *Q3_APPLY)
+    assert code == 0
+    cfg = doc["config"]
+    assert cfg["deviation_scale"] > 1e7
+    assert 1e-9 < cfg["max_pairwise_deviation"] <= 1e-9 * cfg["deviation_scale"]
+
+
+def test_apply_gate_catches_a_relative_perturbation(tmp_path, monkeypatch, capsys):
+    spectral = cli.apply_spectral
+    monkeypatch.setattr(
+        cli, "apply_spectral", lambda *args: spectral(*args) * (1 + 1e-6)
+    )
+    code, _ = run(tmp_path, *Q3_APPLY)
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["command"] == "apply"
+    assert "route deviation" in record["error"]
+
+
 def test_apply_rejects_wrong_value_count(tmp_path):
     fn = tmp_path / "short.json"
     fn.write_text(json.dumps({"lo": 0, "s": 2, "values": [[1.0, 0.0]] * 3}))
@@ -187,6 +212,14 @@ def test_heat_masses(tmp_path):
     assert cfg["invariant_cylinder_mass"] == "1/2"
     total = sum(r["heat_mass"] for r in doc["rows"])
     assert abs(total - cfg["coset_mass_total"]) <= 1e-14
+
+
+@pytest.mark.parametrize("t", ["-0.5", "0", "nan"])
+def test_heat_refuses_a_bad_horizon(tmp_path, capsys, t):
+    code, doc = run(tmp_path, "heat", "--tower", "qp:p=2", "--t", t)
+    assert code == 2 and doc is None
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {"command": "heat", "error": "--t must be positive and finite"}
 
 
 # ---------------------------------------------------------------------------

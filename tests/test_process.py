@@ -6,7 +6,7 @@ import pytest
 
 from padicfrac import base_level, process
 from padicfrac.padic import Level
-from padicfrac.measures import levy_shell_mass, levy_tail_mass
+from padicfrac.measures import levy_quotient_vector, levy_shell_mass, levy_tail_mass
 from padicfrac.process import (
     build_jump_law,
     expected_characteristic,
@@ -228,28 +228,70 @@ def test_jump_sampler_matches_rng_choice(level, cutoff, n):
     assert rng_a.random() == rng_b.random()
 
 
-class _FixedUniforms:
-    """Stands in for a generator: hands out the given uniforms in order."""
+@pytest.mark.parametrize("n", [1, 5, 1000])
+def test_raw_words_are_the_uniform_stream(n):
+    # Generator.random(n) is (word >> 11) 2^-53 of the next n raw words,
+    # also after draws that read other parts of the stream
+    rng_a, rng_b = process._rng(8, 2), process._rng(8, 2)
+    for rng in (rng_a, rng_b):
+        rng.poisson(3.0, size=7)
+    words = rng_a.bit_generator.random_raw(n)
+    assert ((words >> 11) * 2.0**-53 == rng_b.random(n)).all()
+    assert rng_a.random() == rng_b.random()
 
-    def __init__(self, u):
-        self.u = u
 
-    def random(self, n):
-        out, self.u = self.u[:n], self.u[n:]
+class _FixedWords:
+    """Stands in for a generator: hands out the given raw words in order."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self.words = words
+
+    def random_raw(self, n):
+        out, self.words = self.words[:n], self.words[n:]
         return out
+
+
+def _cdf(law):
+    cdf = law.coset_probs.cumsum()
+    return cdf / cdf[-1]
 
 
 @pytest.mark.parametrize("level, cutoff", [(Q2, 2), (E, 2), (Q3, 1)])
 def test_jump_sampler_on_cdf_ties(level, cutoff):
-    # uniforms equal to a cdf value, or just below one: draws of probability
-    # 2^-53 each, where the lookup must still agree with numpy's
-    # searchsorted(cdf, u, side="right")
+    # uniforms equal to a cdf value, or one step of 2^-53 below one: draws
+    # of probability 2^-53 each, where the lookup must still agree with
+    # numpy's searchsorted(cdf, u, side="right")
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
-    cdf = law.coset_probs.cumsum()
-    cdf /= cdf[-1]
-    u = np.concatenate([[0.0], cdf[:-1], np.nextafter(cdf, 0.0)])
-    got = process._jump_sampler(law)(_FixedUniforms(u), u.size)
-    assert (got == cdf.searchsorted(u, side="right")).all()
+    cdf = _cdf(law)
+    cdf53 = np.ceil(cdf * 2.0**53).astype(np.int64)
+    u53 = np.concatenate([cdf53, cdf53 - 1, [0, 2**53 - 1]])
+    u53 = np.unique(u53[(u53 >= 0) & (u53 < 2**53)])
+    # the 11 low bits of a word never reach the uniform
+    low = np.arange(u53.size, dtype=np.uint64) % 2 * np.uint64(0x7FF)
+    words = (u53.astype(np.uint64) << np.uint64(11)) | low
+    got = process._jump_sampler(law)(_FixedWords(words), words.size)
+    assert (got == cdf.searchsorted(u53 * 2.0**-53, side="right")).all()
+    # the ties fall in buckets that hold no single coset
+    _, m, guide = process._guide_table(law)
+    assert (guide[u53[1:-1] >> (53 - m)] == -1).any()
+
+
+@pytest.mark.parametrize("level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1)])
+def test_guide_buckets_are_pure(level, cutoff):
+    # a bucket either defers to the search or holds the coset of both of its
+    # ends, and so of every word between them
+    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    cdf = _cdf(law)
+    cdf53, m, guide = process._guide_table(law)
+    assert guide.size == 1 << m >= 16 * cdf.size
+    assert (cdf53 == np.ceil(cdf * 2.0**53)).all()
+    width = 2 ** (53 - m)
+    first = np.arange(guide.size) * width
+    for u53 in (first, first + width - 1):
+        want = cdf.searchsorted(u53 * 2.0**-53, side="right")
+        assert ((guide == -1) | (guide == want)).all()
+    assert (guide >= 0).mean() > 0.9
 
 
 def _entries(value):
@@ -486,6 +528,23 @@ def test_mc_characteristic_runs_past_the_table_caps():
     assert abs(estimate.imag) <= 3 * stderr
     names = {key[1] for key in level._cache if isinstance(key, tuple)}
     assert not names & {"U", "sub", "neg"}
+
+
+def test_mc_characteristic_builds_its_law_once(monkeypatch):
+    level = Level(2)  # a fresh cache
+    vectors = []
+
+    def counted(quotient, alpha):
+        vectors.append(alpha)
+        return levy_quotient_vector(quotient, alpha)
+
+    monkeypatch.setattr(process, "levy_quotient_vector", counted)
+    first = mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3)
+    assert mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3) == first
+    assert vectors == [1.0]
+    # the cached law draws what a freshly built one draws
+    monkeypatch.undo()
+    assert mc_characteristic(Level(2), 1.0, -2, 0.5, 1000, seed=3) == first
 
 
 @pytest.mark.parametrize("t, n_paths", [(1.0, 0), (1.0, 1), (0.0, 10), (-1.0, 10)])
