@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import acceptance
-from .funcspace import MAX_DIGIT_ENTRIES, BallQuotient, random_function
+from .funcspace import BallQuotient, random_function
 from .measures import (
     heat_coset_vector,
     heat_cylinder_mass,
@@ -126,6 +126,11 @@ def _pick_level(tower, args):
     return tower.level(n), n
 
 
+def _check_t(args):
+    if not 0.0 < args.t < math.inf:
+        raise CommandError("--t must be positive and finite")
+
+
 def _load_function(args, level):
     """Resolve the function input for apply/levy: an explicit JSON file
     ({"lo": int, "s": int, "values": [[re, im], ...]}) or a seeded random
@@ -154,8 +159,7 @@ def _load_function(args, level):
     lo = args.lo if args.lo is not None else level.s0 - 1
     quotient = BallQuotient(level, lo, lo + args.span)
     # the routes need the digit matrix, so refuse before drawing |G| values
-    if quotient.size * quotient.D > MAX_DIGIT_ENTRIES:
-        raise CommandError("quotient too large to enumerate")
+    quotient.check_enumerable()
     rng = np.random.default_rng(args.seed)
     return quotient, random_function(quotient, rng)
 
@@ -181,14 +185,13 @@ def cmd_spectrum(args):
         "max_value": args.max_value, "horizon": horizon, "format": args.format,
     }
     columns = ["kind", "horizon", "exponent", "eigenvalue", "first_level",
-               "multiplicity", "multiplicity_enumerated"]
+               "multiplicity"]
     rows = [
         {
             "kind": "eigenvalue", "horizon": horizon,
             "exponent": "" if en.exponent is None else str(Fraction(en.exponent)),
             "eigenvalue": en.eigenvalue, "first_level": en.first_level,
             "multiplicity": en.multiplicity,
-            "multiplicity_enumerated": en.multiplicity_enumerated,
         }
         for en in entries
     ]
@@ -197,7 +200,6 @@ def cmd_spectrum(args):
             "kind": "min_positive", "horizon": h, "exponent": "",
             "eigenvalue": min_positive_eigenvalue(tower, args.alpha, horizon=h),
             "first_level": "", "multiplicity": "",
-            "multiplicity_enumerated": "",
         })
     eigs = [r["eigenvalue"] for r in rows if r["kind"] == "eigenvalue"]
     ok = eigs == sorted(eigs) and all(
@@ -254,6 +256,7 @@ def cmd_singularity(args):
     horizon = args.horizon if args.horizon is not None else tower.depth
     if not 1 <= horizon <= tower.depth:
         raise CommandError(f"--horizon {horizon} outside tower depth {tower.depth}")
+    _check_t(args)
     report = singularity_report(tower, alpha=args.alpha, t=args.t, N=args.N)[:horizon]
     logs = [row["log10_ratio"] for row in report]
     if len(report) == 1:
@@ -328,8 +331,7 @@ def cmd_heat(args):
     level, n = _pick_level(tower, args)
     if args.N < 0:
         raise CommandError("--N must be nonnegative")
-    if not 0.0 < args.t < math.inf:
-        raise CommandError("--t must be positive and finite")
+    _check_t(args)
     closed = heat_cylinder_mass(level, args.alpha, args.t, args.N)
     shells = heat_cylinder_mass_shells(level, args.alpha, args.t, args.N, tol=1e-14)
     lo = level.s0

@@ -8,7 +8,9 @@ transforms, measure integrals, refinement to deeper levels -- works on those
 digit strings with exact rational character angles.  The digit system
 sum d * mono * pi^j is linear, so group sums and differences are digit sums:
 ``BallQuotient.index_of_digits`` carries any integer digit vector back to a
-coset index.
+coset index.  Refinement uses the same linearity: the averaged projection T
+is additive, so ``refine_function`` projects the D basis elements exactly
+and maps every coset by an integer combination of their image digits.
 
 Cosets are listed in lexicographic digit order, row lo first.  In this block
 order every coset of pi^k O is a run of q^(s-k) consecutive indices, which
@@ -82,6 +84,12 @@ class BallQuotient:
             f"size={self.size})"
         )
 
+    def check_enumerable(self):
+        """Raise ValueError unless the |G| x D digit matrix fits
+        MAX_DIGIT_ENTRIES: the one size check before a per-coset table."""
+        if self.size * self.D > MAX_DIGIT_ENTRIES:
+            raise ValueError("quotient too large to enumerate")
+
     def _cache(self, name, builder):
         key = ("bq", name, self.lo, self.s)
         cache = self.level._cache
@@ -96,8 +104,7 @@ class BallQuotient:
         """All digit strings, one row per coset, lexicographic order."""
 
         def build():
-            if self.size * self.D > MAX_DIGIT_ENTRIES:
-                raise ValueError("quotient too large to enumerate")
+            self.check_enumerable()
             cols = []
             for t in range(self.D):
                 reps = self.p ** (self.D - 1 - t)
@@ -153,16 +160,15 @@ class BallQuotient:
     @property
     def val_pi_vector(self):
         """Exact valuation of each coset (value of any representative that
-        is outside the next smaller ball); the zero coset gets s."""
+        is outside the next smaller ball); the zero coset gets s.
+
+        In block order the zero coset is index 0 and the shell of valuation
+        s - 1 - k is the index run [q^k, q^(k+1)), so no digits are read."""
 
         def build():
-            dig = self.digit_matrix
-            rows = dig.reshape(self.size, self.J, self.f)
-            nonzero = rows.any(axis=2)
-            first = np.where(
-                nonzero.any(axis=1), nonzero.argmax(axis=1), self.J
-            )
-            return self.lo + first
+            self.check_enumerable()
+            runs = [1] + [(self.q - 1) * self.q**k for k in range(self.J)]
+            return np.repeat(np.arange(self.s, self.lo - 1, -1, dtype=np.int64), runs)
 
         return self._cache("vals", build)
 
@@ -376,13 +382,13 @@ def refine_function(src, values, target_level):
     dst = BallQuotient(target_level, target_level.s0, t_star)
 
     def build_map():
-        if dst.size > MAX_DIGIT_ENTRIES >> 6:
-            raise ValueError("refined quotient too large")
-        idx = np.empty(dst.size, dtype=np.int64)
-        for g in range(dst.size):
-            w = project_T(dst.representative(g), n_level)
-            idx[g] = src.index_of_element(w)
-        return idx
+        # T is additive and rep_g = sum_t dig[g, t] * basis_t, so the image
+        # digits of every coset are integer combinations of D exact images
+        images = np.array([
+            n_level.digits_in_ball(project_T(b, n_level).pay, src.lo, src.s)
+            for b in dst._basis_elements(dst.lo)
+        ], dtype=np.int64)
+        return src.index_of_digits(images.T @ dst.digit_matrix.T)
 
     key = ("bq", "refine", dst.lo, dst.s, n_level.depth, src.lo, src.s)
     cache = target_level._cache

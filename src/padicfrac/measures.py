@@ -84,6 +84,17 @@ def _decay(level, alpha, t, j):
     return math.exp(-float(t) * float(level.q) ** (j * float(alpha) / level.m))
 
 
+def _heat_prefix(level, alpha, t, k):
+    """(u, A) for j = 0..k: u[j] = exp(-t lambda_j) and the prefix sums
+    A[j] = 1 + (1 - 1/q) sum_{i=1}^{j} q^i u_i, added in index order."""
+    q = float(level.q)
+    u = [_decay(level, alpha, t, j) for j in range(k + 1)]
+    prefix = [1.0]
+    for j in range(1, k + 1):
+        prefix.append(prefix[-1] + (1.0 - 1.0 / q) * q**j * u[j])
+    return u, prefix
+
+
 def heat_density(level, alpha, t, w):
     """Radial density of the scaled heat marginal at pi-valuation w.
 
@@ -99,10 +110,8 @@ def heat_density(level, alpha, t, w):
     d = level.d
     if w < -d:
         return 0.0
-    acc = 1.0
-    for j in range(1, w + d + 1):
-        acc += (1.0 - 1.0 / q) * q**j * _decay(level, alpha, t, j)
-    acc -= q ** (w + d) * _decay(level, alpha, t, w + d + 1)
+    _, prefix = _heat_prefix(level, alpha, t, w + d)
+    acc = prefix[-1] - q ** (w + d) * _decay(level, alpha, t, w + d + 1)
     return q ** (-d) * acc
 
 
@@ -116,10 +125,8 @@ def heat_ball_mass(level, alpha, t, v0):
     k0 = v0 + level.d
     if k0 <= 0:
         return 1.0
-    acc = 1.0
-    for j in range(1, k0 + 1):
-        acc += (1.0 - 1.0 / q) * q**j * _decay(level, alpha, t, j)
-    return q ** (-k0) * acc
+    _, prefix = _heat_prefix(level, alpha, t, k0)
+    return q ** (-k0) * prefix[-1]
 
 
 def heat_cylinder_mass(level, alpha, t, N):
@@ -171,15 +178,10 @@ def heat_coset_vector(quotient, alpha, t):
     q = float(lvl.q)
     d, ec = lvl.d, lvl.e * lvl.c
     cell = q ** float(-quotient.s)
-    # heat_density and heat_ball_mass share the prefix sums
-    # A[k] = 1 + (1 - 1/q) sum_{j=1}^{k} q^j u_j, built once in their order:
     # the density at w is q^-d (A[k] - q^k u_{k+1}) with k = w + d, and the
     # ball mass of {v_pi >= v0} is q^-k0 A[k0] with k0 = v0 + d
     k0 = quotient.s - ec + d
-    u = [_decay(lvl, alpha, t, j) for j in range(k0 + 1)]
-    prefix = [1.0]
-    for j in range(1, k0 + 1):
-        prefix.append(prefix[-1] + (1.0 - 1.0 / q) * q**j * u[j])
+    u, prefix = _heat_prefix(lvl, alpha, t, k0)
     per_shell = []
     for w in range(quotient.lo, quotient.s):
         k = w - ec + d

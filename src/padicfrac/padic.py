@@ -200,11 +200,8 @@ class Level:
         for c in coeffs:
             if self._val_pi_pay(c) < 0:
                 raise ValueError("unramified step polynomial must be integral")
-        for r in self._residue_system():
-            if self._val_pi_pay(self._poly_eval(coeffs, r)) > 0:
-                raise ValueError(
-                    "reducible residue polynomial for unramified step"
-                )
+        if self._has_residue_root(coeffs):
+            raise ValueError("reducible residue polynomial for unramified step")
 
     @property
     def depth(self):
@@ -533,19 +530,21 @@ class Level:
                 "degree <= 3 (a no-root test certifies irreducibility there); "
                 "provide explicit coefficients for higher degrees"
             )
-        residues = self._residue_system()
-        for combo in itertools.product(residues, repeat=g):
+        for combo in itertools.product(self._residue_system(), repeat=g):
             # combo is (c_{g-1}, ..., c_0) so the candidate order follows the
             # digit string read from the top coefficient down
             coeffs = tuple(reversed(combo))
-            ok = True
-            for r in residues:
-                if self._val_pi_pay(self._poly_eval(coeffs, r)) > 0:
-                    ok = False
-                    break
-            if ok:
+            if not self._has_residue_root(coeffs):
                 return coeffs
         raise AssertionError("no irreducible residue polynomial found")
+
+    def _has_residue_root(self, coeffs):
+        """Whether the monic polynomial with these non-leading coefficients
+        has a root in the residue field, tried on every residue in order."""
+        return any(
+            self._val_pi_pay(self._poly_eval(coeffs, r)) > 0
+            for r in self._residue_system()
+        )
 
     # -- uniformizer -----------------------------------------------------
 

@@ -23,7 +23,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .funcspace import BallQuotient
 from .padic import ExtElement, Level, base_level, vp
 
 __all__ = [
@@ -33,14 +32,11 @@ __all__ = [
     "build_unramified_tower",
     "build_factorial_tower",
     "spectrum",
-    "multiplicity_count",
     "min_positive_eigenvalue",
     "dump_tower",
     "load_tower",
     "resolve_tower",
 ]
-
-MULTIPLICITY_ENUM_CAP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -87,15 +83,14 @@ class SpectrumEntry:
     ``exponent`` is the exact rational N / e_n (None for the zero eigenvalue),
     ``first_level`` the shallowest level producing it, ``multiplicity`` the
     count of character labels on the horizon level sphere of radius
-    exponent * e_H, and ``multiplicity_enumerated`` records whether that count
-    was verified by enumeration or taken from the closed form.
+    exponent * e_H: (q - 1) * q**(N - 1) with N = exponent * e_H, the cosets
+    of pi^-N O / O whose leading digit row is nonzero.
     """
 
     exponent: Fraction | None
     eigenvalue: float
     first_level: int
     multiplicity: int
-    multiplicity_enumerated: bool
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +205,6 @@ def build_factorial_tower(p, depth, label=None):
 # spectrum
 
 
-def multiplicity_count(level, N, cap=MULTIPLICITY_ENUM_CAP):
-    """Number of character labels with norm exactly q**N on a level.
-
-    Counts the cosets of exact valuation -N in pi^-N O / O from their digit
-    strings whenever that stays under ``cap`` cosets; falls back to the
-    closed form (q - 1) * q**(N - 1) otherwise.  Returns (count,
-    enumerated_flag).
-    """
-    if N < 1:
-        raise ValueError("the radius exponent must be >= 1")
-    if level.q**N <= cap:
-        vals = BallQuotient(level, -N, 0).val_pi_vector
-        return int((vals == -N).sum()), True
-    return (level.q - 1) * level.q ** (N - 1), False
-
-
 def spectrum(tower, alpha, exponent_cap=4, horizon=None):
     """Spectral values of the exponent-alpha operator over the tower.
 
@@ -254,21 +233,18 @@ def spectrum(tower, alpha, exponent_cap=4, horizon=None):
             eigenvalue=0.0,
             first_level=1,
             multiplicity=1,
-            multiplicity_enumerated=True,
         )
     ]
     q1 = tower.q1
     for r in sorted(first_at):
         n_star = r * H.e
         assert n_star.denominator == 1
-        mult, enumerated = multiplicity_count(H, int(n_star))
         entries.append(
             SpectrumEntry(
                 exponent=r,
                 eigenvalue=float(q1) ** (float(alpha) * float(r)),
                 first_level=first_at[r],
-                multiplicity=mult,
-                multiplicity_enumerated=enumerated,
+                multiplicity=(H.q - 1) * H.q ** (int(n_star) - 1),
             )
         )
     return entries

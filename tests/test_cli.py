@@ -215,11 +215,12 @@ def test_heat_masses(tmp_path):
 
 
 @pytest.mark.parametrize("t", ["-0.5", "0", "nan"])
-def test_heat_refuses_a_bad_horizon(tmp_path, capsys, t):
-    code, doc = run(tmp_path, "heat", "--tower", "qp:p=2", "--t", t)
+@pytest.mark.parametrize("command", ["heat", "singularity"])
+def test_heat_refuses_a_bad_horizon(tmp_path, capsys, command, t):
+    code, doc = run(tmp_path, command, "--tower", "qp:p=2", "--t", t)
     assert code == 2 and doc is None
     (line,) = capsys.readouterr().err.strip().splitlines()
-    assert json.loads(line) == {"command": "heat", "error": "--t must be positive and finite"}
+    assert json.loads(line) == {"command": command, "error": "--t must be positive and finite"}
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from padicfrac.padic import Level, base_level
+from padicfrac import funcspace
+from padicfrac.padic import Level, base_level, project_T
 from padicfrac.funcspace import (
     BallQuotient,
     fourier,
@@ -72,6 +73,25 @@ def test_valuation_vector_matches_representatives(bq):
             assert vals[i] == bq.s
         else:
             assert vals[i] == expect
+
+
+def test_valuation_vector_reads_no_digits_and_shares_their_size_check():
+    lvl = Level(2).extend_unramified(2)
+    bq = BallQuotient(lvl, -3, 4)
+    vals = bq.val_pi_vector
+    assert vals.dtype == np.int64 and vals.shape == (bq.size,)
+    assert ("bq", "digits", bq.lo, bq.s) not in lvl._cache
+    # the oracle: the row of the first nonzero digit, s for the zero coset
+    rows = bq.digit_matrix.reshape(bq.size, bq.J, bq.f).any(axis=2)
+    expect = np.where(rows.any(axis=1), bq.lo + rows.argmax(axis=1), bq.s)
+    assert np.array_equal(vals, expect)
+    # 2^19 * 19 digit entries fit MAX_DIGIT_ENTRIES = 2^24, 2^20 * 20 do not
+    BallQuotient(Q2, 0, 19).check_enumerable()
+    big = BallQuotient(Q2, 0, 20)
+    with pytest.raises(ValueError, match="quotient too large to enumerate"):
+        big.val_pi_vector
+    with pytest.raises(ValueError, match="quotient too large to enumerate"):
+        big.digit_matrix
 
 
 @pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
@@ -362,6 +382,59 @@ def test_refinement_is_transitive():
     dst2, phi2 = refine_function(src, phi, W)
     assert dst1.key() == dst2.key()
     assert np.abs(phi1 - phi2).max() == 0.0
+
+
+def _refinement_map(src, dst_level):
+    """dst, and the src index each dst coset is sent to."""
+    dst, phi = refine_function(src, np.arange(src.size), dst_level)
+    return dst, phi.real.astype(np.int64)
+
+
+def _projected_index(src, dst, g):
+    """Exact oracle: the src coset of T(rep_g), one projection per coset."""
+    return src.index_of_element(project_T(dst.representative(g), src.level))
+
+
+REFINEMENT_PAIRS = [
+    (Q2, E, 1), (Q2, E, 2), (Q2, E, 3),
+    (Q2, W, 1), (Q2, W, 2),
+    (Q2, U, 1), (Q2, U, 2), (Q2, U, 3),
+    (U, W, 1), (U, W, 2),
+    (Q3, E3, 1), (Q3, E3, 2), (Q3, E3, 3),
+]
+
+
+@pytest.mark.parametrize(
+    "src_level,dst_level,span", REFINEMENT_PAIRS,
+    ids=[f"{a!r}->{b!r}-span{n}" for a, b, n in REFINEMENT_PAIRS],
+)
+def test_refinement_map_is_the_exact_projection_of_each_coset(src_level, dst_level, span):
+    src = BallQuotient(src_level, src_level.s0, src_level.s0 + span)
+    dst, idx = _refinement_map(src, dst_level)
+    assert [_projected_index(src, dst, g) for g in range(dst.size)] == idx.tolist()
+
+
+def test_refinement_map_on_a_sample_of_a_large_quotient(monkeypatch):
+    calls = []
+    original = funcspace.project_T
+
+    def counting(x, target):
+        calls.append(target)
+        return original(x, target)
+
+    monkeypatch.setattr(funcspace, "project_T", counting)
+    fresh_u = Level(2).extend_unramified(2)  # a cold cache, W rebuilt
+    fresh_w = fresh_u.extend_eisenstein([fresh_u.element(2), fresh_u.element(2)])
+    src = BallQuotient(Q2, 0, 4)
+    dst, idx = _refinement_map(src, fresh_w)
+    assert dst.size == 65_536
+    # one exact projection per basis position, not one per coset
+    assert len(calls) == dst.D == 16
+    monkeypatch.undo()
+    for g in np.random.default_rng(10).choice(dst.size, 256, replace=False):
+        assert _projected_index(src, dst, int(g)) == idx[g]
+    # the fibres of T are the cosets of its kernel: all the same size
+    assert np.bincount(idx, minlength=src.size).tolist() == [dst.size // src.size] * src.size
 
 
 def test_refinement_validation():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicfrac.funcspace import BallQuotient
 from padicfrac.tower import (
     build_factorial_tower,
     build_qp_tower,
@@ -12,7 +13,6 @@ from padicfrac.tower import (
     dump_tower,
     load_tower,
     min_positive_eigenvalue,
-    multiplicity_count,
     resolve_tower,
     spectrum,
 )
@@ -121,15 +121,32 @@ def test_spectrum_base_field():
     values = [round(en.eigenvalue, 12) for en in entries]
     assert values == [0.0, 2.0, 4.0, 8.0, 16.0]
     assert [en.multiplicity for en in entries] == [1, 1, 2, 4, 8]
-    assert all(en.multiplicity_enumerated for en in entries)
 
 
-def test_spectrum_multiplicity_examples():
-    q2 = build_qp_tower(2, 1).horizon
-    q3 = build_qp_tower(3, 1).horizon
-    assert multiplicity_count(q2, 1) == (1, True)
-    assert multiplicity_count(q3, 1) == (2, True)
-    assert multiplicity_count(q2, 2) == (2, True)
+@pytest.mark.parametrize(
+    "tower",
+    [
+        build_qp_tower(2, 1),
+        build_qp_tower(3, 1),
+        build_unramified_tower(2, [1, 2]),
+        build_factorial_tower(2, 4),
+        build_factorial_tower(3, 3),
+    ],
+    ids=lambda t: t.label,
+)
+def test_spectrum_multiplicity_counts_the_labels_of_each_norm(tower):
+    # the closed form against the labels of valuation -N in pi^-N O / O
+    H = tower.horizon
+    entries = spectrum(tower, alpha=1, exponent_cap=Fraction(6, H.e))
+    assert entries[0].exponent is None and entries[0].multiplicity == 1
+    checked = []
+    for en in entries[1:]:
+        N = int(en.exponent * H.e)
+        if H.q**N <= 1 << 12:
+            vals = BallQuotient(H, -N, 0).val_pi_vector
+            assert en.multiplicity == int((vals == -N).sum())
+            checked.append(N)
+    assert checked[:2] == [1, 2]
 
 
 def test_spectrum_eigenvalue_two_along_unramified_tower():
@@ -158,7 +175,6 @@ def test_spectrum_merges_exponents_exactly():
     assert quarter.first_level == 4
     # eigenvalue of exponent 1 at the horizon: labels of norm q_H^4
     assert one.multiplicity == (4 - 1) * 4**3
-    assert one.multiplicity_enumerated
 
 
 def test_spectrum_closed_form_fallback_on_giant_levels():
@@ -166,7 +182,6 @@ def test_spectrum_closed_form_fallback_on_giant_levels():
     entries = spectrum(t, alpha=1, exponent_cap=1)
     one = next(en for en in entries if en.exponent == 1)
     assert one.multiplicity == (2**24 - 1)
-    assert not one.multiplicity_enumerated
 
 
 def test_min_positive_eigenvalue():
