@@ -258,13 +258,20 @@ def cmd_singularity(args):
         raise CommandError(f"--horizon {horizon} outside tower depth {tower.depth}")
     _check_t(args)
     report = singularity_report(tower, alpha=args.alpha, t=args.t, N=args.N)[:horizon]
-    logs = [row["log10_ratio"] for row in report]
-    if len(report) == 1:
+    # the ratio must grow across each step that grows the degree; a step
+    # that keeps it repeats the field, and so the ratio
+    steps = list(zip(report, report[1:]))
+    if not any(b["degree"] > a["degree"] for a, b in steps):
         witness = "indeterminate"
     else:
-        increasing = all(a < b for a, b in zip(logs, logs[1:]))
+        separates = all(
+            b["log10_ratio"] > a["log10_ratio"]
+            if b["degree"] > a["degree"]
+            else b["ratio"] == a["ratio"]
+            for a, b in steps
+        )
         bounded = all(row["heat"] >= row["lower_bound"] for row in report)
-        witness = "pass" if increasing and bounded else "fail"
+        witness = "pass" if separates and bounded else "fail"
     config = {
         "command": "singularity", "tower": args.tower, "alpha": args.alpha,
         "t": args.t, "N": args.N, "horizon": horizon, "witness": witness,
@@ -365,6 +372,7 @@ def cmd_heat(args):
 def cmd_simulate(args):
     tower = resolve_tower(args.tower)
     level, n = _pick_level(tower, args)
+    _check_t(args)
     expected = expected_characteristic(level, args.alpha, args.lam_valuation, args.t)
     if args.lam_valuation >= 0:
         estimate, stderr = complex(1.0), 0.0

@@ -13,10 +13,15 @@ jumps) = prod chi_b(jump), so ``mc_characteristic`` sums the jumps' exact
 integer phases mod kappa along each path and reads its root of unity from
 a kappa-entry table.  Both samplers share one block loop, ``_path_sums``.
 
-Jump cosets are those ``Generator.choice`` would draw, found without
-floats: ``_jump_sampler`` reads the raw Philox words behind numpy's
-uniforms and inverts the cdf on 53-bit integers through a guide table,
-leaving the generator where ``choice`` leaves it.
+Jump cosets, and the per-path jump counts of ``_path_sums``, come from one
+integer inverse-cdf sampler, ``_sampler``: it reads one raw Philox word per
+draw and inverts a cdf on 53-bit integers through a guide table.  Only the
+jump draws equal ``Generator.choice``, element for element and leaving the
+generator where ``choice`` leaves it; the counts, drawn on a Poisson(rate *
+t) table, have the law of ``Generator.poisson`` but not its stream.  A law
+builds its jump sampler once and its count sampler once per horizon.
+``simulate_path`` counts jumps by exponential arrival times instead, an
+independent route to the same Poisson law.
 
 The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox  # numpy loads numpy.random lazily: pay it at import
 
-from .funcspace import BallQuotient
+from .funcspace import MAX_DIGIT_ENTRIES, BallQuotient
 from .measures import (
     levy_cutoff_valuation,
     levy_log_characteristic,
@@ -71,7 +76,8 @@ class JumpLaw:
     ``quotient`` resolves the group down to pi^(cutoff+1), so every kept
     shell splits into whole cosets; ``coset_probs[g]`` is the probability
     that a single jump lands in coset g (zero for the zero coset), and
-    ``rate`` is the total jump intensity.
+    ``rate`` is the total jump intensity.  ``_samplers`` keeps the samplers
+    built on the law (``_jump_sampler``, ``_count_sampler``).
     """
 
     alpha: float
@@ -79,6 +85,7 @@ class JumpLaw:
     quotient: BallQuotient
     rate: float
     coset_probs: np.ndarray = field(repr=False)
+    _samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def level(self):
@@ -138,18 +145,24 @@ def _rng(seed, stream):
     return Generator(Philox(key=[int(seed), int(stream)]))
 
 
-def _guide_table(law):
-    """(cdf53, m, guide): the law's integer inverse-cdf tables.
+def _check_horizon(t):
+    if not 0.0 < t < math.inf:
+        raise ValueError("time horizon must be positive and finite")
+
+
+def _guide_table(probs):
+    """(cdf53, m, guide): integer inverse-cdf tables of the law with
+    weights ``probs``.
 
     numpy's ``choice`` inverts the cdf at the uniform u = (w >> 11) 2^-53 of
     a raw 64-bit word w.  Scaling by 2^53 is exact, so cdf[g] <= u exactly
     when cdf53[g] <= w >> 11 for cdf53 = ceil(cdf 2^53).  ``guide`` is an
     indexed search table (Chen & Asau 1974, Devroye 1986 III.2.4) on
-    M = 2^m >= 16 |G| buckets keyed by the top m bits of w: bucket k holds
-    the coset of every word in it when no cdf53 breakpoint falls inside,
-    and -1 otherwise.
+    M = 2^m >= 16 len(probs) buckets keyed by the top m bits of w: bucket k
+    holds the index of every word in it when no cdf53 breakpoint falls
+    inside, and -1 otherwise.
     """
-    cdf = law.coset_probs.cumsum()
+    cdf = probs.cumsum()
     cdf /= cdf[-1]
     cdf53 = np.ceil(np.ldexp(cdf, 53)).astype(np.int64)
     m = (16 * cdf.size - 1).bit_length()
@@ -160,16 +173,17 @@ def _guide_table(law):
     return cdf53, m, guide
 
 
-def _jump_sampler(law):
-    """draw(rng, n): n jump cosets of the law, equal element for element to
-    ``rng.choice(size, n, p=law.coset_probs)`` and leaving the generator in
-    the same state.
+def _sampler(probs, offset=0):
+    """draw(rng, n): offset + n indices drawn with weights ``probs``, one raw
+    word each.  With offset 0 and probs summing to 1 the draws equal
+    ``rng.choice(probs.size, n, p=probs)`` element for element and leave the
+    generator in the same state.
 
     It reads the raw words ``choice`` turns into uniforms and looks each one
     up on integers in ``_guide_table``: a word in a pure bucket takes the
-    bucket's coset, and only the words in -1 buckets are searched in cdf53.
+    bucket's index, and only the words in -1 buckets are searched in cdf53.
     """
-    cdf53, m, guide = _guide_table(law)
+    cdf53, m, guide = _guide_table(probs)
 
     def draw(rng, n):
         out = np.empty(n, dtype=np.int64)
@@ -179,9 +193,52 @@ def _jump_sampler(law):
             tied = np.flatnonzero(g < 0)
             g[tied] = cdf53.searchsorted((w[tied] >> 11).view(np.int64), side="right")
             out[a : a + w.size] = g
+        if offset:
+            out += offset
         return out
 
     return draw
+
+
+def _jump_sampler(law):
+    """The law's jump sampler, ``_sampler(law.coset_probs)``, built once."""
+    if "jumps" not in law._samplers:
+        law._samplers["jumps"] = _sampler(law.coset_probs)
+    return law._samplers["jumps"]
+
+
+def _poisson_table(lam):
+    """(k_lo, probs): the Poisson(lam) law on the counts k_lo..k_hi, scaled
+    to 1 at the mode.  Each tail left out holds < 2^-53 of the mass by
+    Bennett's bounds P(N >= lam + x) <= exp(-x^2 / (2 (lam + x/3))) and
+    P(N <= lam - x) <= exp(-x^2 / (2 lam)), so the table has O(sqrt lam)
+    entries.  The log-probabilities are summed outward from the mode, so no
+    entry underflows however large lam is.  Its guide table, 16 entries per
+    count, is held to the digit-matrix budget."""
+    c = 53 * math.log(2.0)
+    below = math.sqrt(2.0 * c * lam)
+    above = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * lam)
+    if 16 * (below + above + 2) > MAX_DIGIT_ENTRIES:
+        raise ValueError("rate * t too large: its jump count table exceeds the size budget")
+    k_lo = max(0, math.floor(lam - below))
+    k_hi = math.ceil(lam + above)
+    mode = math.floor(lam) - k_lo  # the mode's position in the table
+    ks = np.arange(k_lo, k_hi + 1, dtype=float)
+    logs = np.zeros(ks.size)
+    # log p(k) - log p(k - 1) = log(lam / k), summed away from the mode
+    np.cumsum(np.log(lam / ks[mode + 1 :]), out=logs[mode + 1 :])
+    np.cumsum(np.log(ks[1 : mode + 1][::-1] / lam), out=logs[:mode][::-1])
+    return k_lo, np.exp(logs)
+
+
+def _count_sampler(law, t):
+    """The law's sampler of Poisson(rate * t) jump counts, built once per
+    horizon: ``_sampler`` on the table of ``_poisson_table`` shifted by k_lo."""
+    key = ("counts", t)
+    if key not in law._samplers:
+        k_lo, probs = _poisson_table(law.rate * t)
+        law._samplers[key] = _sampler(probs, k_lo)
+    return law._samplers[key]
 
 
 def simulate_path(law, t, seed, stream=0):
@@ -196,8 +253,7 @@ def simulate_path(law, t, seed, stream=0):
     stream than one draw per jump would leave it at: the law of the path is
     the same, the path of a given (seed, stream) is not.
     """
-    if t <= 0:
-        raise ValueError("time horizon must be positive")
+    _check_horizon(t)
     rng = _rng(seed, stream)
     mean = law.rate * t
     block = int(mean + 3.0 * math.sqrt(mean)) + 1
@@ -221,11 +277,13 @@ def simulate_path(law, t, seed, stream=0):
 
 def _path_sums(law, t, n_paths, seed, stream, columns):
     """(sums, counts) for n_paths paths of the law on [0, t]: counts are
-    the Poisson jump counts and sums[:, i] the sum of columns[:, j] over
-    path i's jumps j, drawn in order in blocks of whole paths holding at
-    most ``_BLOCK_DRAWS`` jumps (or one path all of its own)."""
+    the Poisson(rate * t) jump counts and sums[:, i] the sum of
+    columns[:, j] over path i's jumps j.  Both come from the law's cached
+    samplers on one stream, one raw word per draw: first the n_paths
+    counts, then the jumps in path order, in blocks of whole paths holding
+    at most ``_BLOCK_DRAWS`` jumps (or one path all of its own)."""
     rng = _rng(seed, stream)
-    counts = rng.poisson(law.rate * t, size=n_paths)
+    counts = _count_sampler(law, t)(rng, n_paths)
     draw = _jump_sampler(law)
     ends = np.cumsum(counts)
     sums = np.empty((len(columns), n_paths), dtype=np.int64)
@@ -251,8 +309,7 @@ def sample_endpoints(law, t, n_paths, seed, stream=0):
     jump count.  Jump counts are Poisson(rate * t); endpoints are the
     group sums of the jumps, one digit-sum normalisation per path.
     """
-    if t <= 0:
-        raise ValueError("time horizon must be positive")
+    _check_horizon(t)
     quotient = law.quotient
     columns = np.ascontiguousarray(quotient.digit_matrix.T)
     sums, counts = _path_sums(law, t, n_paths, seed, stream, columns)
@@ -276,8 +333,7 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     lam_valuation = int(lam_valuation)
     if lam_valuation >= 0:
         raise ValueError("label must lie outside the unit ball")
-    if t <= 0:
-        raise ValueError("time horizon must be positive")
+    _check_horizon(t)
     if n_paths < 2:
         raise ValueError("a standard error needs at least two paths")
     L = -lam_valuation

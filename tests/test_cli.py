@@ -156,6 +156,59 @@ def test_singularity_single_row_is_indeterminate(tmp_path):
     assert len(doc["rows"]) == 1
 
 
+def test_singularity_passes_on_a_tower_that_repeats_a_level(tmp_path):
+    # K_1 = K_2 = Q_2, then the degree grows 1 -> 2 -> 8
+    code, doc = run(tmp_path, "singularity", "--tower", "cyclotomic:p=2,depth=4")
+    assert code == 0
+    assert doc["config"]["witness"] == "pass"
+    rows = doc["rows"]
+    assert [r["degree"] for r in rows] == [1, 1, 2, 8]
+    assert rows[0]["ratio"] == rows[1]["ratio"]
+    assert rows[1]["log10_ratio"] < rows[2]["log10_ratio"] < rows[3]["log10_ratio"]
+
+
+def test_singularity_without_a_degree_step_is_indeterminate(tmp_path):
+    code, doc = run(tmp_path, "singularity", "--tower", "qp:p=2,depth=3")
+    assert code == 0
+    assert doc["config"]["witness"] == "indeterminate"
+    assert [r["degree"] for r in doc["rows"]] == [1, 1, 1]
+
+
+def _perturbed_report(n, factor):
+    """singularity_report with the ratio of row n scaled by factor."""
+    report = cli.singularity_report
+
+    def perturbed(*args, **kwargs):
+        rows = report(*args, **kwargs)
+        row = rows[n - 1]
+        row["ratio"] *= factor
+        row["log10_ratio"] = math.log10(row["ratio"])
+        return rows
+
+    return perturbed
+
+
+@pytest.mark.parametrize(
+    "n, factor",
+    [
+        (3, 0.5),  # the ratio falls across the degree step 1 -> 2
+        (2, 1 + 1e-9),  # K_2 = K_1, yet the ratio moves
+    ],
+)
+def test_singularity_fails_when_the_ratio_breaks_the_rule(
+    tmp_path, monkeypatch, capsys, n, factor
+):
+    monkeypatch.setattr(cli, "singularity_report", _perturbed_report(n, factor))
+    code, doc = run(tmp_path, "singularity", "--tower", "cyclotomic:p=2,depth=4")
+    assert code == 1
+    assert doc["config"]["witness"] == "fail"
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {
+        "command": "singularity",
+        "error": "heat mass does not separate from the invariant measure",
+    }
+
+
 # ---------------------------------------------------------------------------
 # levy
 
@@ -214,8 +267,8 @@ def test_heat_masses(tmp_path):
     assert abs(total - cfg["coset_mass_total"]) <= 1e-14
 
 
-@pytest.mark.parametrize("t", ["-0.5", "0", "nan"])
-@pytest.mark.parametrize("command", ["heat", "singularity"])
+@pytest.mark.parametrize("t", ["-0.5", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["heat", "singularity", "simulate"])
 def test_heat_refuses_a_bad_horizon(tmp_path, capsys, command, t):
     code, doc = run(tmp_path, command, "--tower", "qp:p=2", "--t", t)
     assert code == 2 and doc is None

@@ -174,12 +174,27 @@ def test_simulate_path_jump_counts_pass_poisson_goodness_of_fit():
     assert poisson_gof_pvalue(counts, law.rate * t) > 0.01
 
 
-def test_simulate_path_rejects_bad_horizon():
+BAD_HORIZONS = [0.0, -1.0, -2.0, math.nan, math.inf]
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("no sampler table may be built")
+
+
+def test_simulate_path_rejects_bad_horizon(monkeypatch):
     law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
-    with pytest.raises(ValueError):
-        simulate_path(law, 0.0, seed=1)
-    with pytest.raises(ValueError):
-        simulate_path(law, -2.0, seed=1)
+    monkeypatch.setattr(process, "_guide_table", _no_table)
+    for t in BAD_HORIZONS:
+        with pytest.raises(ValueError, match="positive and finite"):
+            simulate_path(law, t, seed=1)
+
+
+def test_sample_endpoints_rejects_bad_horizon(monkeypatch):
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
+    monkeypatch.setattr(process, "_guide_table", _no_table)
+    for t in BAD_HORIZONS:
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_endpoints(law, t, 10, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -197,7 +212,7 @@ def test_sample_endpoints_matches_per_path_walk(level, cutoff, t, n_paths):
     states, counts = sample_endpoints(law, t, n_paths, seed=9, stream=2)
     # the same draws in the same order, folded path by path
     rng = process._rng(9, 2)
-    expect_counts = rng.poisson(law.rate * t, size=n_paths)
+    expect_counts = process._count_sampler(law, t)(rng, n_paths)
     jumps = rng.choice(law.quotient.size, size=int(expect_counts.sum()), p=law.coset_probs)
     add = _add_table(law.quotient)
     expect = []
@@ -273,7 +288,7 @@ def test_jump_sampler_on_cdf_ties(level, cutoff):
     got = process._jump_sampler(law)(_FixedWords(words), words.size)
     assert (got == cdf.searchsorted(u53 * 2.0**-53, side="right")).all()
     # the ties fall in buckets that hold no single coset
-    _, m, guide = process._guide_table(law)
+    _, m, guide = process._guide_table(law.coset_probs)
     assert (guide[u53[1:-1] >> (53 - m)] == -1).any()
 
 
@@ -283,7 +298,7 @@ def test_guide_buckets_are_pure(level, cutoff):
     # ends, and so of every word between them
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
     cdf = _cdf(law)
-    cdf53, m, guide = process._guide_table(law)
+    cdf53, m, guide = process._guide_table(law.coset_probs)
     assert guide.size == 1 << m >= 16 * cdf.size
     assert (cdf53 == np.ceil(cdf * 2.0**53)).all()
     width = 2 ** (53 - m)
@@ -314,7 +329,7 @@ def test_sampling_runs_past_the_old_table_cap():
     assert 0 < counts.sum() and 0 < path.jumps.size
     # the same draws again; chi_b(endpoint) = prod chi_b(jump) for every b
     rng = process._rng(5, 0)
-    expect_counts = rng.poisson(law.rate * t, size=n_paths)
+    expect_counts = process._count_sampler(law, t)(rng, n_paths)
     jumps = rng.choice(quotient.size, size=int(expect_counts.sum()), p=law.coset_probs)
     owner = np.repeat(np.arange(n_paths), expect_counts)
     assert (counts == expect_counts).all()
@@ -355,6 +370,84 @@ def test_jump_counts_pass_poisson_goodness_of_fit():
 
 # the three rates of acceptance.check_monte_carlo, then a grid
 POISSON_RATES = [2.5, 2.625, 9.0, 0.01, 0.3, 1.0, 4.7, 17.25, 33.0, 60.0]
+
+
+# ---------------------------------------------------------------------------
+# jump counts by integer inversion
+
+
+@pytest.mark.parametrize("lam", POISSON_RATES + [1e3, 1e6])
+def test_count_table_is_the_poisson_cdf(lam):
+    stats = pytest.importorskip("scipy.stats")
+    k_lo, probs = process._poisson_table(lam)
+    cdf53, _, _ = process._guide_table(probs)
+    ks = np.arange(k_lo, k_lo + probs.size)
+    # float cumsum rounding, at most one unit per entry; at lam = 1e6
+    # scipy's own incomplete gamma is off by up to 4e-11
+    atol = probs.size * 2.0**-53 if lam <= 1e3 else 1e-10
+    np.testing.assert_allclose(cdf53 * 2.0**-53, stats.poisson.cdf(ks, lam), rtol=0, atol=atol)
+    # each tail left out holds less than the cdf's resolution
+    assert stats.poisson.cdf(k_lo - 1, lam) < 2.0**-53
+    assert stats.poisson.sf(ks[-1], lam) < 2.0**-53
+    assert np.isfinite(probs).all() and probs.max() == 1.0
+    assert probs.size <= 18 * math.sqrt(lam) + 30
+
+
+def test_sample_endpoints_refuses_a_count_table_over_budget():
+    # rate * t = 2.5e10 needs ~2.7e6 counts, and 16 guide entries each
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
+    for t in (1e10, 1e300):
+        with pytest.raises(ValueError, match="size budget"):
+            sample_endpoints(law, t, 10, seed=1)
+    assert 16 * len(process._poisson_table(1e9)[1]) <= process.MAX_DIGIT_ENTRIES
+
+
+@pytest.mark.parametrize("lam", [0.01, 2.5, 60.0, 1e3])
+def test_count_sampler_on_cdf_ties(lam):
+    # words whose uniform sits on a cdf53 breakpoint or one step below it
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
+    t = lam / law.rate
+    k_lo, probs = process._poisson_table(law.rate * t)
+    cdf53, _, _ = process._guide_table(probs)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    u53 = np.concatenate([cdf53, cdf53 - 1, [0, 2**53 - 1]])
+    u53 = np.unique(u53[(u53 >= 0) & (u53 < 2**53)])
+    low = np.arange(u53.size, dtype=np.uint64) % 2 * np.uint64(0x7FF)
+    words = (u53.astype(np.uint64) << np.uint64(11)) | low
+    got = process._count_sampler(law, t)(_FixedWords(words), words.size)
+    assert (got == cdf.searchsorted(u53 * 2.0**-53, side="right") + k_lo).all()
+
+
+@pytest.mark.parametrize("lam", [0.05, 2.5, 9.0, 40.0])
+def test_sample_endpoints_counts_pass_poisson_goodness_of_fit(lam):
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
+    t = lam / law.rate
+    _, counts = sample_endpoints(law, t, 4000, seed=29)
+    assert poisson_gof_pvalue(counts, law.rate * t) > 0.01
+
+
+def test_samplers_are_built_once_per_law_and_horizon(monkeypatch):
+    level = Level(2)  # a fresh cache
+    built = []
+    guide_table = process._guide_table
+
+    def counted(probs):
+        built.append(probs.size)
+        return guide_table(probs)
+
+    monkeypatch.setattr(process, "_guide_table", counted)
+    first = mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3)
+    assert len(built) == 2  # the jump table and the count table
+    assert mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=4) != first
+    assert mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3) == first
+    assert len(built) == 2
+    mc_characteristic(level, 1.0, -2, 0.25, 1000, seed=3)
+    mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3)
+    assert len(built) == 3  # one more count table, the jumps' is kept
+    # the kept samplers draw what fresh ones draw
+    monkeypatch.undo()
+    assert mc_characteristic(Level(2), 1.0, -2, 0.5, 1000, seed=3) == first
 
 
 @pytest.mark.parametrize("lam", POISSON_RATES)
@@ -547,7 +640,10 @@ def test_mc_characteristic_builds_its_law_once(monkeypatch):
     assert mc_characteristic(Level(2), 1.0, -2, 0.5, 1000, seed=3) == first
 
 
-@pytest.mark.parametrize("t, n_paths", [(1.0, 0), (1.0, 1), (0.0, 10), (-1.0, 10)])
+@pytest.mark.parametrize(
+    "t, n_paths",
+    [(1.0, 0), (1.0, 1), (0.0, 10), (-1.0, 10), (math.nan, 10), (math.inf, 10)],
+)
 def test_mc_characteristic_rejects_bad_paths_and_horizons(monkeypatch, t, n_paths):
     def no_law(*args, **kwargs):
         raise AssertionError("the law must not be built")
