@@ -3,7 +3,7 @@
 One subcommand per computation family: ``spectrum`` (eigenvalue catalog),
 ``apply`` (run a function through all operator routes), ``singularity``
 (invariant-vs-heat cylinder masses down a tower), ``levy`` (jump-measure
-shells and integrals), ``heat`` (heat masses and the coset distribution),
+shells and integrals), ``heat`` (heat masses, one row per quotient shell),
 ``simulate`` (seeded jump-process Monte Carlo), and ``verify-all`` (the
 whole self-verification suite).
 
@@ -12,7 +12,8 @@ output header, and output bytes depend only on (config, seed): floats are
 rendered with ``repr``, keys are sorted, CSV columns are fixed per command.
 Tables go to ``--out`` or stdout; human progress lines go to stderr.  Exit
 status is 0 exactly when the run's built-in assertions hold, 1 on a failed
-assertion (with a machine-readable record on stderr), 2 on bad input.
+assertion (with a machine-readable record on stderr), 2 on bad input or on
+numbers out of floating-point range.
 """
 
 import argparse
@@ -28,9 +29,9 @@ import numpy as np
 from . import acceptance
 from .funcspace import BallQuotient, random_function
 from .measures import (
-    heat_coset_vector,
     heat_cylinder_mass,
     heat_cylinder_mass_shells,
+    heat_shell_masses,
     levy_integral,
     levy_integral_spectral,
     levy_shell_mass,
@@ -343,8 +344,12 @@ def cmd_heat(args):
     shells = heat_cylinder_mass_shells(level, args.alpha, args.t, args.N, tol=1e-14)
     lo = level.s0
     quotient = BallQuotient(level, lo, lo + args.span)
-    masses = heat_coset_vector(quotient, args.alpha, args.t)
-    total = float(masses.sum())
+    masses = heat_shell_masses(quotient, args.alpha, args.t)
+    rows = [
+        {"valuation": w, "cosets": k, "mass_per_coset": m, "shell_mass": k * m}
+        for w, k, m in zip(range(lo, quotient.s + 1), quotient.shell_sizes(), masses)
+    ]
+    total = math.fsum(row["shell_mass"] for row in rows)
     config = {
         "command": "heat", "tower": args.tower, "level": n, "alpha": args.alpha,
         "t": args.t, "N": args.N, "lo": lo, "s": lo + args.span,
@@ -353,12 +358,7 @@ def cmd_heat(args):
         "coset_mass_total": total, "tolerance": args.tolerance,
         "format": args.format,
     }
-    columns = ["coset", "valuation", "heat_mass"]
-    vals = quotient.val_pi_vector
-    rows = [
-        {"coset": g, "valuation": int(vals[g]), "heat_mass": float(masses[g])}
-        for g in range(quotient.size)
-    ]
+    columns = ["valuation", "cosets", "mass_per_coset", "shell_mass"]
     failures = []
     if abs(total - 1.0) > args.tolerance:
         failures.append(f"coset masses sum to {total!r}, not 1")
@@ -491,7 +491,7 @@ def _build_parser():
     lv.add_argument("--tolerance", type=float, default=1e-9)
     lv.set_defaults(func=cmd_levy)
 
-    ht = subs.add_parser("heat", help="heat masses and the coset distribution")
+    ht = subs.add_parser("heat", help="heat masses and their distribution over the shells")
     _add_common(ht)
     ht.add_argument("--alpha", type=float, default=1.0)
     ht.add_argument("--level", type=int, default=None)
@@ -528,11 +528,11 @@ def main(argv=None):
         if not getattr(args, "alpha", 1.0) > 0:
             raise CommandError("--alpha must be positive")
         config, columns, rows, failures = args.func(args)
-    except CommandError as exc:
+    except (CommandError, ValueError, OSError) as exc:
         _fail(args.command, str(exc))
         return 2
-    except (ValueError, OSError) as exc:
-        _fail(args.command, str(exc))
+    except OverflowError as exc:
+        _fail(args.command, f"a number is out of floating-point range: {exc}")
         return 2
     _emit(args, config, columns, rows)
     if failures:

@@ -157,6 +157,11 @@ class BallQuotient:
         pay = x.pay if isinstance(x, ExtElement) else x
         return self.index_of_digits(self.level.digits_in_ball(pay, self.lo, self.s))
 
+    def shell_sizes(self):
+        """Exact coset counts (Python ints, any size) of the shells
+        {v_pi = w}, w = lo..s-1: (q-1) q^(s-1-w) each; then 1, the zero coset."""
+        return [(self.q - 1) * self.q ** (self.s - 1 - w) for w in range(self.lo, self.s)] + [1]
+
     @property
     def val_pi_vector(self):
         """Exact valuation of each coset (value of any representative that
@@ -167,10 +172,14 @@ class BallQuotient:
 
         def build():
             self.check_enumerable()
-            runs = [1] + [(self.q - 1) * self.q**k for k in range(self.J)]
+            runs = self.shell_sizes()[::-1]
             return np.repeat(np.arange(self.s, self.lo - 1, -1, dtype=np.int64), runs)
 
         return self._cache("vals", build)
+
+    def from_shells(self, per_shell):
+        """The per-coset vector of a radial quantity given in ``shell_sizes`` order."""
+        return np.asarray(per_shell)[self.val_pi_vector - self.lo]
 
     # -- dual group and characters -------------------------------------------
 

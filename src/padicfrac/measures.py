@@ -43,6 +43,7 @@ __all__ = [
     "heat_ball_mass",
     "heat_cylinder_mass",
     "heat_cylinder_mass_shells",
+    "heat_shell_masses",
     "heat_coset_vector",
     "heat_lower_bound",
     "singularity_report",
@@ -167,12 +168,13 @@ def heat_cylinder_mass_shells(level, alpha, t, N, tol=1e-12):
     return acc
 
 
-def heat_coset_vector(quotient, alpha, t):
-    """Heat mass of every coset of a quotient, in quotient index order.
+def heat_shell_masses(quotient, alpha, t):
+    """Heat mass of one coset on each shell of a quotient, in
+    ``shell_sizes`` order: valuation lo..s-1, then the zero coset.
 
     Cosets are given in the projection coordinate, so the scaled density
     enters shifted by e*c; the zero coset collects the whole ball mass
-    {v_pi >= s}.  For quotients with lo <= s0 the vector sums to 1.
+    {v_pi >= s}.  For lo <= s0, sum(shell_sizes() x masses) is 1.
     """
     lvl = quotient.level
     q = float(lvl.q)
@@ -187,9 +189,13 @@ def heat_coset_vector(quotient, alpha, t):
         k = w - ec + d
         density = q ** (-d) * (prefix[k] - q**k * u[k + 1]) if k >= 0 else 0.0
         per_shell.append(q**ec * density * cell)
-    # the zero coset is the only one of valuation s
     per_shell.append(q ** (-k0) * prefix[k0] if k0 > 0 else 1.0)
-    return np.array(per_shell)[quotient.val_pi_vector - quotient.lo]
+    return per_shell
+
+
+def heat_coset_vector(quotient, alpha, t):
+    """Heat mass of every coset, in index order: ``heat_shell_masses`` gathered."""
+    return quotient.from_shells(heat_shell_masses(quotient, alpha, t))
 
 
 def heat_lower_bound(level, alpha, t, N):
@@ -292,7 +298,7 @@ def levy_quotient_vector(quotient, alpha):
     ]
     # the zero coset is the only one of valuation s
     per_shell.append(np.inf)
-    return np.array(per_shell)[quotient.val_pi_vector - quotient.lo]
+    return quotient.from_shells(per_shell)
 
 
 def _require_zero_at_origin(values):

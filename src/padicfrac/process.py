@@ -42,11 +42,7 @@ import numpy as np
 from numpy.random import Generator, Philox  # numpy loads numpy.random lazily: pay it at import
 
 from .funcspace import MAX_DIGIT_ENTRIES, BallQuotient
-from .measures import (
-    levy_cutoff_valuation,
-    levy_log_characteristic,
-    levy_quotient_vector,
-)
+from .measures import levy_cutoff_valuation, levy_quotient_vector
 
 __all__ = [
     "JumpLaw",
@@ -60,7 +56,6 @@ __all__ = [
     "poisson_quantile",
     "chi2_sf",
     "poisson_gof_pvalue",
-    "truncated_log_characteristic",
 ]
 
 # jumps drawn and reduced per block; a block's 64 KiB temporaries stay under
@@ -280,24 +275,31 @@ def _path_sums(law, t, n_paths, seed, stream, columns):
     the Poisson(rate * t) jump counts and sums[:, i] the sum of
     columns[:, j] over path i's jumps j.  Both come from the law's cached
     samplers on one stream, one raw word per draw: first the n_paths
-    counts, then the jumps in path order, in blocks of whole paths holding
-    at most ``_BLOCK_DRAWS`` jumps (or one path all of its own)."""
+    counts, then the jumps in path order, in blocks of ``_BLOCK_DRAWS``
+    jumps however the paths fall.  A block's prefix sums are read at every
+    path end it holds, and a path's sum is the difference between its end
+    and the previous path's, which may lie in an earlier block."""
     rng = _rng(seed, stream)
     counts = _count_sampler(law, t)(rng, n_paths)
     draw = _jump_sampler(law)
     ends = np.cumsum(counts)
-    sums = np.empty((len(columns), n_paths), dtype=np.int64)
+    total = int(counts.sum())
+    # acc[1 + j] sums a column through jump j of the block, and last[r] is
+    # the latest path end on that scale, carried from block to block;
+    # int64 wraparound in them cancels in the differences
+    sums = np.zeros((len(columns), n_paths), dtype=np.int64)
+    acc = np.zeros(min(_BLOCK_DRAWS, total) + 1, dtype=np.int64)
+    last = np.zeros((len(columns), 1), dtype=np.int64)
     i0 = 0
-    while i0 < n_paths:
-        base = ends[i0] - counts[i0]
-        i1 = max(i0 + 1, int(ends.searchsorted(base + _BLOCK_DRAWS, side="right")))
-        jumps = draw(rng, int(ends[i1 - 1] - base))
-        end = ends[i0:i1] - base
-        acc = np.zeros(jumps.size + 1, dtype=np.int64)
-        for row, column in zip(sums, columns):
-            # int64 wraparound in acc cancels in the differences
-            np.cumsum(column.take(jumps), out=acc[1:])
-            row[i0:i1] = acc[end] - acc[end - counts[i0:i1]]
+    for a in range(0, total, _BLOCK_DRAWS):
+        jumps = draw(rng, min(_BLOCK_DRAWS, total - a))
+        i1 = int(ends.searchsorted(a + jumps.size, side="right"))
+        end = ends[i0:i1] - a
+        for row, column, prev in zip(sums, columns, last):
+            np.cumsum(column.take(jumps), out=acc[1 : jumps.size + 1])
+            at = np.concatenate([prev, acc[end]])
+            np.subtract(at[1:], at[:-1], out=row[i0:i1])
+            np.subtract(at[-1:], acc[jumps.size], out=prev)
         i0 = i1
     return sums, counts
 
@@ -415,11 +417,3 @@ def poisson_gof_pvalue(counts, lam):
     stat = float(((observed - expected) ** 2 / expected).sum())
     return chi2_sf(stat, expected.size - 1)
 
-
-def truncated_log_characteristic(law, lam_valuation, t):
-    """Exact log-characteristic of the truncated process at a label of the
-    given pi-valuation: the shell sum of (character average - 1) against
-    the kept shell masses.  Coincides with -t ||label||^alpha once the
-    cutoff covers the boundary shell s0 + L - 1.
-    """
-    return levy_log_characteristic(law.level, law.alpha, lam_valuation, t, cutoff=law.cutoff)

@@ -79,19 +79,16 @@ def kernel_kappa(level, alpha):
     return (1.0 - 1.0 / q) / (q**a_m - 1.0) * q ** (-level.d * (1.0 + a_m))
 
 
-def _norm_power(level, alpha, val):
-    """||b||**alpha for labels of pi-valuation val, zero where val >= 0."""
-    val = np.asarray(val, dtype=np.float64)
-    return np.where(val < 0, float(level.p) ** (-val * float(alpha) / level.e), 0.0)
-
-
 def spectral_multiplier(quotient, alpha):
     """Eigenvalue vector over the dual labels: ||b||**alpha, zero on labels
     of nonnegative valuation (they annihilate the standard ball)."""
     _check_domain(quotient)
-    # the zero label has sentinel valuation dual.s >= 0, so it lands in the
-    # zero branch with the rest of the annihilator
-    return _norm_power(quotient.level, alpha, quotient.dual().val_pi_vector)
+    dual = quotient.dual()
+    # the dual shells of valuation s0-s..-1, then zeros for valuations
+    # 0..s0-lo-1 and the zero label
+    val = np.arange(dual.lo, 0, dtype=np.float64)
+    norm_power = float(quotient.p) ** (-val * float(alpha) / quotient.level.e)
+    return dual.from_shells(np.concatenate([norm_power, np.zeros(dual.s + 1)]))
 
 
 def _kernel(quotient, alpha):
@@ -111,16 +108,16 @@ def _kernel(quotient, alpha):
 
 
 def hypersingular_weights(quotient, alpha):
-    """(prefactor, weights): psi_i = prefactor * sum_j w_j (phi_sub(i,j) - phi_i).
+    """(prefactor, weights): psi(z) = prefactor * sum_x w_x (phi(z - x) - phi(z)).
 
-    Weights live on the cosets inside the standard ball (zero elsewhere and
+    Weights live on the shells inside the standard ball (zero elsewhere and
     on the zero coset); the prefactor collects the kernel constant, the
     module of the level degree, and the Haar volume of one coset.
     """
     s0, prefactor, weight = _kernel(quotient, alpha)
-    vals = quotient.val_pi_vector.astype(np.float64)
-    inside = (vals >= s0) & (np.arange(quotient.size) != 0)
-    return prefactor, np.where(inside, weight(vals), 0.0)
+    inside = weight(np.arange(s0, quotient.s, dtype=np.float64))
+    per_shell = np.concatenate([np.zeros(s0 - quotient.lo), inside, [0.0]])
+    return prefactor, quotient.from_shells(per_shell)
 
 
 def _radius_eigenvalues(quotient, alpha):

@@ -7,10 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from padicfrac import cli
 from padicfrac.cli import main
+from padicfrac.funcspace import BallQuotient
+from padicfrac.measures import heat_coset_vector
+from padicfrac.tower import resolve_tower
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 Q2_TOWER = "qp:p=2,depth=1"
@@ -263,8 +267,55 @@ def test_heat_masses(tmp_path):
     assert abs(cfg["cylinder_mass_closed"] - cfg["cylinder_mass_shells"]) <= 1e-10
     assert abs(cfg["coset_mass_total"] - 1.0) <= 1e-12
     assert cfg["invariant_cylinder_mass"] == "1/2"
-    total = sum(r["heat_mass"] for r in doc["rows"])
+    rows = doc["rows"]
+    assert [r["valuation"] for r in rows] == [0, 1, 2, 3]
+    assert [r["cosets"] for r in rows] == [4, 2, 1, 1]
+    for r in rows:
+        assert r["shell_mass"] == r["cosets"] * r["mass_per_coset"]
+    total = sum(r["shell_mass"] for r in rows)
     assert abs(total - cfg["coset_mass_total"]) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "tower, level, span, alpha, t",
+    [
+        (Q2_TOWER, 1, 5, 1.0, 1.0),
+        ("qp:p=3", 1, 4, 0.5, 0.3),
+        (UNRAM_TOWER, 2, 4, 2.0, 1.0),
+        (UNRAM_TOWER, 3, 2, 1.0, 0.1),
+        ("cyclotomic:p=2,depth=4", 4, 3, 1.5, 2.0),
+    ],
+)
+def test_heat_shell_rows_are_the_coset_vector(tmp_path, tower, level, span, alpha, t):
+    code, doc = run(
+        tmp_path, "heat", "--tower", tower, "--level", str(level), "--span", str(span),
+        "--alpha", str(alpha), "--t", str(t),
+    )
+    assert code == 0
+    cfg, rows = doc["config"], doc["rows"]
+    quotient = BallQuotient(resolve_tower(tower).level(level), cfg["lo"], cfg["s"])
+    vals = quotient.val_pi_vector
+    assert [r["valuation"] for r in rows] == list(range(quotient.lo, quotient.s + 1))
+    assert [r["cosets"] for r in rows] == np.bincount(vals - quotient.lo).tolist()
+    # the first coset of each shell carries the per-coset mass, bit for bit
+    vector = heat_coset_vector(quotient, alpha, t)
+    first = [int(np.flatnonzero(vals == r["valuation"])[0]) for r in rows]
+    assert [r["mass_per_coset"] for r in rows] == vector[first].tolist()
+    assert (vector == np.array([r["mass_per_coset"] for r in rows])[vals - quotient.lo]).all()
+
+
+def test_default_heat_runs_within_a_memory_limit():
+    # the top level of the default tower at span 3 has 2^72 cosets: one row
+    # per shell needs none of them
+    proc = _run_capped(["heat", "--format", "json"], 1536 << 20, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    cfg, rows = doc["config"], doc["rows"]
+    assert cfg["cylinder_mass_closed"] == 0.135335334774646
+    assert abs(cfg["coset_mass_total"] - 1.0) <= 1e-12
+    assert [r["cosets"] for r in rows] == [
+        (2**24 - 1) * 2**48, (2**24 - 1) * 2**24, 2**24 - 1, 1,
+    ]
 
 
 @pytest.mark.parametrize("t", ["-0.5", "0", "nan", "inf"])
@@ -399,6 +450,27 @@ def test_non_positive_alpha_is_a_config_error(tmp_path, capsys, command, alpha):
     assert code == 2 and doc is None
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line) == {"command": command, "error": "--alpha must be positive"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["levy", "--tower", "qp:p=2", "--cutoff", "1100"],
+        ["heat", "--tower", "qp:p=2", "--span", "2000"],
+        ["heat", "--tower", "qp:p=2", "--alpha", "1e-300"],
+        ["singularity", "--tower", "qp:p=2,depth=2", "--N", "2000"],
+        ["spectrum", "--tower", "qp:p=2", "--max-value", "1e308"],
+        ["simulate", "--tower", "qp:p=2", "--lam-valuation", "-1100"],
+    ],
+    ids=" ".join,
+)
+def test_numbers_out_of_float_range_are_a_config_error(tmp_path, capsys, argv):
+    code, doc = run(tmp_path, *argv)
+    assert code == 2 and doc is None
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["command"] == argv[0]
+    assert record["error"].startswith("a number is out of floating-point range")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -95,6 +95,26 @@ def test_valuation_vector_reads_no_digits_and_shares_their_size_check():
 
 
 @pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
+def test_shell_layout_is_the_valuation_vector(bq):
+    sizes = bq.shell_sizes()
+    assert sum(sizes) == bq.size
+    assert np.bincount(bq.val_pi_vector - bq.lo).tolist() == sizes
+    per_shell = np.arange(bq.J + 1) * 0.5 - 1.0
+    assert (bq.from_shells(per_shell) == per_shell[bq.val_pi_vector - bq.lo]).all()
+
+
+def test_shell_sizes_stay_exact_past_the_size_check():
+    top = Level(2).extend_unramified(24)
+    for bq in (BallQuotient(top, 0, 3), BallQuotient(Q2, -40, 150)):
+        sizes = bq.shell_sizes()
+        assert sum(sizes) == bq.size and sizes[-1] == 1
+        assert all(a == b * bq.q for a, b in zip(sizes[:-2], sizes[1:-1]))
+    assert BallQuotient(top, 0, 3).shell_sizes() == [
+        (2**24 - 1) * 2**48, (2**24 - 1) * 2**24, 2**24 - 1, 1,
+    ]
+
+
+@pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
 def test_radial_apply_is_a_sum_of_ball_averages(bq):
     # the oracle finds the balls from the group law, not from digit order:
     # j lies in the ball of radius k around i iff v(rep_i - rep_j) >= k

@@ -15,6 +15,7 @@ from padicfrac.measures import (
     heat_cylinder_mass_shells,
     heat_density,
     heat_lower_bound,
+    heat_shell_masses,
     levy_cutoff_valuation,
     levy_integral,
     levy_integral_spectral,
@@ -171,6 +172,7 @@ def test_heat_coset_vector_is_the_shell_densities_exactly(quotient):
             for w in range(quotient.lo, quotient.s)
         ]
         per_shell.append(heat_ball_mass(lvl, alpha, t, quotient.s - ec))
+        assert heat_shell_masses(quotient, alpha, t) == per_shell
         expect = np.array(per_shell)[quotient.val_pi_vector - quotient.lo]
         assert heat_coset_vector(quotient, alpha, t).tobytes() == expect.tobytes()
 

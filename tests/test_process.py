@@ -6,7 +6,12 @@ import pytest
 
 from padicfrac import base_level, process
 from padicfrac.padic import Level
-from padicfrac.measures import levy_quotient_vector, levy_shell_mass, levy_tail_mass
+from padicfrac.measures import (
+    levy_log_characteristic,
+    levy_quotient_vector,
+    levy_shell_mass,
+    levy_tail_mass,
+)
 from padicfrac.process import (
     build_jump_law,
     expected_characteristic,
@@ -17,7 +22,6 @@ from padicfrac.process import (
     poisson_quantile,
     sample_endpoints,
     simulate_path,
-    truncated_log_characteristic,
 )
 from padicfrac.tower import resolve_tower
 
@@ -205,11 +209,30 @@ def test_sample_endpoints_rejects_bad_horizon(monkeypatch):
         (W, 6, 1.0, 200),
         (E, 2, 1.0, 1),
         (W, 6, 1e-9, 50),
+        (Q2, 2, 4000.0, 3),  # about 21,000 jumps a path: paths span blocks
     ],
 )
-def test_sample_endpoints_matches_per_path_walk(level, cutoff, t, n_paths):
+def test_sample_endpoints_matches_per_path_walk(monkeypatch, level, cutoff, t, n_paths):
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    asked = []
+    jump_sampler = process._jump_sampler
+
+    def counted(law):
+        draw = jump_sampler(law)
+
+        def counted_draw(rng, n):
+            asked.append(n)
+            return draw(rng, n)
+
+        return counted_draw
+
+    monkeypatch.setattr(process, "_jump_sampler", counted)
     states, counts = sample_endpoints(law, t, n_paths, seed=9, stream=2)
+    # the jumps are drawn in blocks of at most _BLOCK_DRAWS, however long a path
+    assert sum(asked) == counts.sum() and max(asked, default=0) <= process._BLOCK_DRAWS
+    if t > 1000:
+        assert counts.min() > 2 * process._BLOCK_DRAWS
+    monkeypatch.undo()
     # the same draws in the same order, folded path by path
     rng = process._rng(9, 2)
     expect_counts = process._count_sampler(law, t)(rng, n_paths)
@@ -675,7 +698,7 @@ def test_truncated_log_characteristic_is_exact_past_the_boundary_shell(
 ):
     cutoff = max(L, level.s0 + L - 1)
     law = build_jump_law(level, alpha, cutoff_valuation=cutoff)
-    got = truncated_log_characteristic(law, -L, t=1.5)
+    got = levy_log_characteristic(law.level, law.alpha, -L, 1.5, cutoff=law.cutoff)
     want = -1.5 * float(level.p) ** (L * alpha / level.e)
     assert abs(got - want) <= 1e-9 * abs(want)
 
@@ -684,12 +707,12 @@ def test_truncated_log_characteristic_with_a_short_cutoff():
     # every kept shell lies strictly inside the label's dead zone, so the
     # truncated process only sees the total kept intensity
     law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
-    got = truncated_log_characteristic(law, -3, t=1.0)
+    got = levy_log_characteristic(law.level, law.alpha, -3, 1.0, cutoff=law.cutoff)
     assert abs(got + law.rate) < 1e-13
     assert got > -8.0  # the full log-characteristic would be -t * 8
 
 
 def test_truncated_log_characteristic_inside_the_unit_ball():
     law = build_jump_law(Q2, 1.0, cutoff_valuation=2)
-    assert truncated_log_characteristic(law, 0, t=1.0) == 0.0
-    assert truncated_log_characteristic(law, 3, t=2.0) == 0.0
+    assert levy_log_characteristic(law.level, law.alpha, 0, 1.0, cutoff=law.cutoff) == 0.0
+    assert levy_log_characteristic(law.level, law.alpha, 3, 2.0, cutoff=law.cutoff) == 0.0
