@@ -527,6 +527,11 @@ def main(argv=None):
     try:
         if not getattr(args, "alpha", 1.0) > 0:
             raise CommandError("--alpha must be positive")
+        # every comparison with nan is false, so a nan gate would pass anything
+        if not 0.0 <= getattr(args, "tolerance", 0.0) < math.inf:
+            raise CommandError("--tolerance must be finite and nonnegative")
+        if not 0.0 < getattr(args, "z_max", 1.0) < math.inf:
+            raise CommandError("--z-max must be positive and finite")
         config, columns, rows, failures = args.func(args)
     except (CommandError, ValueError, OSError) as exc:
         _fail(args.command, str(exc))

@@ -14,14 +14,16 @@ integer phases mod kappa along each path and reads its root of unity from
 a kappa-entry table.  Both samplers share one block loop, ``_path_sums``.
 
 Jump cosets, and the per-path jump counts of ``_path_sums``, come from one
-integer inverse-cdf sampler, ``_sampler``: it reads one raw Philox word per
-draw and inverts a cdf on 53-bit integers through a guide table.  Only the
-jump draws equal ``Generator.choice``, element for element and leaving the
-generator where ``choice`` leaves it; the counts, drawn on a Poisson(rate *
-t) table, have the law of ``Generator.poisson`` but not its stream.  A law
-builds its jump sampler once and its count sampler once per horizon.
-``simulate_path`` counts jumps by exponential arrival times instead, an
-independent route to the same Poisson law.
+integer inverse-cdf sampler, ``_sampler``: a draw reads a 16-bit chunk of a
+raw Philox word (a 32-bit one on laws of more than 4,096 entries), so a
+word serves four draws (or two), and only the draws whose chunk falls in a
+bucket of the guide table that holds a cdf breakpoint read a fresh word for
+the rest of their 53-bit uniform.  The law is exactly that of inverting the
+cdf rounded up to multiples of 2^-53, as ``Generator.choice`` does; the
+stream is the sampler's own.  The counts are drawn on a Poisson(rate * t)
+table.  A law builds its jump sampler once and its count sampler once per
+horizon.  ``simulate_path`` counts jumps by exponential arrival times
+instead, an independent route to the same Poisson law.
 
 The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
@@ -58,9 +60,10 @@ __all__ = [
     "poisson_gof_pvalue",
 ]
 
-# jumps drawn and reduced per block; a block's 64 KiB temporaries stay under
-# malloc's mmap threshold, so the heap reuses them instead of mapping and
-# page-faulting fresh pages for every block
+# draws made and jumps reduced per block; a block's 64 KiB temporaries stay
+# under malloc's mmap threshold, so the heap reuses them instead of mapping
+# and page-faulting fresh pages for every block; a block of draws reads a
+# quarter (or half) as many raw words
 _BLOCK_DRAWS = 1 << 13
 
 
@@ -149,19 +152,19 @@ def _guide_table(probs):
     """(cdf53, m, guide): integer inverse-cdf tables of the law with
     weights ``probs``.
 
-    numpy's ``choice`` inverts the cdf at the uniform u = (w >> 11) 2^-53 of
-    a raw 64-bit word w.  Scaling by 2^53 is exact, so cdf[g] <= u exactly
-    when cdf53[g] <= w >> 11 for cdf53 = ceil(cdf 2^53).  ``guide`` is an
-    indexed search table (Chen & Asau 1974, Devroye 1986 III.2.4) on
-    M = 2^m >= 16 len(probs) buckets keyed by the top m bits of w: bucket k
-    holds the index of every word in it when no cdf53 breakpoint falls
-    inside, and -1 otherwise.
+    A 53-bit uniform u53 (u = u53 2^-53, as numpy's ``choice`` makes it from
+    a raw word) draws index g when cdf[g - 1] <= u < cdf[g].  Scaling by 2^53
+    is exact, so cdf[g] <= u exactly when cdf53[g] <= u53 for cdf53 =
+    ceil(cdf 2^53).  ``guide`` is an indexed search table (Chen & Asau 1974,
+    Devroye 1986 III.2.4) on M = 2^m >= 16 len(probs) buckets keyed by the
+    top m bits of u53: bucket k holds the index of every u53 in it when no
+    cdf53 breakpoint falls inside, and -1 otherwise.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     cdf53 = np.ceil(np.ldexp(cdf, 53)).astype(np.int64)
     m = (16 * cdf.size - 1).bit_length()
-    width = 1 << (53 - m)  # values of w >> 11 per bucket
+    width = 1 << (53 - m)  # values of u53 per bucket
     starts = np.arange(0, 1 << 53, width, dtype=np.int64)
     guide = cdf53.searchsorted(starts, side="right")
     guide[guide != cdf53.searchsorted(starts + (width - 1), side="right")] = -1
@@ -169,25 +172,35 @@ def _guide_table(probs):
 
 
 def _sampler(probs, offset=0):
-    """draw(rng, n): offset + n indices drawn with weights ``probs``, one raw
-    word each.  With offset 0 and probs summing to 1 the draws equal
-    ``rng.choice(probs.size, n, p=probs)`` element for element and leave the
-    generator in the same state.
+    """draw(rng, n): offset + n indices drawn with weights ``probs``, exactly
+    P(g) = (cdf53[g] - cdf53[g-1]) 2^-53 each.
 
-    It reads the raw words ``choice`` turns into uniforms and looks each one
-    up on integers in ``_guide_table``: a word in a pure bucket takes the
-    bucket's index, and only the words in -1 buckets are searched in cdf53.
+    A draw reads one 16-bit chunk of a raw word, or one 32-bit chunk when
+    the guide has m > 16 bits, so a word serves four draws (or two).  Each
+    block of ``_BLOCK_DRAWS`` draws takes its words first and splits them
+    low chunk first; the chunks left over in its last word are dropped.  A
+    chunk's top m bits pick a bucket of ``_guide_table``, and a pure bucket
+    gives its index.  A draw in a -1 bucket then takes one fresh word f, in
+    draw order: its uniform u53 = (bucket << (53 - m)) | (f >> (11 + m))
+    is searched in cdf53.
     """
     cdf53, m, guide = _guide_table(probs)
+    bits = 16 if m <= 16 else 32
+    per_word = 64 // bits
+    chunk = f"<u{bits // 8}"  # little-endian, so the split is the same on any host
 
     def draw(rng, n):
+        raw = rng.bit_generator.random_raw
         out = np.empty(n, dtype=np.int64)
         for a in range(0, n, _BLOCK_DRAWS):
-            w = rng.bit_generator.random_raw(min(_BLOCK_DRAWS, n - a))
-            g = guide.take((w >> (64 - m)).view(np.int64))
+            k = min(_BLOCK_DRAWS, n - a)
+            w = raw(-(-k // per_word))
+            bucket = w.astype("<u8", copy=False).view(chunk)[:k] >> (bits - m)
+            g = guide.take(bucket)
             tied = np.flatnonzero(g < 0)
-            g[tied] = cdf53.searchsorted((w[tied] >> 11).view(np.int64), side="right")
-            out[a : a + w.size] = g
+            u53 = (bucket[tied].astype(np.uint64) << (53 - m)) | (raw(tied.size) >> (11 + m))
+            g[tied] = cdf53.searchsorted(u53.view(np.int64), side="right")
+            out[a : a + k] = g
         if offset:
             out += offset
         return out
@@ -274,11 +287,19 @@ def _path_sums(law, t, n_paths, seed, stream, columns):
     """(sums, counts) for n_paths paths of the law on [0, t]: counts are
     the Poisson(rate * t) jump counts and sums[:, i] the sum of
     columns[:, j] over path i's jumps j.  Both come from the law's cached
-    samplers on one stream, one raw word per draw: first the n_paths
-    counts, then the jumps in path order, in blocks of ``_BLOCK_DRAWS``
-    jumps however the paths fall.  A block's prefix sums are read at every
-    path end it holds, and a path's sum is the difference between its end
-    and the previous path's, which may lie in an earlier block."""
+    samplers on one stream: first the n_paths counts, then the jumps in
+    path order, in blocks of ``_BLOCK_DRAWS`` jumps however the paths fall.
+    A block's prefix sums are read at every path end it holds, and a path's
+    sum is the difference between its end and the previous path's, which
+    may lie in an earlier block.
+
+    The per-path arrays peak at 2 len(columns) + 5 int64 entries a path:
+    the counts, their ends, the sums and the path ends of a block here,
+    then what the callers add, a copy of the sums in ``index_of_digits``
+    or the totals mod kappa, z and its temporaries.  An n_paths whose peak
+    exceeds the entry budget is refused before any draw."""
+    if n_paths * (2 * len(columns) + 5) > MAX_DIGIT_ENTRIES:
+        raise ValueError("n_paths too large: its per-path arrays exceed the size budget")
     rng = _rng(seed, stream)
     counts = _count_sampler(law, t)(rng, n_paths)
     draw = _jump_sampler(law)

@@ -12,7 +12,7 @@ import pytest
 
 from padicfrac import cli
 from padicfrac.cli import main
-from padicfrac.funcspace import BallQuotient
+from padicfrac.funcspace import MAX_DIGIT_ENTRIES, BallQuotient
 from padicfrac.measures import heat_coset_vector
 from padicfrac.tower import resolve_tower
 
@@ -397,6 +397,29 @@ def test_default_simulate_fails_fast_within_a_memory_limit():
     }
 
 
+# mc_characteristic holds at most 7 int64 entries per path at its peak
+MAX_PATHS = MAX_DIGIT_ENTRIES // 7
+
+
+@pytest.mark.parametrize("paths", [MAX_PATHS, MAX_PATHS + 1, 200_000_000])
+def test_simulate_paths_are_held_to_the_entry_budget(paths):
+    # the largest --paths accepted runs within the limit; one more is
+    # refused before any draw
+    argv = ["simulate", "--tower", Q2_TOWER, "--lam-valuation", "-1",
+            "--paths", str(paths), "--format", "json"]
+    proc = _run_capped(argv, 1536 << 20, timeout=120)
+    if paths == MAX_PATHS:
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["config"]["paths"] == paths
+        return
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.strip().splitlines()[-1]) == {
+        "command": "simulate",
+        "error": "n_paths too large: its per-path arrays exceed the size budget",
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -450,6 +473,30 @@ def test_non_positive_alpha_is_a_config_error(tmp_path, capsys, command, alpha):
     assert code == 2 and doc is None
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert json.loads(line) == {"command": command, "error": "--alpha must be positive"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, "--tolerance", value)
+        for command in ("apply", "levy", "heat")
+        for value in ("nan", "inf", "-1")
+    ]
+    + [("simulate", "--z-max", value) for value in ("nan", "inf", "0", "-1")],
+)
+def test_gates_refuse_values_that_pass_or_fail_everything(
+    tmp_path, capsys, command, flag, value
+):
+    # no comparison with nan holds, so a nan gate passes anything, and a
+    # negative one fails everything
+    code, doc = run(tmp_path, command, "--tower", Q2_TOWER, flag, value)
+    assert code == 2 and doc is None
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    error = {
+        "--tolerance": "--tolerance must be finite and nonnegative",
+        "--z-max": "--z-max must be positive and finite",
+    }[flag]
+    assert json.loads(line) == {"command": command, "error": error}
 
 
 @pytest.mark.parametrize(

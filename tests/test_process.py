@@ -1,3 +1,4 @@
+import bisect
 import math
 from fractions import Fraction
 
@@ -138,7 +139,7 @@ def test_simulate_path_invariants():
     for k, j in enumerate(path.jumps):
         state = add[state, j]
         assert path.states[k] == state
-    assert path.final_index == 1
+    assert path.final_index == 0
 
 
 def test_simulate_path_without_jumps_sits_at_zero():
@@ -236,7 +237,7 @@ def test_sample_endpoints_matches_per_path_walk(monkeypatch, level, cutoff, t, n
     # the same draws in the same order, folded path by path
     rng = process._rng(9, 2)
     expect_counts = process._count_sampler(law, t)(rng, n_paths)
-    jumps = rng.choice(law.quotient.size, size=int(expect_counts.sum()), p=law.coset_probs)
+    jumps = process._jump_sampler(law)(rng, int(expect_counts.sum()))
     add = _add_table(law.quotient)
     expect = []
     pos = 0
@@ -253,17 +254,65 @@ def test_sample_endpoints_matches_per_path_walk(monkeypatch, level, cutoff, t, n
         assert (counts == 0).all() and (states == 0).all()
 
 
-@pytest.mark.parametrize("level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1)])
+def _decode(probs, rng, n):
+    """n draws of the sampler's layout, one at a time: each block of
+    _BLOCK_DRAWS draws reads its words, split low chunk first, and then one
+    fresh word per draw, in draw order, whose bucket a cdf53 breakpoint
+    splits."""
+    cdf53, m, _ = process._guide_table(probs)
+    cdf53 = cdf53.tolist()
+    bits = 16 if m <= 16 else 32
+    per_word = 64 // bits
+    width = 1 << (53 - m)
+    out = []
+    for a in range(0, n, process._BLOCK_DRAWS):
+        k = min(process._BLOCK_DRAWS, n - a)
+        words = rng.bit_generator.random_raw(-(-k // per_word)).tolist()
+        chunks = [w >> (bits * j) & ((1 << bits) - 1) for w in words for j in range(per_word)]
+        for chunk in chunks[:k]:
+            lo = (chunk >> (bits - m)) * width
+            g = bisect.bisect_right(cdf53, lo)
+            if g != bisect.bisect_right(cdf53, lo + width - 1):
+                fresh = int(rng.bit_generator.random_raw())
+                g = bisect.bisect_right(cdf53, lo + (fresh >> (11 + m)))
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize(
+    "level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1), (Q2, 12)]
+)
 @pytest.mark.parametrize("n", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
-def test_jump_sampler_matches_rng_choice(level, cutoff, n):
+def test_jump_sampler_matches_the_chunk_decoder(level, cutoff, n):
+    # 16-bit chunks on the first five laws, 32-bit ones on the 8,192 cosets
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
     rng_a, rng_b = process._rng(4, 1), process._rng(4, 1)
     got = process._jump_sampler(law)(rng_a, n)
-    want = rng_b.choice(law.quotient.size, size=n, p=law.coset_probs)
-    assert got.dtype == want.dtype and got.shape == (n,)
-    assert (got == want).all()
-    # the generator is left where rng.choice leaves it
-    assert rng_a.random() == rng_b.random()
+    assert got.dtype == np.int64 and got.shape == (n,)
+    assert got.tolist() == _decode(law.coset_probs, rng_b, n)
+    # the generator is left where the decoder leaves it
+    assert rng_a.bit_generator.random_raw() == rng_b.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("cutoff", [11, 12])
+def test_jump_draws_pass_a_chi_square_against_the_coset_law(cutoff):
+    # 4,096 cosets on 16-bit chunks (m = 16, the whole chunk), and 8,192 on
+    # 32-bit chunks
+    stats = pytest.importorskip("scipy.stats")
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=cutoff)
+    _, m, _ = process._guide_table(law.coset_probs)
+    assert m == cutoff + 5
+    n = 1 << 20
+    draws = process._jump_sampler(law)(process._rng(31, 0), n)
+    assert draws.min() > 0  # the zero coset is no jump
+    # runs of consecutive cosets pooled to about 5 expected hits a bin;
+    # Cochran's rule: none expects below 1, at most a fifth below 5
+    expected = law.coset_probs[1:] * n
+    _, pool = np.unique(np.cumsum(expected) // 5, return_inverse=True)
+    expected = np.bincount(pool, weights=expected)
+    assert expected.min() >= 1 and (expected < 5).mean() <= 0.2
+    observed = np.bincount(pool[draws - 1], minlength=expected.size)
+    assert stats.chisquare(observed, expected).pvalue > 0.01
 
 
 @pytest.mark.parametrize("n", [1, 5, 1000])
@@ -295,24 +344,47 @@ def _cdf(law):
     return cdf / cdf[-1]
 
 
+def _tie_uniforms(cdf53):
+    """u53 on a cdf53 breakpoint, one step of 2^-53 below one, and the ends:
+    draws of probability 2^-53 each."""
+    u53 = np.concatenate([cdf53, cdf53 - 1, [0, 2**53 - 1]])
+    return np.unique(u53[(u53 >= 0) & (u53 < 2**53)])
+
+
+def _draw_each(draw, probs, u53):
+    """(draws, fresh): draw(stub, 1) at each u53, fed as a chunk word and a
+    fresh word, and whether the fresh word was read.  The chunk's top m bits
+    are u53's top m bits and the fresh word's top 53 - m bits the rest; every
+    bit the sampler must ignore is set on every other draw."""
+    _, m, _ = process._guide_table(probs)
+    bits = 16 if m <= 16 else 32
+    ones = (1 << 64) - 1
+    top = ((1 << m) - 1) << (bits - m)
+    draws, fresh = [], []
+    for k, u in enumerate(u53.tolist()):
+        noise = ones if k % 2 else 0
+        word = u >> (53 - m) << (bits - m) | noise & ~top
+        rest = (u << (11 + m)) & ones | noise & ((1 << (11 + m)) - 1)
+        stub = _FixedWords(np.array([word, rest], dtype=np.uint64))
+        draws.append(int(draw(stub, 1)[0]))
+        fresh.append(stub.words.size == 0)
+    return np.array(draws), np.array(fresh)
+
+
 @pytest.mark.parametrize("level, cutoff", [(Q2, 2), (E, 2), (Q3, 1)])
 def test_jump_sampler_on_cdf_ties(level, cutoff):
-    # uniforms equal to a cdf value, or one step of 2^-53 below one: draws
-    # of probability 2^-53 each, where the lookup must still agree with
-    # numpy's searchsorted(cdf, u, side="right")
+    # the lookup must agree with numpy's searchsorted(cdf, u, side="right")
+    # on uniforms where the cdf steps
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
     cdf = _cdf(law)
-    cdf53 = np.ceil(cdf * 2.0**53).astype(np.int64)
-    u53 = np.concatenate([cdf53, cdf53 - 1, [0, 2**53 - 1]])
-    u53 = np.unique(u53[(u53 >= 0) & (u53 < 2**53)])
-    # the 11 low bits of a word never reach the uniform
-    low = np.arange(u53.size, dtype=np.uint64) % 2 * np.uint64(0x7FF)
-    words = (u53.astype(np.uint64) << np.uint64(11)) | low
-    got = process._jump_sampler(law)(_FixedWords(words), words.size)
+    cdf53, m, guide = process._guide_table(law.coset_probs)
+    u53 = _tie_uniforms(cdf53)
+    got, fresh = _draw_each(process._jump_sampler(law), law.coset_probs, u53)
     assert (got == cdf.searchsorted(u53 * 2.0**-53, side="right")).all()
-    # the ties fall in buckets that hold no single coset
-    _, m, guide = process._guide_table(law.coset_probs)
-    assert (guide[u53[1:-1] >> (53 - m)] == -1).any()
+    # exactly the draws in buckets that hold no single coset read a fresh
+    # word, and the ties fall in some of them
+    assert (fresh == (guide[u53 >> (53 - m)] == -1)).all()
+    assert fresh[1:-1].any()
 
 
 @pytest.mark.parametrize("level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1)])
@@ -353,7 +425,7 @@ def test_sampling_runs_past_the_old_table_cap():
     # the same draws again; chi_b(endpoint) = prod chi_b(jump) for every b
     rng = process._rng(5, 0)
     expect_counts = process._count_sampler(law, t)(rng, n_paths)
-    jumps = rng.choice(quotient.size, size=int(expect_counts.sum()), p=law.coset_probs)
+    jumps = process._jump_sampler(law)(rng, int(expect_counts.sum()))
     owner = np.repeat(np.arange(n_paths), expect_counts)
     assert (counts == expect_counts).all()
     for b in (1, 1000, 8191):
@@ -425,20 +497,28 @@ def test_sample_endpoints_refuses_a_count_table_over_budget():
     assert 16 * len(process._poisson_table(1e9)[1]) <= process.MAX_DIGIT_ENTRIES
 
 
+def test_path_sums_refuse_paths_over_the_entry_budget(monkeypatch):
+    # 2 len(columns) + 5 int64 entries a path, refused before any draw
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=2)
+    D = law.quotient.D
+    monkeypatch.setattr(process, "_guide_table", _no_table)
+    with pytest.raises(ValueError, match="size budget"):
+        sample_endpoints(law, 1.0, process.MAX_DIGIT_ENTRIES // (2 * D + 5) + 1, seed=1)
+    with pytest.raises(ValueError, match="size budget"):
+        mc_characteristic(Level(2), 1.0, -1, 1.0, process.MAX_DIGIT_ENTRIES // 7 + 1, seed=1)
+
+
 @pytest.mark.parametrize("lam", [0.01, 2.5, 60.0, 1e3])
 def test_count_sampler_on_cdf_ties(lam):
-    # words whose uniform sits on a cdf53 breakpoint or one step below it
+    # uniforms on a cdf53 breakpoint or one step below it
     law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
     t = lam / law.rate
     k_lo, probs = process._poisson_table(law.rate * t)
     cdf53, _, _ = process._guide_table(probs)
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    u53 = np.concatenate([cdf53, cdf53 - 1, [0, 2**53 - 1]])
-    u53 = np.unique(u53[(u53 >= 0) & (u53 < 2**53)])
-    low = np.arange(u53.size, dtype=np.uint64) % 2 * np.uint64(0x7FF)
-    words = (u53.astype(np.uint64) << np.uint64(11)) | low
-    got = process._count_sampler(law, t)(_FixedWords(words), words.size)
+    u53 = _tie_uniforms(cdf53)
+    got, _ = _draw_each(process._count_sampler(law, t), probs, u53)
     assert (got == cdf.searchsorted(u53 * 2.0**-53, side="right") + k_lo).all()
 
 
@@ -570,6 +650,22 @@ def test_mc_characteristic_hits_the_closed_form(alpha, lam_valuation, t):
     assert 0 < stderr < 0.03
     assert abs(estimate.real - target) <= 3 * stderr
     assert abs(estimate.imag) <= 3 * stderr
+
+
+@pytest.mark.parametrize(
+    "alpha, lam_valuation, t", [(1.0, -1, 1.0), (1.0, -2, 0.5), (2.0, -1, 1.0)]
+)
+def test_mc_z_scores_spread_like_a_standard_normal(alpha, lam_valuation, t):
+    # the cases of acceptance.check_monte_carlo over 300 streams: the signed
+    # z-scores center on 0 with unit spread (the mean of 300 has sd 0.058)
+    target = expected_characteristic(Q2, alpha, lam_valuation, t)
+    z = []
+    for stream in range(300):
+        estimate, stderr = mc_characteristic(
+            Q2, alpha, lam_valuation, t, n_paths=4000, seed=2718, stream=stream
+        )
+        z.append((estimate.real - target) / stderr)
+    assert abs(np.mean(z)) <= 0.2 and np.std(z) <= 1.2
 
 
 def test_mc_characteristic_on_a_wildly_ramified_level():
