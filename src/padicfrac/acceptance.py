@@ -4,9 +4,9 @@ Nine independent checks, each pinning a headline property of the operator,
 its measures, or the simulator against an exact or closed-form oracle at
 desk scale.  Every check returns a :class:`CheckResult` with a one-line
 detail string and its elapsed time, and also enforces a runtime budget so
-regressions in the cached-table machinery surface here.  ``run_all`` runs
-the lot in order; the command line front end and the test suite both call
-into this module.
+regressions in the cached-table machinery surface here.  ``ALL_CHECKS``
+lists them in order; the command line front end and the test suite both
+call into this module.
 """
 
 import math
@@ -49,7 +49,7 @@ from .tower import (
 )
 from .vladimirov import apply_hypersingular, apply_spectral, eigenvalue_estimates
 
-__all__ = ["CheckResult", "ALL_CHECKS", "run_all"]
+__all__ = ["CheckResult", "ALL_CHECKS"]
 
 
 @dataclass(frozen=True)
@@ -394,8 +394,3 @@ ALL_CHECKS = (
     check_monte_carlo,
     check_exact_structure,
 )
-
-
-def run_all():
-    """Run every check in order and return the list of results."""
-    return [check() for check in ALL_CHECKS]

@@ -345,9 +345,10 @@ def cmd_heat(args):
     lo = level.s0
     quotient = BallQuotient(level, lo, lo + args.span)
     masses = heat_shell_masses(quotient, args.alpha, args.t)
+    whole = heat_shell_masses(quotient, args.alpha, args.t, whole_shells=True)
     rows = [
-        {"valuation": w, "cosets": k, "mass_per_coset": m, "shell_mass": k * m}
-        for w, k, m in zip(range(lo, quotient.s + 1), quotient.shell_sizes(), masses)
+        {"valuation": w, "cosets": k, "mass_per_coset": m, "shell_mass": x}
+        for w, k, m, x in zip(range(lo, quotient.s + 1), quotient.shell_sizes(), masses, whole)
     ]
     total = math.fsum(row["shell_mass"] for row in rows)
     config = {

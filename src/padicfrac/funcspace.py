@@ -20,6 +20,9 @@ The dual group of G is the quotient pi^(s0-s) O / pi^(s0-lo) O built from the
 annihilator identity of the standard ball pi^{s0} O; it has the same shape
 (rows x columns) as G, so characters are indexed by the digit strings of the
 dual quotient in the same lexicographic order.
+The Fourier transform sums out one digit row at a time, deepest first, with
+twiddles from the exact integer pairing table: O(q J |G|) work and O(|G|)
+memory, bounded only by ``check_enumerable``; no |G| x |G| character table.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "random_function",
 ]
 
-MAX_CHARACTER_SIZE = 1 << 11      # largest |G| for which U is materialized
 MAX_DIGIT_ENTRIES = 1 << 24       # largest |G| * D held as a digit matrix
 
 
@@ -105,12 +107,8 @@ class BallQuotient:
 
         def build():
             self.check_enumerable()
-            cols = []
-            for t in range(self.D):
-                reps = self.p ** (self.D - 1 - t)
-                block = np.repeat(np.arange(self.p), reps)
-                cols.append(np.tile(block, self.size // (reps * self.p)))
-            return np.stack(cols, axis=1).astype(np.int64)
+            powers = self.p ** np.arange(self.D - 1, -1, -1)
+            return np.arange(self.size, dtype=np.int64)[:, None] // powers % self.p
 
         return self._cache("digits", build)
 
@@ -212,13 +210,7 @@ class BallQuotient:
             theta = [
                 [pairing_angle(b, g) for g in basis] for b in dual_basis
             ]
-            denom = 1
-            for row in theta:
-                for ang in row:
-                    denom = denom * ang.denominator // math.gcd(
-                        denom, ang.denominator
-                    )
-            kappa = denom
+            kappa = math.lcm(*(ang.denominator for row in theta for ang in row))
             k = kappa
             while k % self.p == 0:
                 k //= self.p
@@ -242,22 +234,6 @@ class BallQuotient:
         theta_int, kappa = self._pairing()
         dig = self.digit_matrix
         return (dig[b] @ theta_int @ dig.T) % kappa, kappa
-
-    @property
-    def character_matrix(self):
-        """U[b, g] = chi(<b, g>) for dual label b and coset g, from the
-        exact integer phases of ``character_phases``."""
-
-        def build():
-            if self.size > MAX_CHARACTER_SIZE:
-                raise ValueError(
-                    f"character matrix of size {self.size} refused "
-                    f"(cap {MAX_CHARACTER_SIZE})"
-                )
-            phases, kappa = self.character_phases()
-            return np.exp((2j * np.pi / kappa) * phases)
-
-        return self._cache("U", build)
 
     # -- group law -------------------------------------------------------------
 
@@ -345,16 +321,47 @@ def mu_integral(quotient, values):
     return complex(np.sum(values)) * float(quotient.mu_coset_mass)
 
 
+def _transform(quotient, values, sign=-1):
+    """T[b] = sum_g chi_b(g)**sign phi(g) for every dual label b, one digit
+    row at a time, deepest first.
+
+    g = x + h splits with no carry into its top row x and the rest h, so
+    chi_b(g) = chi_b(x) chi_b(h), and chi_b on pi^(lo+1) O / pi^s O is that
+    quotient's label b // q.  Stage k turns the transform over the last
+    k - 1 rows into the one over the last k, summing the q values x of row
+    J - k against the twiddle of each label c = c' q + r; the phase is
+    linear in the label's digits, so the twiddle is a (c' x x) table times
+    an (r x x) table.  No temporary holds more than |G| entries.
+    """
+    quotient.check_enumerable()
+    theta, kappa = quotient._pairing()
+    p, q, f, J = quotient.p, quotient.q, quotient.f, quotient.J
+    row = np.arange(q)[:, None] // p ** np.arange(f - 1, -1, -1) % p  # the digits of one row
+    acc = np.asarray(values, dtype=np.complex128).reshape(quotient.size, 1)
+    for k in range(1, J + 1):
+        x = slice((J - k) * f, (J - k + 1) * f)
+        # integer phases of label row i against group row J - k, q x q each
+        phases = [row @ theta[i * f:(i + 1) * f, x] @ row.T % kappa for i in range(k)]
+        lead = np.zeros((1, q), dtype=np.int64)
+        for ph in phases[:-1]:
+            lead = (lead[:, None, :] + ph).reshape(-1, q) % kappa
+        w_lead, w_last = (np.exp((sign * 2j * np.pi / kappa) * ph) for ph in (lead, phases[-1]))
+        n = lead.shape[0]
+        acc = acc.reshape(-1, q, n) * w_lead.T
+        acc = np.matmul(acc.transpose(0, 2, 1), w_last.T).reshape(-1, n * q)
+    return acc.reshape(quotient.size)
+
+
 def fourier(quotient, values):
     """Coefficients c_b = (1/|G|) sum_g conj(chi_b(g)) phi(g)."""
-    U = quotient.character_matrix
-    return np.conj(U) @ np.asarray(values, dtype=np.complex128) / quotient.size
+    return _transform(quotient, values) / quotient.size
 
 
 def inverse_fourier(quotient, coeffs):
-    """phi(g) = sum_b c_b chi_b(g)."""
-    U = quotient.character_matrix
-    return U.T @ np.asarray(coeffs, dtype=np.complex128)
+    """phi(g) = sum_b c_b chi_b(g): the pairing is symmetric and the dual of
+    the dual is the quotient, so this is the transform on the dual with
+    chi in place of its conjugate."""
+    return _transform(quotient.dual(), coeffs, sign=1)
 
 
 def plancherel_defect(quotient, values):
@@ -406,9 +413,6 @@ def refine_function(src, values, target_level):
     return dst, values[cache[key]]
 
 
-def random_function(quotient, rng, complex_values=True):
+def random_function(quotient, rng):
     """A random cylindrical function (standard normal coordinates)."""
-    re = rng.standard_normal(quotient.size)
-    if not complex_values:
-        return re.astype(np.complex128)
-    return re + 1j * rng.standard_normal(quotient.size)
+    return rng.standard_normal(quotient.size) + 1j * rng.standard_normal(quotient.size)

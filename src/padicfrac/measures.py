@@ -81,8 +81,13 @@ def mu_cylinder_mass(level, N):
 
 
 def _decay(level, alpha, t, j):
-    # exp(-t lambda_j) for the eigenvalue attached to dual shell j
-    return math.exp(-float(t) * float(level.q) ** (j * float(alpha) / level.m))
+    # exp(-t lambda_j) for the eigenvalue attached to dual shell j; 0.0 for
+    # t > 0 once lambda_j is past float range
+    try:
+        lam = float(level.q) ** (j * float(alpha) / level.m)
+    except OverflowError:
+        lam = math.inf
+    return math.exp(-float(t) * lam)
 
 
 def _heat_prefix(level, alpha, t, k):
@@ -92,7 +97,8 @@ def _heat_prefix(level, alpha, t, k):
     u = [_decay(level, alpha, t, j) for j in range(k + 1)]
     prefix = [1.0]
     for j in range(1, k + 1):
-        prefix.append(prefix[-1] + (1.0 - 1.0 / q) * q**j * u[j])
+        # a decay factor of 0.0 adds nothing, and q**j may be past float range
+        prefix.append(prefix[-1] + (1.0 - 1.0 / q) * q**j * u[j] if u[j] else prefix[-1])
     return u, prefix
 
 
@@ -112,7 +118,8 @@ def heat_density(level, alpha, t, w):
     if w < -d:
         return 0.0
     _, prefix = _heat_prefix(level, alpha, t, w + d)
-    acc = prefix[-1] - q ** (w + d) * _decay(level, alpha, t, w + d + 1)
+    u_next = _decay(level, alpha, t, w + d + 1)
+    acc = prefix[-1] - q ** (w + d) * u_next if u_next else prefix[-1]
     return q ** (-d) * acc
 
 
@@ -168,9 +175,11 @@ def heat_cylinder_mass_shells(level, alpha, t, N, tol=1e-12):
     return acc
 
 
-def heat_shell_masses(quotient, alpha, t):
+def heat_shell_masses(quotient, alpha, t, whole_shells=False):
     """Heat mass of one coset on each shell of a quotient, in
-    ``shell_sizes`` order: valuation lo..s-1, then the zero coset.
+    ``shell_sizes`` order: valuation lo..s-1, then the zero coset.  With
+    ``whole_shells``, the mass of each whole shell, formed without the coset
+    count or the per-coset mass, which may be past float range.
 
     Cosets are given in the projection coordinate, so the scaled density
     enters shifted by e*c; the zero coset collects the whole ball mass
@@ -187,8 +196,10 @@ def heat_shell_masses(quotient, alpha, t):
     per_shell = []
     for w in range(quotient.lo, quotient.s):
         k = w - ec + d
-        density = q ** (-d) * (prefix[k] - q**k * u[k + 1]) if k >= 0 else 0.0
-        per_shell.append(q**ec * density * cell)
+        tail = q**k * u[k + 1] if k >= 0 and u[k + 1] else 0.0
+        density = q ** (-d) * (prefix[k] - tail) if k >= 0 else 0.0
+        scale = (1.0 - 1.0 / q) * q ** float(-w) if whole_shells else cell
+        per_shell.append(q**ec * density * scale)
     per_shell.append(q ** (-k0) * prefix[k0] if k0 > 0 else 1.0)
     return per_shell
 
@@ -221,6 +232,8 @@ def singularity_report(tower, alpha, t, N):
     for n, lvl in enumerate(tower, start=1):
         mu = mu_cylinder_mass(lvl, N)
         pi = heat_cylinder_mass(lvl, alpha, t, N)
+        if not float(mu):  # q^(-N e) below float range puts the ratio past it
+            raise OverflowError(f"the invariant cylinder mass of level {n} underflows")
         ratio = pi / float(mu)
         rows.append(
             {

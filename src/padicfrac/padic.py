@@ -454,9 +454,6 @@ class Level:
 
     # -- residue field ----------------------------------------------------
 
-    def _unram_steps(self):
-        return [st for st in self.steps if st.kind == "unramified"]
-
     def _monomials(self):
         """Payloads of the residue monomial basis, f of them, lex order."""
         if "monomials" not in self._cache:

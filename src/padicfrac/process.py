@@ -393,10 +393,12 @@ def poisson_pmf(k, lam):
 
 def poisson_quantile(q, lam):
     """Smallest k with P(N <= k) >= q for N ~ Poisson(lam)."""
-    terms = []
+    terms, running = [], 0.0
     while True:
         terms.append(poisson_pmf(len(terms), lam))
-        if math.fsum(terms) >= q:
+        running += terms[-1]
+        # below 10^6 terms the running sum is within 1e-9 of fsum: O(k) fsum only near q
+        if running >= q - 1e-9 and math.fsum(terms) >= q:
             return len(terms) - 1
 
 
@@ -404,37 +406,34 @@ def chi2_sf(x, df):
     """P(X >= x) for X ~ chi-square with a positive integer df: the
     regularised upper incomplete gamma Q(df/2, x/2), a finite sum built by
     Q(a + 1, h) = Q(a, h) + h^a e^-h / Gamma(a + 1) from Q(0, h) = 0 or
-    Q(1/2, h) = erfc(sqrt h) (Abramowitz & Stegun 26.4.4-26.4.5)."""
+    Q(1/2, h) = erfc(sqrt h) (Abramowitz & Stegun 26.4.4-26.4.5).  Each
+    term is formed in log space, so none underflows where e^-h alone does."""
     if x <= 0:
         return 1.0
     h = x / 2.0
-    if df % 2 == 0:
-        a, total, term = 0.0, 0.0, math.exp(-h)
-    else:
-        a, total = 0.5, math.erfc(math.sqrt(h))
-        term = 2.0 * math.sqrt(h / math.pi) * math.exp(-h)  # h^(1/2) e^-h / Gamma(3/2)
+    a, total = (0.0, 0.0) if df % 2 == 0 else (0.5, math.erfc(math.sqrt(h)))
     while a < df / 2.0:
-        total += term
+        total += math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
         a += 1.0
-        term *= h / a
     return total
 
 
 def poisson_gof_pvalue(counts, lam):
     """Chi-square goodness-of-fit p-value of integer counts against
     Poisson(lam).  The bins are 0..k for k the 1 - 1e-6 quantile, the last
-    taking the whole upper tail; the sparse upper bins are then pooled until
-    the last expects at least 5 hits, and df is the bin count - 1."""
+    taking the whole upper tail; sparse bins at either end are then pooled
+    until each end bin expects at least 5 hits, and df is the bin count - 1."""
     counts = np.asarray(counts)
     n = counts.size
     kmax = poisson_quantile(1.0 - 1e-6, lam)
     observed = np.bincount(np.minimum(counts, kmax), minlength=kmax + 1).astype(float)
     expected = np.array([poisson_pmf(k, lam) for k in range(kmax + 1)]) * n
     expected[kmax] = n - expected[:kmax].sum()
-    while expected.size > 2 and expected[-1] < 5:
-        expected[-2] += expected[-1]
-        observed[-2] += observed[-1]
-        expected, observed = expected[:-1], observed[:-1]
+    for end, inner in ((-1, -2), (0, 1)):
+        while expected.size > 2 and expected[end] < 5:
+            expected[inner] += expected[end]
+            observed[inner] += observed[end]
+            expected, observed = np.delete(expected, end), np.delete(observed, end)
     stat = float(((observed - expected) ** 2 / expected).sum())
     return chi2_sf(stat, expected.size - 1)
 

@@ -38,6 +38,8 @@ import math
 
 import numpy as np
 
+from .funcspace import _transform
+
 __all__ = [
     "kernel_constant",
     "kernel_kappa",
@@ -46,8 +48,6 @@ __all__ = [
     "apply_spectral",
     "apply_hypersingular",
     "eigenvalue_estimates",
-    "eigenvalue_defect",
-    "heat_multiplier",
     "semigroup_apply",
 ]
 
@@ -170,27 +170,14 @@ def eigenvalue_estimates(quotient, alpha):
     """Eigenvalue of each character under the kernel route.
 
     Every character is an exact eigenvector of the kernel form, because the
-    increment factors as chi_b(z - x) - chi_b(z) = chi_b(z) (chi_b(-x) - 1);
-    the eigenvalue is the weighted sum of chi_b(-x_j) - 1 over the coset
-    representatives, which is the weighted sum of chi_b(x_j) - 1 because
-    the weights depend only on valuation and v(-x) = v(x).  Returns the
-    complex vector of those sums, to be held against ||b||**alpha on labels
-    of negative valuation and against zero on the annihilator.
+    increment factors as chi_b(z - x) - chi_b(z) = chi_b(z) (chi_b(-x) - 1)
+    and chi_b(-x) = conj(chi_b(x)): the eigenvalue is the transform of the
+    weights minus their sum, its value at label 0.  Annihilator labels meet
+    only twiddles of exactly 1, so theirs are exactly 0.
     """
     prefactor, w = hypersingular_weights(quotient, alpha)
-    return prefactor * ((quotient.character_matrix - 1.0) @ w)
-
-
-def eigenvalue_defect(quotient, alpha):
-    """Worst |kernel-route eigenvalue - multiplier| over all dual labels."""
-    lam_hat = eigenvalue_estimates(quotient, alpha)
-    lam = spectral_multiplier(quotient, alpha)
-    return float(np.abs(lam_hat - lam).max())
-
-
-def heat_multiplier(quotient, alpha, t):
-    """exp(-t ||b||^alpha) on the dual labels (and 1 on the annihilator)."""
-    return np.exp(-float(t) * spectral_multiplier(quotient, alpha))
+    sums = _transform(quotient, w)
+    return prefactor * (sums - sums[0])
 
 
 def semigroup_apply(quotient, values, alpha, t):

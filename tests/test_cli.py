@@ -318,6 +318,21 @@ def test_default_heat_runs_within_a_memory_limit():
     ]
 
 
+@pytest.mark.parametrize("span", [1100, 2000])
+def test_heat_runs_past_float_range(tmp_path, span):
+    # counts above 2^1024, per-coset masses below 2^-1074 and eigenvalues
+    # past float range: the shell masses are still finite and sum to 1
+    code, doc = run(tmp_path, "heat", "--tower", "qp:p=2", "--span", str(span))
+    assert code == 0
+    cfg, rows = doc["config"], doc["rows"]
+    assert abs(cfg["coset_mass_total"] - 1.0) <= 1e-12
+    assert [r["valuation"] for r in rows] == list(range(span + 1))
+    assert rows[0]["cosets"] == 2 ** (span - 1) and rows[-1]["cosets"] == 1
+    assert all(math.isfinite(r["mass_per_coset"]) for r in rows)
+    assert rows[0]["shell_mass"] == 0.5 * (1 - math.exp(-2))  # (1 - 1/q)(1 - u_1)
+    assert rows[-1]["shell_mass"] == rows[-1]["mass_per_coset"] == 0.0
+
+
 @pytest.mark.parametrize("t", ["-0.5", "0", "nan", "inf"])
 @pytest.mark.parametrize("command", ["heat", "singularity", "simulate"])
 def test_heat_refuses_a_bad_horizon(tmp_path, capsys, command, t):
@@ -503,7 +518,6 @@ def test_gates_refuse_values_that_pass_or_fail_everything(
     "argv",
     [
         ["levy", "--tower", "qp:p=2", "--cutoff", "1100"],
-        ["heat", "--tower", "qp:p=2", "--span", "2000"],
         ["heat", "--tower", "qp:p=2", "--alpha", "1e-300"],
         ["singularity", "--tower", "qp:p=2,depth=2", "--N", "2000"],
         ["spectrum", "--tower", "qp:p=2", "--max-value", "1e308"],

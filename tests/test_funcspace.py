@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from padicfrac import funcspace
 from padicfrac.padic import Level, base_level, project_T
+from padicfrac.tower import resolve_tower
 from padicfrac.funcspace import (
     BallQuotient,
     fourier,
@@ -26,6 +28,12 @@ U = Q2.extend_unramified(2)
 E = Q2.extend_eisenstein([Fraction(-2), Fraction(0)])
 W = U.extend_eisenstein([U.element(2), U.element(2)])
 E3 = Q3.extend_eisenstein([Fraction(3), Fraction(3)])
+
+def _character_table(bq):
+    """The dense oracle U[b, g] = chi_b(g), |G| x |G|, from the exact phases."""
+    phases, kappa = bq.character_phases()
+    return np.exp((2j * np.pi / kappa) * phases)
+
 
 def _sub_table(bq):
     """sub[i, j] = index of rep_i - rep_j, carried from digit differences."""
@@ -166,7 +174,7 @@ def test_radial_apply_validation():
 
 @pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
 def test_character_matrix_is_scaled_unitary(bq):
-    Umat = bq.character_matrix
+    Umat = _character_table(bq)
     N = bq.size
     defect = np.abs(Umat @ Umat.conj().T - N * np.eye(N)).max()
     assert defect < 1e-11
@@ -187,7 +195,7 @@ def test_sub_table_matches_element_arithmetic(bq):
 def test_characters_are_homomorphisms(bq):
     # chi_b(g - h) = chi_b(g) * conj(chi_b(h)): ties the character matrix to
     # the subtraction table, two tables built by independent routes
-    Umat = bq.character_matrix
+    Umat = _character_table(bq)
     sub = _sub_table(bq)
     rng = random.Random(3)
     for _ in range(30):
@@ -200,7 +208,7 @@ def test_characters_are_homomorphisms(bq):
 
 @pytest.mark.parametrize("bq", [QUOTIENTS[1], QUOTIENTS[3], QUOTIENTS[4]], ids=repr)
 def test_character_phases_are_the_character_rows(bq):
-    Umat = bq.character_matrix
+    Umat = _character_table(bq)
     sub = _sub_table(bq)
     for b in range(bq.size):
         phases, kappa = bq.character_phases(b)
@@ -340,6 +348,50 @@ def test_delta_has_flat_spectrum():
     assert np.allclose(np.abs(c), 1.0 / bq.size, atol=1e-14)
 
 
+FACTORIAL_4 = resolve_tower("factorial:p=2,depth=4").level(4)
+
+# the transform against the dense oracle: every quotient above, and a
+# quotient of every further level shape, up to 1,024 cosets
+TRANSFORM_QUOTIENTS = QUOTIENTS + [
+    BallQuotient(SEXTIC, 1, 2),
+    BallQuotient(EU, -1, 3),
+    BallQuotient(EE, -2, 4),
+    BallQuotient(FACTORIAL_4, 2, 5),
+    BallQuotient(FACTORIAL_4, 0, 3),
+    BallQuotient(Q3, -3, 3),
+    BallQuotient(Q2, -5, 5),
+]
+
+
+@pytest.mark.parametrize("bq", TRANSFORM_QUOTIENTS, ids=repr)
+def test_transforms_match_the_dense_oracle(bq):
+    Umat = _character_table(bq)
+    rng = np.random.default_rng(19)
+    phi = random_function(bq, rng)
+    c = random_function(bq, rng)
+    cases = [
+        (fourier(bq, phi), np.conj(Umat) @ phi / bq.size),
+        (inverse_fourier(bq, c), Umat.T @ c),
+    ]
+    for got, dense in cases:
+        assert got.dtype == np.complex128 and got.shape == (bq.size,)
+        assert np.abs(got - dense).max() / np.abs(dense).max() < 1e-12
+
+
+# 2^16 and 2^18 cosets: a dense table would hold 2^32 or 2^36 entries
+@pytest.mark.parametrize("bq", [BallQuotient(Q2, -8, 8), BallQuotient(SEXTIC, -1, 2)], ids=repr)
+def test_transforms_run_far_past_a_dense_table(bq):
+    phi = random_function(bq, np.random.default_rng(23))
+    back = inverse_fourier(bq, fourier(bq, phi))
+    assert np.abs(back - phi).max() < 1e-11
+    energy = float(bq.mu_coset_mass) * float(np.sum(np.abs(phi) ** 2))
+    assert plancherel_defect(bq, phi) / energy < 1e-12
+    # a point mass has a flat spectrum; chi_b(0) = 1 on every label
+    delta = np.zeros(bq.size)
+    delta[0] = 1.0
+    assert (fourier(bq, delta) == 1.0 / bq.size).all()
+
+
 def test_measure_normalizations():
     bq = BallQuotient(E, E.s0, E.s0 + 3)      # the standard ball itself
     assert bq.mu_total_mass == 1
@@ -476,6 +528,17 @@ def test_same_level_refinement_is_identity():
 
 
 def test_size_guards():
-    big = BallQuotient(Q2, 0, 14)
-    with pytest.raises(ValueError):
-        big.character_matrix
+    # 2^20 cosets x 20 digits is past MAX_DIGIT_ENTRIES: refused before the
+    # values are read or any table is built
+    big = BallQuotient(Q2, 0, 20)
+    flat = np.broadcast_to(np.complex128(1.0), (big.size,))  # no memory of its own
+    tracemalloc.start()
+    try:
+        for route in (fourier, inverse_fourier):
+            with pytest.raises(ValueError, match="quotient too large to enumerate"):
+                route(big, flat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert not [key for key in Q2._cache if key[:1] == ("bq",) and key[2:] == (0, 20)]

@@ -177,6 +177,43 @@ def test_heat_coset_vector_is_the_shell_densities_exactly(quotient):
         assert heat_coset_vector(quotient, alpha, t).tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize(
+    "quotient",
+    [
+        BallQuotient(Q2, -3, 3), BallQuotient(Q3, -2, 2), BallQuotient(U, -1, 3),
+        BallQuotient(E, -4, 2), BallQuotient(W, 2, 6), BallQuotient(Q2, 0, 1000),
+    ],
+    ids=lambda q: q.key(),
+)
+def test_whole_shell_masses_are_count_times_mass(quotient):
+    for alpha, t in [(0.5, 0.1), (1.0, 1.0), (2.0, 3.0)]:
+        totals = heat_shell_masses(quotient, alpha, t, whole_shells=True)
+        masses = heat_shell_masses(quotient, alpha, t)
+        products = [k * m for k, m in zip(quotient.shell_sizes(), masses)]
+        if quotient.q & (quotient.q - 1) == 0:
+            # powers of two scale exactly: the same bits either way
+            assert totals == products
+        else:
+            assert totals == pytest.approx(products, rel=1e-15, abs=0.0)
+        if quotient.lo <= quotient.level.s0:
+            assert abs(math.fsum(totals) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("level", [Q2, Q3, W], ids=repr)
+def test_heat_shells_stay_in_float_range_past_it(level):
+    # counts past 2^1024 and per-coset masses below 2^-1074: the totals
+    # still sum to 1, and the shells of a shallower quotient keep their mass
+    deep = BallQuotient(level, level.s0, level.s0 + 2000)
+    totals = heat_shell_masses(deep, 1.0, 1.0, whole_shells=True)
+    assert all(math.isfinite(x) and x >= 0.0 for x in totals)
+    assert abs(math.fsum(totals) - 1.0) < 1e-12
+    assert heat_shell_masses(deep, 1.0, 1.0)[0] == 0.0
+    shallow = BallQuotient(level, level.s0, level.s0 + 40)
+    assert totals[:40] == heat_shell_masses(shallow, 1.0, 1.0, whole_shells=True)[:40]
+    assert heat_ball_mass(level, 1.0, 1.0, 3000) == 0.0
+    assert heat_density(level, 1.0, 1.0, 3000) == heat_density(level, 1.0, 1.0, 200)
+
+
 def test_singular_vs_mu_report():
     tower = build_unramified_tower(2, [1, 2, 6, 24])
     rows = singularity_report(tower, 1.0, 1.0, 1)

@@ -616,11 +616,9 @@ def test_chi2_sf_matches_scipy(df):
     np.testing.assert_allclose(mine, stats.chi2.sf(xs, df), rtol=1e-12, atol=1e-300)
 
 
-def test_poisson_gof_pvalue_matches_scipy_chisquare():
-    stats = pytest.importorskip("scipy.stats")
-    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
-    lam, n = law.rate, 4000
-    _, counts = sample_endpoints(law, 1.0, n, seed=11)
+def _scipy_poisson_gof(stats, counts, lam):
+    """The same test from scipy's pmf, quantile and chisquare."""
+    n = counts.size
     kmax = int(stats.poisson.ppf(1 - 1e-6, lam))
     observed = np.bincount(counts, minlength=kmax + 1)[: kmax + 1].astype(float)
     observed[kmax] += (counts > kmax).sum()
@@ -630,8 +628,45 @@ def test_poisson_gof_pvalue_matches_scipy_chisquare():
         expected[-2] += expected[-1]
         observed[-2] += observed[-1]
         expected, observed = expected[:-1], observed[:-1]
-    reference = stats.chisquare(observed, expected).pvalue
+    while expected.size > 2 and expected[0] < 5:
+        expected[1] += expected[0]
+        observed[1] += observed[0]
+        expected, observed = expected[1:], observed[1:]
+    return stats.chisquare(observed, expected).pvalue
+
+
+def test_poisson_gof_pvalue_matches_scipy_chisquare():
+    stats = pytest.importorskip("scipy.stats")
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
+    lam, n = law.rate, 4000
+    _, counts = sample_endpoints(law, 1.0, n, seed=11)
+    reference = _scipy_poisson_gof(stats, counts, lam)
     assert poisson_gof_pvalue(counts, lam) == pytest.approx(reference, rel=1e-10)
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e4])
+def test_poisson_gof_pools_both_tails_at_large_rates(lam):
+    # exp(-lam) n underflows to 0.0 in the low bins, which must be pooled
+    # like the high ones instead of giving 0/0
+    for seed in (1, 2):
+        counts = np.random.default_rng(seed).poisson(lam, 4000)
+        pval = poisson_gof_pvalue(counts, lam)
+        assert math.isfinite(pval) and pval > 0.01
+        assert poisson_gof_pvalue(counts, 1.05 * lam) < 1e-6
+    stats = pytest.importorskip("scipy.stats")
+    reference = _scipy_poisson_gof(stats, counts, lam)
+    assert pval == pytest.approx(reference, rel=1e-9)
+
+
+def test_chi2_sf_does_not_underflow_at_large_df():
+    # the series used to start at exp(-x/2), which is 0.0 past x of about 1490
+    assert chi2_sf(1600.0, 1600) == pytest.approx(0.4952983875783587, rel=1e-10)
+    assert chi2_sf(1700.0, 1601) == pytest.approx(0.04213320301247529, rel=1e-10)
+    stats = pytest.importorskip("scipy.stats")
+    for df in (41, 100, 999, 1000, 2001, 4999, 5000):
+        xs = np.linspace(0.0, 2.0 * df, 41)
+        mine = np.array([chi2_sf(float(x), df) for x in xs])
+        np.testing.assert_allclose(mine, stats.chi2.sf(xs, df), rtol=1e-10, atol=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +732,8 @@ def _mc_oracle(level, alpha, lam_valuation, t, n_paths, seed, stream):
     law = build_jump_law(level, alpha, cutoff_valuation=max(L, level.s0 + L - 1))
     states, counts = sample_endpoints(law, t, n_paths, seed, stream)
     b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
-    z = law.quotient.character_matrix[b, states]
+    phases, kappa = law.quotient.character_phases(b)
+    z = np.exp((2j * np.pi / kappa) * phases)[states]
     estimate = z.mean()
     stderr = float(
         np.sqrt((np.abs(z - estimate) ** 2).sum() / ((n_paths - 1) * n_paths))

@@ -13,9 +13,7 @@ from padicfrac.tower import resolve_tower
 from padicfrac.vladimirov import (
     apply_hypersingular,
     apply_spectral,
-    eigenvalue_defect,
     eigenvalue_estimates,
-    heat_multiplier,
     hypersingular_weights,
     kernel_constant,
     kernel_kappa,
@@ -42,6 +40,18 @@ QUOTIENTS = [
 ]
 
 ALPHAS = [0.5, 1.0, 2.0]
+
+
+def _character_table(quotient):
+    """The dense oracle U[b, g] = chi_b(g), |G| x |G|, from the exact phases."""
+    phases, kappa = quotient.character_phases()
+    return np.exp((2j * np.pi / kappa) * phases)
+
+
+def _dense_eigenvalues(quotient, alpha):
+    """The kernel route on every character: prefactor * sum_x w_x (chi_b(x) - 1)."""
+    prefactor, w = hypersingular_weights(quotient, alpha)
+    return prefactor * ((_character_table(quotient) - 1.0) @ w)
 
 
 def test_base_field_kernel_constants():
@@ -82,7 +92,11 @@ def test_weights_vanish_outside_standard_ball():
 @pytest.mark.parametrize("quotient", QUOTIENTS, ids=lambda q: q.key())
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_characters_are_eigenvectors(quotient, alpha):
-    assert eigenvalue_defect(quotient, alpha) < 1e-10
+    dense = _dense_eigenvalues(quotient, alpha)
+    assert np.abs(dense - spectral_multiplier(quotient, alpha)).max() < 1e-10
+    got = eigenvalue_estimates(quotient, alpha)
+    assert got.dtype == np.complex128 and got.shape == (quotient.size,)
+    assert np.abs(got - dense).max() / max(1.0, np.abs(dense).max()) < 1e-12
 
 
 @pytest.mark.parametrize("quotient", QUOTIENTS, ids=lambda q: q.key())
@@ -114,12 +128,12 @@ def _dense_kernel(quotient, alpha):
 def test_radial_routes_match_dense_oracles(quotient, alpha):
     rng = np.random.default_rng(21)
     phi = random_function(quotient, rng)
-    coeffs = fourier(quotient, phi)
+    Umat = _character_table(quotient)
+    coeffs = np.conj(Umat) @ phi / quotient.size
+    lam = spectral_multiplier(quotient, alpha)
     cases = [
-        (apply_spectral(quotient, phi, alpha),
-         inverse_fourier(quotient, spectral_multiplier(quotient, alpha) * coeffs)),
-        (semigroup_apply(quotient, phi, alpha, 0.7),
-         inverse_fourier(quotient, heat_multiplier(quotient, alpha, 0.7) * coeffs)),
+        (apply_spectral(quotient, phi, alpha), Umat.T @ (lam * coeffs)),
+        (semigroup_apply(quotient, phi, alpha, 0.7), Umat.T @ (np.exp(-0.7 * lam) * coeffs)),
         (apply_hypersingular(quotient, phi, alpha), _dense_kernel(quotient, alpha) @ phi),
     ]
     for radial, dense in cases:
@@ -150,7 +164,7 @@ def test_matrix_symmetric_and_psd(quotient):
 
 
 def test_routes_run_past_the_dense_table_caps():
-    q = BallQuotient(Q2, -7, 7)  # 16384 cosets, above MAX_CHARACTER_SIZE
+    q = BallQuotient(Q2, -7, 7)  # 16384 cosets: a dense table would hold 2^28
     rng = np.random.default_rng(8)
     phi = random_function(q, rng)
     for alpha in ALPHAS:
@@ -166,6 +180,16 @@ def test_routes_run_past_the_dense_table_caps():
         if isinstance(key, tuple) and key[1] in ("U", "sub", "hyp") and key[2:4] == (-7, 7)
     ]
     assert dense == []
+
+
+def test_eigenvalue_estimates_run_past_a_dense_table():
+    q = BallQuotient(Q2, -8, 8)  # 65,536 cosets: a dense table would hold 2^32
+    dead = q.dual().val_pi_vector >= 0
+    for alpha in ALPHAS:
+        lam_hat = eigenvalue_estimates(q, alpha)
+        lam = spectral_multiplier(q, alpha)
+        assert np.abs(lam_hat - lam).max() / lam.max() < 1e-12
+        assert (lam_hat[dead] == 0).all()
 
 
 def test_self_adjoint_for_mu_inner_product():
@@ -257,8 +281,11 @@ def test_semigroup_is_markov():
 
 
 def test_heat_multiplier_matches_eigenvalues():
+    # the semigroup's multiplier, read off each character of the dense table
     q = BallQuotient(Q2, 0, 2)
-    hm = heat_multiplier(q, 1.0, 2.0)
+    Umat = _character_table(q)
+    damped = np.stack([semigroup_apply(q, chi, 1.0, 2.0) for chi in Umat])
+    hm = (damped * np.conj(Umat)).sum(axis=1) / q.size
     lam = spectral_multiplier(q, 1.0)
     assert np.allclose(hm, np.exp(-2.0 * lam))
     assert hm[0] == 1.0
