@@ -344,8 +344,8 @@ def cmd_heat(args):
     shells = heat_cylinder_mass_shells(level, args.alpha, args.t, args.N, tol=1e-14)
     lo = level.s0
     quotient = BallQuotient(level, lo, lo + args.span)
-    masses = heat_shell_masses(quotient, args.alpha, args.t)
-    whole = heat_shell_masses(quotient, args.alpha, args.t, whole_shells=True)
+    whole = heat_shell_masses(quotient, args.alpha, args.t)
+    masses = quotient.per_coset(whole)
     rows = [
         {"valuation": w, "cosets": k, "mass_per_coset": m, "shell_mass": x}
         for w, k, m, x in zip(range(lo, quotient.s + 1), quotient.shell_sizes(), masses, whole)
@@ -534,13 +534,14 @@ def main(argv=None):
         if not 0.0 < getattr(args, "z_max", 1.0) < math.inf:
             raise CommandError("--z-max must be positive and finite")
         config, columns, rows, failures = args.func(args)
+        # rendering can fail too: an int past the int-to-str digit limit
+        _emit(args, config, columns, rows)
     except (CommandError, ValueError, OSError) as exc:
         _fail(args.command, str(exc))
         return 2
     except OverflowError as exc:
         _fail(args.command, f"a number is out of floating-point range: {exc}")
         return 2
-    _emit(args, config, columns, rows)
     if failures:
         for reason in failures:
             _fail(args.command, reason)

@@ -179,6 +179,11 @@ class BallQuotient:
         """The per-coset vector of a radial quantity given in ``shell_sizes`` order."""
         return np.asarray(per_shell)[self.val_pi_vector - self.lo]
 
+    def per_coset(self, per_shell):
+        """Whole-shell masses split evenly over each shell's exact count."""
+        inverse = self._cache("inverse_sizes", lambda: [1 / k for k in self.shell_sizes()])
+        return [x * r for x, r in zip(per_shell, inverse)]
+
     # -- dual group and characters -------------------------------------------
 
     def dual(self):

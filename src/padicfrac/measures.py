@@ -6,9 +6,7 @@ Three measures drive everything here:
   the standard ball of each level total mass 1; its ball and cylinder
   masses are exact rationals.
 * **the heat measures** -- the transition measures of the semigroup
-  exp(-t D); their level marginals have a radial density given by a finite
-  shell sum, from which ball, cylinder, and coset masses follow in closed
-  form.
+  exp(-t D); their level marginals are radial, with closed-form masses.
 * **the jump measure** -- the symmetric Levy measure of the associated
   process; radial again, with an explicit shell mass combining a power of
   the shell radius with the finite-mass correction kappa.
@@ -16,15 +14,17 @@ Three measures drive everything here:
 A level's heat marginal is naturally expressed in the scaled coordinate
 zeta = y / m, where y is the normalized-trace projection coordinate: under
 the plain trace character the scaled marginal has Fourier transform
-exp(-t * symbol).  The projection-coordinate density at pi-valuation w is
-q**(e c) * heat_density(level, alpha, t, w - e c); its support starts at
-w = s0, the valuation of the standard ball.
+exp(-t * symbol).  Its ball masses follow one recurrence inside [0, 1]
+(``_heat_balls``), so no power of q is formed however large q is.  In
+projection coordinates the support starts at w = s0, the valuation of the
+standard ball.
 
 Cylinder sets of index N >= 1 are the pullbacks, through the projection to
 a level, of pi^(N e) times the standard ball; their mu-masses q**(-N e)
-shrink with the level degree while their heat masses stay bounded below,
-which is the sense in which the heat measures are singular with respect to
-mu on the full tower.
+shrink with the level degree while their heat masses stay bounded below.
+The unbounded mass ratio shows that the heat measure is not absolutely
+continuous with respect to mu on the full tower; it does not show that
+the two are mutually singular.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .funcspace import MAX_DIGIT_ENTRIES
 from .vladimirov import apply_spectral, kernel_constant, kernel_kappa
 
 __all__ = [
@@ -81,25 +82,31 @@ def mu_cylinder_mass(level, N):
 
 
 def _decay(level, alpha, t, j):
-    # exp(-t lambda_j) for the eigenvalue attached to dual shell j; 0.0 for
-    # t > 0 once lambda_j is past float range
+    # exp(-t lambda_j) with lambda_j = p^(j alpha / e), the eigenvalue attached
+    # to dual shell j; 0.0 for t > 0 once lambda_j is past float range
     try:
-        lam = float(level.q) ** (j * float(alpha) / level.m)
+        lam = float(level.p) ** (j * float(alpha) / level.e)
     except OverflowError:
         lam = math.inf
     return math.exp(-float(t) * lam)
 
 
-def _heat_prefix(level, alpha, t, k):
-    """(u, A) for j = 0..k: u[j] = exp(-t lambda_j) and the prefix sums
-    A[j] = 1 + (1 - 1/q) sum_{i=1}^{j} q^i u_i, added in index order."""
-    q = float(level.q)
+def _heat_balls(level, alpha, t, k):
+    """(u, B) for j = 0..k: the decay factors u[j] = exp(-t lambda_j),
+    lambda_j = p^(j alpha / e), and the heat masses B[j] of the scaled balls
+    {v_pi >= j - d}, each a convex combination of the last and u[j]:
+
+        B[0] = 1,   B[j] = B[j-1] / q + (1 - 1/q) u[j].
+
+    The scaled shell {v_pi = j - d} carries B[j] - B[j+1], that is
+    (1 - 1/q)(B[j] - u[j+1]); every term lies in [0, 1]."""
+    r = 1 / level.q
+    keep = 1 - r
     u = [_decay(level, alpha, t, j) for j in range(k + 1)]
-    prefix = [1.0]
+    balls = [1.0]
     for j in range(1, k + 1):
-        # a decay factor of 0.0 adds nothing, and q**j may be past float range
-        prefix.append(prefix[-1] + (1.0 - 1.0 / q) * q**j * u[j] if u[j] else prefix[-1])
-    return u, prefix
+        balls.append(balls[-1] * r + keep * u[j])
+    return u, balls
 
 
 def heat_density(level, alpha, t, w):
@@ -110,31 +117,32 @@ def heat_density(level, alpha, t, w):
 
         q^{-d} [ 1 + (1 - 1/q) sum_{j=1}^{w+d} q^j u_j - q^{w+d} u_{w+d+1} ]
 
-    with u_j = exp(-t q^(j alpha / m)); zero for w < -d.  The density is
-    nondecreasing in w and integrates to exactly 1.
+    with u_j = exp(-t p^(j alpha / e)); zero for w < -d.  The density is
+    nondecreasing in w and integrates to exactly 1.  Kept in density units
+    as the oracle the ball masses are tested against.
     """
     q = float(level.q)
     d = level.d
     if w < -d:
         return 0.0
-    _, prefix = _heat_prefix(level, alpha, t, w + d)
-    u_next = _decay(level, alpha, t, w + d + 1)
-    acc = prefix[-1] - q ** (w + d) * u_next if u_next else prefix[-1]
+    k = w + d
+    acc = 1.0
+    for j in range(1, k + 1):
+        u = _decay(level, alpha, t, j)
+        # a decay factor of 0.0 adds nothing, and q**j may be past float range
+        if u:
+            acc += (1.0 - 1.0 / q) * q**j * u
+    u = _decay(level, alpha, t, k + 1)
+    if u:
+        acc -= q**k * u
     return q ** (-d) * acc
 
 
 def heat_ball_mass(level, alpha, t, v0):
-    """Heat mass of the scaled-coordinate ball {v_pi >= v0}:
-
-        q^{-k0} [ 1 + (1 - 1/q) sum_{j=1}^{k0} q^j u_j ],   k0 = v0 + d,
-
-    equal to 1 for v0 <= -d (the support fills the dual of O)."""
-    q = float(level.q)
-    k0 = v0 + level.d
-    if k0 <= 0:
-        return 1.0
-    _, prefix = _heat_prefix(level, alpha, t, k0)
-    return q ** (-k0) * prefix[-1]
+    """Heat mass of the scaled-coordinate ball {v_pi >= v0}: B[v0 + d] of
+    the ball-mass recurrence (see ``_heat_balls``), and 1 for v0 <= -d (the
+    support fills the dual of O)."""
+    return _heat_balls(level, alpha, t, max(v0 + level.d, 0))[1][-1]
 
 
 def heat_cylinder_mass(level, alpha, t, N):
@@ -147,66 +155,50 @@ def heat_cylinder_mass(level, alpha, t, N):
 def heat_cylinder_mass_shells(level, alpha, t, N, tol=1e-12):
     """Heat mass of the index-N cylinder by direct shell summation.
 
-    Accumulates density * shell volume over scaled-coordinate shells from
-    the cylinder boundary outward, stopping once the geometric tail bound
-    (the density is bounded by its limit value, shells shrink by 1/q)
-    drops below tol.  Slower than the closed form but shares no algebra
-    with it beyond the density itself.
+    Adds the whole-shell masses (1 - 1/q)(B[k] - u[k+1]) of the scaled
+    shells from the cylinder boundary k = N e inward, and stops once the
+    ball mass B[K] still inside, which bounds all the shells left, drops
+    below tol.  Raises OverflowError, before summing, when the number of
+    shells that can take passes MAX_DIGIT_ENTRIES.
     """
-    q = float(level.q)
-    d = level.d
-    # limit of the density as w -> +inf: the telescoped term dies and the
-    # series converges double-exponentially
-    lim = 1.0
-    j = 1
-    while True:
-        term = (1.0 - 1.0 / q) * q**j * _decay(level, alpha, t, j)
-        lim += term
-        if term < 1e-18 * lim:
-            break
-        j += 1
-    lim *= q ** float(-d)
-
-    acc = 0.0
-    w = N * level.e - d
-    while lim * q ** float(-w) >= tol:
-        acc += heat_density(level, alpha, t, w) * (1.0 - 1.0 / q) * q ** float(-w)
-        w += 1
+    r = 1 / level.q
+    k = N * level.e
+    # u[j] <= tol/2 once t p^(j alpha/e) >= log(2/tol); from there on B
+    # shrinks by 1/q a shell down to below tol within log_q(2/tol) shells
+    lead = level.e * math.log(max(math.log(2 / tol) / float(t), 1.0), level.p) / float(alpha)
+    if max(lead - k, 0.0) + math.log(2 / tol) / math.log(level.q) > MAX_DIGIT_ENTRIES:
+        raise OverflowError("the heat cylinder mass needs too many shells to converge")
+    ball, acc = heat_ball_mass(level, alpha, t, k - level.d), 0.0
+    while ball >= tol:
+        k += 1
+        u = _decay(level, alpha, t, k)
+        acc += (1 - r) * (ball - u)
+        ball = ball * r + (1 - r) * u
     return acc
 
 
-def heat_shell_masses(quotient, alpha, t, whole_shells=False):
-    """Heat mass of one coset on each shell of a quotient, in
-    ``shell_sizes`` order: valuation lo..s-1, then the zero coset.  With
-    ``whole_shells``, the mass of each whole shell, formed without the coset
-    count or the per-coset mass, which may be past float range.
+def heat_shell_masses(quotient, alpha, t):
+    """Heat mass of each whole shell of a quotient, in ``shell_sizes``
+    order: valuation lo..s-1, then the zero coset.
 
-    Cosets are given in the projection coordinate, so the scaled density
-    enters shifted by e*c; the zero coset collects the whole ball mass
-    {v_pi >= s}.  For lo <= s0, sum(shell_sizes() x masses) is 1.
+    In projection coordinates the shell of valuation w is the scaled shell
+    k = w - s0 of ``_heat_balls`` (empty for k < 0), and the zero coset
+    collects the ball mass B[s - s0].  For lo <= s0 the masses sum to 1.
     """
-    lvl = quotient.level
-    q = float(lvl.q)
-    d, ec = lvl.d, lvl.e * lvl.c
-    cell = q ** float(-quotient.s)
-    # the density at w is q^-d (A[k] - q^k u_{k+1}) with k = w + d, and the
-    # ball mass of {v_pi >= v0} is q^-k0 A[k0] with k0 = v0 + d
-    k0 = quotient.s - ec + d
-    u, prefix = _heat_prefix(lvl, alpha, t, k0)
-    per_shell = []
-    for w in range(quotient.lo, quotient.s):
-        k = w - ec + d
-        tail = q**k * u[k + 1] if k >= 0 and u[k + 1] else 0.0
-        density = q ** (-d) * (prefix[k] - tail) if k >= 0 else 0.0
-        scale = (1.0 - 1.0 / q) * q ** float(-w) if whole_shells else cell
-        per_shell.append(q**ec * density * scale)
-    per_shell.append(q ** (-k0) * prefix[k0] if k0 > 0 else 1.0)
+    lvl, s0 = quotient.level, quotient.level.s0
+    keep = 1 - 1 / lvl.q
+    u, balls = _heat_balls(lvl, alpha, t, max(quotient.s - s0, 0))
+    per_shell = [
+        keep * (balls[k] - u[k + 1]) if k >= 0 else 0.0
+        for k in range(quotient.lo - s0, quotient.s - s0)
+    ]
+    per_shell.append(balls[-1])
     return per_shell
 
 
 def heat_coset_vector(quotient, alpha, t):
-    """Heat mass of every coset, in index order: ``heat_shell_masses`` gathered."""
-    return quotient.from_shells(heat_shell_masses(quotient, alpha, t))
+    """Heat mass of every coset, in index order."""
+    return quotient.from_shells(quotient.per_coset(heat_shell_masses(quotient, alpha, t)))
 
 
 def heat_lower_bound(level, alpha, t, N):
@@ -215,7 +207,7 @@ def heat_lower_bound(level, alpha, t, N):
         (1 - 1/q) exp(-t p^(alpha N)),
 
     a level-uniform floor under heat_cylinder_mass."""
-    return (1.0 - 1.0 / float(level.q)) * math.exp(
+    return (1 - 1 / level.q) * math.exp(
         -float(t) * float(level.p) ** (float(alpha) * N)
     )
 
@@ -224,9 +216,11 @@ def singularity_report(tower, alpha, t, N):
     """Per-level comparison of cylinder masses under mu and under heat.
 
     Returns a list of dicts with the exact mu mass, the heat mass, the
-    shell lower bound, and the mass ratio; the ratio grows without bound
-    along any tower whose degrees go to infinity, while the mu masses
-    vanish -- the two measures separate.
+    shell lower bound, and the mass ratio.  Along any tower whose degrees
+    go to infinity the mu masses vanish while the heat masses stay above
+    the lower bound, so the ratio grows without bound: the heat measure is
+    not absolutely continuous with respect to mu.  That does not make the
+    two measures mutually singular.
     """
     rows = []
     for n, lvl in enumerate(tower, start=1):

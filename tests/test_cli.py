@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,57 @@ def test_heat_runs_past_float_range(tmp_path, span):
     assert all(math.isfinite(r["mass_per_coset"]) for r in rows)
     assert rows[0]["shell_mass"] == 0.5 * (1 - math.exp(-2))  # (1 - 1/q)(1 - u_1)
     assert rows[-1]["shell_mass"] == rows[-1]["mass_per_coset"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "tower, level, span",
+    [
+        ("unramified:p=3,f=1-2-6-18-54-162", 6, 1),
+        ("unramified:p=2,f=1-2-6-18-54-162-486-1458", 8, 1),
+        ("unramified:p=2,f=1-2-6-18-54-162", 6, 6),
+    ],
+)
+def test_heat_runs_where_q_is_past_float_range(tmp_path, tower, level, span):
+    # q = 3^162, 2^1458 and 2^162: every mass printed still lies in [0, 1]
+    code, doc = run(
+        tmp_path, "heat", "--tower", tower, "--level", str(level), "--span", str(span),
+    )
+    assert code == 0
+    cfg, rows = doc["config"], doc["rows"]
+    assert abs(cfg["coset_mass_total"] - 1.0) <= cfg["tolerance"]
+    assert abs(cfg["cylinder_mass_closed"] - cfg["cylinder_mass_shells"]) <= 1e-10
+    assert len(rows) == span + 1
+    assert all(0.0 <= r["shell_mass"] <= 1.0 for r in rows)
+
+
+def test_heat_runs_at_a_small_alpha_and_refuses_a_tiny_one(tmp_path, capsys):
+    # at alpha = 0.001 the decay factors die only after thousands of shells;
+    # at 1e-300 the shell route would never finish and is refused up front
+    code, doc = run(tmp_path, "heat", "--tower", "qp:p=2", "--alpha", "0.001")
+    assert code == 0
+    cfg = doc["config"]
+    assert abs(cfg["coset_mass_total"] - 1.0) <= cfg["tolerance"]
+    assert abs(cfg["cylinder_mass_closed"] - cfg["cylinder_mass_shells"]) <= 1e-10
+    capsys.readouterr()
+    start = time.perf_counter()
+    code, doc = run(tmp_path, "heat", "--tower", "qp:p=2", "--alpha", "1e-300", name="tiny")
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and doc is None
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"].startswith("a number is out of floating-point range")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [["heat", "--span", "596"], ["heat", "--N", "700"]], ids=" ".join)
+def test_numbers_past_the_digit_limit_are_a_config_error(capsys, argv, fmt):
+    # a coset count, or the invariant mass's denominator, past the
+    # 4,300-digit int-to-str limit: one record, and nothing half written
+    code = main([*argv, "--format", fmt])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert json.loads(line)["command"] == "heat"
 
 
 @pytest.mark.parametrize("t", ["-0.5", "0", "nan", "inf"])

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -161,20 +163,28 @@ def test_heat_coset_vector_matches_semigroup():
     ids=lambda q: q.key(),
 )
 def test_heat_coset_vector_is_the_shell_densities_exactly(quotient):
-    # one shell at a time, through the public single-shell closed forms
+    # each shell against the density-unit oracle, the zero coset against
+    # the ball mass: the same bits where q = 2 scales exactly, a few
+    # rounding steps apart otherwise
     lvl = quotient.level
     q = float(lvl.q)
     ec = lvl.e * lvl.c
     cell = q ** float(-quotient.s)
+    exact = lvl.q == 2
     for alpha, t in [(0.5, 0.1), (1.0, 1.0), (2.0, 3.0)]:
-        per_shell = [
+        oracle = [
             q**ec * heat_density(lvl, alpha, t, w - ec) * cell
             for w in range(quotient.lo, quotient.s)
         ]
-        per_shell.append(heat_ball_mass(lvl, alpha, t, quotient.s - ec))
-        assert heat_shell_masses(quotient, alpha, t) == per_shell
-        expect = np.array(per_shell)[quotient.val_pi_vector - quotient.lo]
-        assert heat_coset_vector(quotient, alpha, t).tobytes() == expect.tobytes()
+        oracle.append(heat_ball_mass(lvl, alpha, t, quotient.s - ec))
+        masses = quotient.per_coset(heat_shell_masses(quotient, alpha, t))
+        vector = heat_coset_vector(quotient, alpha, t)
+        assert vector.tobytes() == quotient.from_shells(masses).tobytes()
+        if exact:
+            assert masses == oracle
+            assert vector.tobytes() == quotient.from_shells(oracle).tobytes()
+        else:
+            assert masses == pytest.approx(oracle, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -187,14 +197,14 @@ def test_heat_coset_vector_is_the_shell_densities_exactly(quotient):
 )
 def test_whole_shell_masses_are_count_times_mass(quotient):
     for alpha, t in [(0.5, 0.1), (1.0, 1.0), (2.0, 3.0)]:
-        totals = heat_shell_masses(quotient, alpha, t, whole_shells=True)
-        masses = heat_shell_masses(quotient, alpha, t)
+        totals = heat_shell_masses(quotient, alpha, t)
+        masses = quotient.per_coset(totals)
         products = [k * m for k, m in zip(quotient.shell_sizes(), masses)]
-        if quotient.q & (quotient.q - 1) == 0:
-            # powers of two scale exactly: the same bits either way
-            assert totals == products
+        if quotient.q == 2:
+            # a power-of-two count scales exactly: the same bits either way
+            assert products == totals
         else:
-            assert totals == pytest.approx(products, rel=1e-15, abs=0.0)
+            assert products == pytest.approx(totals, rel=1e-15, abs=0.0)
         if quotient.lo <= quotient.level.s0:
             assert abs(math.fsum(totals) - 1.0) < 1e-12
 
@@ -204,14 +214,53 @@ def test_heat_shells_stay_in_float_range_past_it(level):
     # counts past 2^1024 and per-coset masses below 2^-1074: the totals
     # still sum to 1, and the shells of a shallower quotient keep their mass
     deep = BallQuotient(level, level.s0, level.s0 + 2000)
-    totals = heat_shell_masses(deep, 1.0, 1.0, whole_shells=True)
+    totals = heat_shell_masses(deep, 1.0, 1.0)
     assert all(math.isfinite(x) and x >= 0.0 for x in totals)
     assert abs(math.fsum(totals) - 1.0) < 1e-12
-    assert heat_shell_masses(deep, 1.0, 1.0)[0] == 0.0
+    assert deep.per_coset(totals)[0] == 0.0
     shallow = BallQuotient(level, level.s0, level.s0 + 40)
-    assert totals[:40] == heat_shell_masses(shallow, 1.0, 1.0, whole_shells=True)[:40]
+    assert totals[:40] == heat_shell_masses(shallow, 1.0, 1.0)[:40]
     assert heat_ball_mass(level, 1.0, 1.0, 3000) == 0.0
     assert heat_density(level, 1.0, 1.0, 3000) == heat_density(level, 1.0, 1.0, 200)
+
+
+def _reference_shell_masses(level, lo, s, alpha, t):
+    """Whole-shell heat masses to 50 digits, in density units: the ball mass
+    q^-k A_k with A_k = 1 + (1 - 1/q) sum_{j<=k} q^j u_j, exact powers of q."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        q = Decimal(level.q)
+        k_top = s - level.s0
+        u = [
+            (-Decimal(t) * Decimal(level.p) ** (Decimal(j) * Decimal(alpha) / level.e)).exp()
+            for j in range(k_top + 1)
+        ]
+        prefix = [Decimal(1)]
+        for j in range(1, k_top + 1):
+            prefix.append(prefix[-1] + (1 - 1 / q) * q**j * u[j])
+        ball = [a / q**k for k, a in enumerate(prefix)]
+        shells = [
+            (1 - 1 / q) * (ball[w - level.s0] - u[w - level.s0 + 1]) if w >= level.s0 else 0
+            for w in range(lo, s)
+        ]
+        return shells + [ball[-1]]
+
+
+@pytest.mark.parametrize(
+    "tower, n",
+    [
+        ("unramified:p=2,f=1-2-6-24", 2), ("unramified:p=2,f=1-2-6-24", 4), ("qp:p=3", 1),
+        ("factorial:p=2,depth=4", 4), ("unramified:p=3,f=1-2-6-18-54", 5),
+    ],
+)
+def test_whole_shell_masses_match_a_50_digit_reference(tower, n):
+    level = resolve_tower(tower).level(n)
+    quotient = BallQuotient(level, level.s0 - 1, level.s0 + 8)
+    for alpha, t in [(0.5, 0.1), (1.0, 1.0), (2.0, 3.0)]:
+        got = heat_shell_masses(quotient, alpha, t)
+        want = _reference_shell_masses(level, quotient.lo, quotient.s, alpha, t)
+        for x, ref in zip(got, want):
+            assert abs(Decimal(x) - ref) <= Decimal("5e-15") * ref
 
 
 def test_singular_vs_mu_report():
