@@ -30,7 +30,6 @@ from . import acceptance
 from .funcspace import BallQuotient, random_function
 from .measures import (
     heat_cylinder_mass,
-    heat_cylinder_mass_shells,
     heat_shell_masses,
     levy_integral,
     levy_integral_spectral,
@@ -341,7 +340,6 @@ def cmd_heat(args):
         raise CommandError("--N must be nonnegative")
     _check_t(args)
     closed = heat_cylinder_mass(level, args.alpha, args.t, args.N)
-    shells = heat_cylinder_mass_shells(level, args.alpha, args.t, args.N, tol=1e-14)
     lo = level.s0
     quotient = BallQuotient(level, lo, lo + args.span)
     whole = heat_shell_masses(quotient, args.alpha, args.t)
@@ -354,7 +352,7 @@ def cmd_heat(args):
     config = {
         "command": "heat", "tower": args.tower, "level": n, "alpha": args.alpha,
         "t": args.t, "N": args.N, "lo": lo, "s": lo + args.span,
-        "cylinder_mass_closed": closed, "cylinder_mass_shells": shells,
+        "cylinder_mass_closed": closed,
         "invariant_cylinder_mass": mu_cylinder_mass(level, args.N),
         "coset_mass_total": total, "tolerance": args.tolerance,
         "format": args.format,
@@ -363,10 +361,6 @@ def cmd_heat(args):
     failures = []
     if abs(total - 1.0) > args.tolerance:
         failures.append(f"coset masses sum to {total!r}, not 1")
-    if abs(closed - shells) > 1e-10:
-        failures.append(
-            f"closed and shell cylinder masses differ by {abs(closed - shells)!r}"
-        )
     return config, columns, rows, failures
 
 

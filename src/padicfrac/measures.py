@@ -9,7 +9,13 @@ Three measures drive everything here:
   exp(-t D); their level marginals are radial, with closed-form masses.
 * **the jump measure** -- the symmetric Levy measure of the associated
   process; radial again, with an explicit shell mass combining a power of
-  the shell radius with the finite-mass correction kappa.
+  the shell radius with the finite-mass correction kappa.  It is the kernel
+  of the operator's Levy-Khintchine form, so its shell masses are written
+  once, in ``vladimirov._jump_shell_masses``, which the kernel route reads
+  too.  It is the kernel
+  of the operator's Levy-Khintchine form, so its shell masses are written
+  once, in ``vladimirov._jump_shell_masses``, which the kernel route reads
+  too.
 
 A level's heat marginal is naturally expressed in the scaled coordinate
 zeta = y / m, where y is the normalized-trace projection coordinate: under
@@ -34,8 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .funcspace import MAX_DIGIT_ENTRIES
-from .vladimirov import apply_spectral, kernel_constant, kernel_kappa
+from .vladimirov import _eigenvalue, _jump_coset_masses, _jump_shell_masses, apply_spectral
 
 __all__ = [
     "mu_ball_mass",
@@ -43,7 +48,6 @@ __all__ = [
     "heat_density",
     "heat_ball_mass",
     "heat_cylinder_mass",
-    "heat_cylinder_mass_shells",
     "heat_shell_masses",
     "heat_coset_vector",
     "heat_lower_bound",
@@ -85,7 +89,7 @@ def _decay(level, alpha, t, j):
     # exp(-t lambda_j) with lambda_j = p^(j alpha / e), the eigenvalue attached
     # to dual shell j; 0.0 for t > 0 once lambda_j is past float range
     try:
-        lam = float(level.p) ** (j * float(alpha) / level.e)
+        lam = _eigenvalue(level, alpha, j)
     except OverflowError:
         lam = math.inf
     return math.exp(-float(t) * lam)
@@ -150,31 +154,6 @@ def heat_cylinder_mass(level, alpha, t, N):
     if N < 0:
         raise ValueError("cylinder index must be nonnegative")
     return heat_ball_mass(level, alpha, t, N * level.e - level.d)
-
-
-def heat_cylinder_mass_shells(level, alpha, t, N, tol=1e-12):
-    """Heat mass of the index-N cylinder by direct shell summation.
-
-    Adds the whole-shell masses (1 - 1/q)(B[k] - u[k+1]) of the scaled
-    shells from the cylinder boundary k = N e inward, and stops once the
-    ball mass B[K] still inside, which bounds all the shells left, drops
-    below tol.  Raises OverflowError, before summing, when the number of
-    shells that can take passes MAX_DIGIT_ENTRIES.
-    """
-    r = 1 / level.q
-    k = N * level.e
-    # u[j] <= tol/2 once t p^(j alpha/e) >= log(2/tol); from there on B
-    # shrinks by 1/q a shell down to below tol within log_q(2/tol) shells
-    lead = level.e * math.log(max(math.log(2 / tol) / float(t), 1.0), level.p) / float(alpha)
-    if max(lead - k, 0.0) + math.log(2 / tol) / math.log(level.q) > MAX_DIGIT_ENTRIES:
-        raise OverflowError("the heat cylinder mass needs too many shells to converge")
-    ball, acc = heat_ball_mass(level, alpha, t, k - level.d), 0.0
-    while ball >= tol:
-        k += 1
-        u = _decay(level, alpha, t, k)
-        acc += (1 - r) * (ball - u)
-        ball = ball * r + (1 - r) * u
-    return acc
 
 
 def heat_shell_masses(quotient, alpha, t):
@@ -248,24 +227,15 @@ def singularity_report(tower, alpha, t, N):
 
 
 def levy_shell_mass(level, alpha, w):
-    """Jump-measure mass of the shell {v_pi = w} in projection coordinates:
-
-        -C (1 - 1/q) [ q^((w - ec) alpha / m) + kappa q^(ec - w) ],
-
-    zero below the standard-ball radius s0.  The total over w >= s0
-    diverges: small jumps accumulate, only tails are finite.
+    """Jump-measure mass of the shell {v_pi = w} in projection coordinates
+    (see ``vladimirov._jump_shell_masses``), zero below the standard-ball
+    radius s0.  The total over w >= s0 diverges: small jumps accumulate,
+    only tails are finite.
     """
-    lvl = level
-    if w < lvl.s0:
+    if w < level.s0:
         return 0.0
-    q = float(lvl.q)
-    ec = lvl.e * lvl.c
-    a_m = float(alpha) / lvl.m
-    return (
-        -kernel_constant(lvl, alpha)
-        * (1.0 - 1.0 / q)
-        * (q ** ((w - ec) * a_m) + kernel_kappa(lvl, alpha) * q ** float(ec - w))
-    )
+    (mass,) = _jump_shell_masses(level, alpha, [w])
+    return mass
 
 
 def levy_cutoff_valuation(level, delta):
@@ -297,15 +267,8 @@ def levy_quotient_vector(quotient, alpha):
     shell.  The zero coset aggregates all jumps smaller than the quotient
     resolution, whose total mass diverges: its entry is +inf.
     """
-    lvl = quotient.level
-    q = float(lvl.q)
-    per_shell = [
-        levy_shell_mass(lvl, alpha, w) * q ** float(w - quotient.s) / (1.0 - 1.0 / q)
-        for w in range(quotient.lo, quotient.s)
-    ]
     # the zero coset is the only one of valuation s
-    per_shell.append(np.inf)
-    return quotient.from_shells(per_shell)
+    return quotient.from_shells(_jump_coset_masses(quotient, alpha) + [np.inf])
 
 
 def _require_zero_at_origin(values):

@@ -45,6 +45,7 @@ from numpy.random import Generator, Philox  # numpy loads numpy.random lazily: p
 
 from .funcspace import MAX_DIGIT_ENTRIES, BallQuotient
 from .measures import levy_cutoff_valuation, levy_quotient_vector
+from .vladimirov import _eigenvalue
 
 __all__ = [
     "JumpLaw",
@@ -382,8 +383,7 @@ def expected_characteristic(level, alpha, lam_valuation, t):
     inside the unit ball)."""
     if lam_valuation >= 0:
         return 1.0
-    L = -lam_valuation
-    return float(np.exp(-float(t) * float(level.p) ** (L * float(alpha) / level.e)))
+    return float(np.exp(-float(t) * _eigenvalue(level, alpha, -lam_valuation)))
 
 
 def poisson_pmf(k, lam):

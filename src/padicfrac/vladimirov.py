@@ -11,10 +11,16 @@ give the coefficients:
   radius <= k, so c_k = lambda_k - lambda_{k+1} for k = s0..s, with
   lambda_{s0} = lambda_{s+1} = 0.  The semigroup puts exp(-t lambda_k) in
   place of lambda_k.
-* **hypersingular route** -- integrate the increment phi(z - x) - phi(z)
-  against the explicit radial kernel over the standard ball pi^{s0} O.  Its
-  weight W(v) is constant on each shell {v_pi(x) = v}, s0 <= v < s, and phi
-  sums to S_v - S_{v+1} over a shell around z, where S_k = q^(s-k) P_k phi.
+* **kernel route** -- the Levy-Khintchine form of the operator,
+  D phi(z) = integral of (phi(z) - phi(z - x)) nu(dx), where the kernel nu
+  is the jump measure of the process (Kochubei, *Pseudo-Differential
+  Equations and Stochastic Processes over Non-Archimedean Fields*, 2001).
+  nu is radial: its shell {v_pi(x) = v} carries the mass M_v of
+  ``_jump_shell_masses``, the one place the kernel is written, spread
+  evenly over the shell's cosets; only the shells s0 <= v < s of the
+  standard ball pi^{s0} O carry mass.  The values of phi on the shell of
+  valuation v around z average to (q P_v phi - P_{v+1} phi) / (q - 1), so
+  D phi = sum_v M_v [phi - (q P_v phi - P_{v+1} phi) / (q - 1)].
 
 Their agreement on every function is the discrete form of the classical
 identity between the multiplier and its hypersingular kernel (the Haar
@@ -41,10 +47,7 @@ import numpy as np
 from .funcspace import _transform
 
 __all__ = [
-    "kernel_constant",
-    "kernel_kappa",
     "spectral_multiplier",
-    "hypersingular_weights",
     "apply_spectral",
     "apply_hypersingular",
     "eigenvalue_estimates",
@@ -63,20 +66,45 @@ def _check_domain(quotient):
     return s0
 
 
-def kernel_constant(level, alpha):
-    """Normalizing constant of the hypersingular kernel (negative for
-    alpha > 0): q^(d alpha / m) (1 - q^(alpha/m)) / (1 - q^(-1-alpha/m))."""
-    q = float(level.q)
-    a_m = float(alpha) / level.m
-    return q ** (level.d * a_m) * (1.0 - q**a_m) / (1.0 - q ** (-1.0 - a_m))
+def _eigenvalue(level, alpha, k):
+    """lambda_k = p^(k alpha / e), the eigenvalue on labels of radius k
+    past the standard ball, as a plain float."""
+    return float(level.p) ** (k * float(alpha) / level.e)
 
 
-def kernel_kappa(level, alpha):
-    """Additive constant of the kernel: the finite-mass correction
-    (1 - 1/q) / (q^(alpha/m) - 1) * q^(-d (1 + alpha/m))."""
+def _jump_shell_masses(level, alpha, valuations):
+    """Jump-measure mass M_w of each shell {v_pi = w}, w in valuations, in
+    projection coordinates, for w at or past the standard-ball radius s0
+    (the measure puts no mass below it):
+
+        M_w = -C (1 - 1/q) [ q^((w - ec) alpha / m) + kappa q^(ec - w) ].
+
+    C = q^(d alpha / m) (1 - q^(alpha/m)) / (1 - q^(-1-alpha/m)) is the
+    normalizing constant (negative for alpha > 0) and kappa = (1 - 1/q) /
+    (q^(alpha/m) - 1) q^(-d (1 + alpha/m)) the finite-mass correction.  The
+    total over w >= s0 diverges: small jumps accumulate, only tails are
+    finite.
+    """
     q = float(level.q)
+    ec = level.e * level.c
     a_m = float(alpha) / level.m
-    return (1.0 - 1.0 / q) / (q**a_m - 1.0) * q ** (-level.d * (1.0 + a_m))
+    C = q ** (level.d * a_m) * (1.0 - q**a_m) / (1.0 - q ** (-1.0 - a_m))
+    kappa = (1.0 - 1.0 / q) / (q**a_m - 1.0) * q ** (-level.d * (1.0 + a_m))
+    return [
+        -C * (1.0 - 1.0 / q) * (q ** ((w - ec) * a_m) + kappa * q ** float(ec - w))
+        for w in valuations
+    ]
+
+
+def _jump_coset_masses(quotient, alpha):
+    """Jump-measure mass of one coset of each shell of valuation lo..s-1:
+    the shell mass split evenly over its (q - 1) q^(s - w - 1) cosets, and
+    0.0 on the shells below s0."""
+    lvl, s = quotient.level, quotient.s
+    q = float(lvl.q)
+    start = min(max(quotient.lo, lvl.s0), s)
+    masses = [0.0] * (start - quotient.lo) + _jump_shell_masses(lvl, alpha, range(start, s))
+    return [m * q ** float(w - s) / (1.0 - 1.0 / q) for w, m in zip(range(quotient.lo, s), masses)]
 
 
 def spectral_multiplier(quotient, alpha):
@@ -91,42 +119,12 @@ def spectral_multiplier(quotient, alpha):
     return dual.from_shells(np.concatenate([norm_power, np.zeros(dual.s + 1)]))
 
 
-def _kernel(quotient, alpha):
-    """(s0, prefactor, weight): the level's s0, the kernel constant times
-    the module of the level degree times the Haar volume of one coset, and
-    the kernel weight p^((m + alpha)(v/e - c)) + kappa on the shell of
-    pi-valuation v."""
-    s0 = _check_domain(quotient)
-    lvl = quotient.level
-    prefactor = (
-        kernel_constant(lvl, alpha)
-        * float(lvl.p) ** (lvl.c * lvl.m)
-        * float(quotient.q) ** (-quotient.s)
-    )
-    a, kappa = float(alpha), kernel_kappa(lvl, alpha)
-    return s0, prefactor, lambda v: float(lvl.p) ** ((lvl.m + a) * (v / lvl.e - lvl.c)) + kappa
-
-
-def hypersingular_weights(quotient, alpha):
-    """(prefactor, weights): psi(z) = prefactor * sum_x w_x (phi(z - x) - phi(z)).
-
-    Weights live on the shells inside the standard ball (zero elsewhere and
-    on the zero coset); the prefactor collects the kernel constant, the
-    module of the level degree, and the Haar volume of one coset.
-    """
-    s0, prefactor, weight = _kernel(quotient, alpha)
-    inside = weight(np.arange(s0, quotient.s, dtype=np.float64))
-    per_shell = np.concatenate([np.zeros(s0 - quotient.lo), inside, [0.0]])
-    return prefactor, quotient.from_shells(per_shell)
-
-
 def _radius_eigenvalues(quotient, alpha):
     """(s0, [lambda_k for k = s0..s]): the eigenvalue on labels of
     valuation s0 - k, as plain floats."""
     s0 = _check_domain(quotient)
     lvl = quotient.level
-    p, a = float(lvl.p), float(alpha)
-    return s0, [0.0] + [p ** (r * a / lvl.e) for r in range(1, quotient.s - s0 + 1)]
+    return s0, [0.0] + [_eigenvalue(lvl, alpha, r) for r in range(1, quotient.s - s0 + 1)]
 
 
 def _radial_multiplier(quotient, values, s0, lam):
@@ -145,39 +143,38 @@ def apply_spectral(quotient, values, alpha):
 
 
 def apply_hypersingular(quotient, values, alpha):
-    """Kernel route: integrate increments against the radial kernel,
+    """Kernel route: integrate increments against the jump measure,
 
-    psi = prefactor * sum_{v=s0}^{s-1} W(v) [(S_v - S_{v+1}) - n_v phi],
+    psi = sum_{v=s0}^{s-1} M_v [phi - (q P_v phi - P_{v+1} phi) / (q - 1)],
 
-    with n_v = q^(s-v) - q^(s-v-1) cosets in the shell of valuation v.
+    with M_v the mass of the shell of valuation v; P_s phi = phi.
     """
-    s0, prefactor, weight = _kernel(quotient, alpha)
-    q, s = quotient.q, quotient.s
-    coeffs = [0.0] * (s - s0 + 1)
-    total = 0.0
-    for i, v in enumerate(range(s0, s)):
-        w = weight(float(v))
-        ball = float(q) ** (s - v)  # cosets in the ball of radius v
-        wb = w * ball
-        coeffs[i] += wb
-        coeffs[i + 1] -= wb / q
-        total += w * (ball - ball / q)
-    coeffs[-1] -= total
-    return prefactor * quotient.radial_apply(values, s0, coeffs)
+    s0 = _check_domain(quotient)
+    masses = _jump_shell_masses(quotient.level, alpha, range(s0, quotient.s))
+    r = 1 / quotient.q
+    keep = 1 - r
+    coeffs = [0.0] * (quotient.s - s0 + 1)
+    for i, m in enumerate(masses):
+        coeffs[i] -= m / keep
+        coeffs[i + 1] += m * r / keep
+    coeffs[-1] += sum(masses)
+    return quotient.radial_apply(values, s0, coeffs)
 
 
 def eigenvalue_estimates(quotient, alpha):
     """Eigenvalue of each character under the kernel route.
 
     Every character is an exact eigenvector of the kernel form, because the
-    increment factors as chi_b(z - x) - chi_b(z) = chi_b(z) (chi_b(-x) - 1)
-    and chi_b(-x) = conj(chi_b(x)): the eigenvalue is the transform of the
-    weights minus their sum, its value at label 0.  Annihilator labels meet
-    only twiddles of exactly 1, so theirs are exactly 0.
+    increment factors as chi_b(z) - chi_b(z - x) = chi_b(z) (1 - chi_b(-x))
+    and chi_b(-x) = conj(chi_b(x)): the eigenvalue is the total of the
+    per-coset jump masses, the transform's value at label 0, minus their
+    transform.  Annihilator labels meet only twiddles of exactly 1, so
+    theirs are exactly 0.
     """
-    prefactor, w = hypersingular_weights(quotient, alpha)
-    sums = _transform(quotient, w)
-    return prefactor * (sums - sums[0])
+    _check_domain(quotient)
+    masses = quotient.from_shells(_jump_coset_masses(quotient, alpha) + [0.0])
+    sums = _transform(quotient, masses)
+    return sums[0] - sums
 
 
 def semigroup_apply(quotient, values, alpha, t):

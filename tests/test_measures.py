@@ -14,7 +14,6 @@ from padicfrac.measures import (
     heat_ball_mass,
     heat_coset_vector,
     heat_cylinder_mass,
-    heat_cylinder_mass_shells,
     heat_density,
     heat_lower_bound,
     heat_shell_masses,
@@ -30,7 +29,7 @@ from padicfrac.measures import (
     singularity_report,
 )
 from padicfrac.tower import build_unramified_tower, resolve_tower
-from padicfrac.vladimirov import apply_hypersingular, hypersingular_weights, semigroup_apply
+from padicfrac.vladimirov import apply_hypersingular, semigroup_apply
 
 Q2 = base_level(2)
 Q3 = base_level(3)
@@ -122,10 +121,16 @@ def test_heat_ball_mass_telescopes_density():
 @pytest.mark.parametrize("lvl", LEVELS, ids=lambda l: f"e{l.e}f{l.f}")
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 @pytest.mark.parametrize("N", [1, 2])
-def test_heat_cylinder_shell_route_matches_closed_form(lvl, alpha, N):
-    closed = heat_cylinder_mass(lvl, alpha, 1.0, N)
-    shells = heat_cylinder_mass_shells(lvl, alpha, 1.0, N, tol=1e-13)
-    assert abs(closed - shells) < 1e-12
+def test_heat_cylinder_mass_matches_density_shells(lvl, alpha, N):
+    # the density oracle summed over the 200 shells inside the cylinder; the
+    # ones past them weigh below q^-200
+    q = float(lvl.q)
+    v0 = N * lvl.e - lvl.d
+    shells = math.fsum(
+        heat_density(lvl, alpha, 1.0, w) * (1.0 - 1.0 / q) * q ** (-w)
+        for w in range(v0, v0 + 200)
+    )
+    assert abs(heat_cylinder_mass(lvl, alpha, 1.0, N) - shells) < 1e-15
 
 
 def test_heat_cylinder_limits():
@@ -349,22 +354,35 @@ def test_levy_quotient_vector_structure():
         assert abs(got - levy_shell_mass(Q2, 1.0, w)) < 1e-13
 
 
+def test_levy_shell_masses_positive():
+    for lvl in LEVELS:
+        for alpha in (0.5, 1.0, 2.0):
+            assert all(levy_shell_mass(lvl, alpha, w) > 0 for w in range(lvl.s0, lvl.s0 + 6))
+
+
 @pytest.mark.parametrize(
     "quotient",
     [
         BallQuotient(Q2, 0, 2),
         BallQuotient(Q2, -2, 3),
-        BallQuotient(U, 1, 3),
+        BallQuotient(U, 0, 3),
         BallQuotient(E, -1, 3),
         BallQuotient(W, 2, 4),
     ],
     ids=lambda q: q.key(),
 )
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-def test_levy_cosets_equal_kernel_weights(quotient, alpha):
-    prefactor, w = hypersingular_weights(quotient, alpha)
+def test_levy_cosets_split_the_shell_masses(quotient, alpha):
+    # every coset of the shell of valuation w carries the shell mass times
+    # q^(w - s) / (1 - 1/q), bit for bit: the jump law the sampler inverts
+    # is built from these entries
     vec = levy_quotient_vector(quotient, alpha)
-    assert np.abs(vec[1:] - (-prefactor) * w[1:]).max() < 1e-12
+    assert np.isinf(vec[0])
+    q, vals = float(quotient.q), quotient.val_pi_vector
+    for w in range(quotient.lo, quotient.s):
+        mass = levy_shell_mass(quotient.level, alpha, w)
+        want = mass * q ** float(w - quotient.s) / (1.0 - 1.0 / q)
+        assert (vec[vals == w] == want).all()
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])

@@ -796,6 +796,25 @@ def test_mc_characteristic_builds_its_law_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "p, alpha, lam_valuation, stream, pinned",
+    [
+        # Q_3 at alpha = 1: a cdf breakpoint of its law, 0.75, sits on a
+        # guide-table bucket edge, so the last bit of a coset mass can move
+        # a draw
+        (3, 1.0, -1, 13, "((0.04779999999999993+0.0003464101615138859j), 0.009989068132123977)"),
+        (2, 2.0, -1, 3, "((0.011600000000000001+6.05220448138622e-17j), 0.009999827181224955)"),
+    ],
+    ids=["Q_3-alpha1", "Q_2-alpha2"],
+)
+def test_mc_characteristic_stream_is_pinned(p, alpha, lam_valuation, stream, pinned):
+    # two cases of the benchmark's first timed cycle at seed 1 (10,000 paths
+    # each): a change that moves any draw of the jump or count samplers
+    # changes these bits
+    got = mc_characteristic(base_level(p), alpha, lam_valuation, 1.0, 10_000, 1, stream)
+    assert repr(got) == pinned
+
+
+@pytest.mark.parametrize(
     "t, n_paths",
     [(1.0, 0), (1.0, 1), (0.0, 10), (-1.0, 10), (math.nan, 10), (math.inf, 10)],
 )

@@ -9,14 +9,12 @@ from padicfrac.funcspace import (
     mu_integral,
     random_function,
 )
+from padicfrac.measures import levy_quotient_vector
 from padicfrac.tower import resolve_tower
 from padicfrac.vladimirov import (
     apply_hypersingular,
     apply_spectral,
     eigenvalue_estimates,
-    hypersingular_weights,
-    kernel_constant,
-    kernel_kappa,
     semigroup_apply,
     spectral_multiplier,
 )
@@ -48,31 +46,25 @@ def _character_table(quotient):
     return np.exp((2j * np.pi / kappa) * phases)
 
 
+def _jump_masses(quotient, alpha):
+    """The jump-measure mass n_j of every coset, 0.0 on the zero coset."""
+    n = levy_quotient_vector(quotient, alpha)
+    n[0] = 0.0
+    return n
+
+
 def _dense_eigenvalues(quotient, alpha):
-    """The kernel route on every character: prefactor * sum_x w_x (chi_b(x) - 1)."""
-    prefactor, w = hypersingular_weights(quotient, alpha)
-    return prefactor * ((_character_table(quotient) - 1.0) @ w)
-
-
-def test_base_field_kernel_constants():
-    assert abs(kernel_constant(Q2, 1.0) - (-4.0 / 3.0)) < 1e-15
-    assert abs(kernel_kappa(Q2, 1.0) - 0.5) < 1e-15
-
-
-def test_kernel_constant_sign():
-    for lvl in (Q2, Q3, U, E, W):
-        for alpha in ALPHAS:
-            assert kernel_constant(lvl, alpha) < 0
-            assert kernel_kappa(lvl, alpha) > 0
+    """The kernel route on every character: sum_j n_j (1 - chi_b(j))."""
+    return (1.0 - _character_table(quotient)) @ _jump_masses(quotient, alpha)
 
 
 def test_base_field_weights():
     q = BallQuotient(Q2, 0, 2)
-    pref, w = hypersingular_weights(q, 1.0)
-    assert abs(pref - (-1.0 / 3.0)) < 1e-15
+    n = _jump_masses(q, 1.0)
     # index order: (0,0), (0,1), (1,0), (1,1); the zero coset carries no
-    # weight, valuation-1 coset gets 9/2, valuation-0 cosets get 3/2
-    assert np.allclose(w, [0.0, 4.5, 1.5, 1.5], atol=1e-14)
+    # mass, the valuation-1 coset the whole shell mass 3/2 and each
+    # valuation-0 coset half of the shell mass 1
+    assert np.allclose(n, [0.0, 1.5, 0.5, 0.5], atol=1e-14)
 
 
 def test_base_field_multiplier_values():
@@ -82,7 +74,7 @@ def test_base_field_multiplier_values():
 
 def test_weights_vanish_outside_standard_ball():
     q = BallQuotient(U, 0, 3)  # lo = 0 < s0 = 1
-    _, w = hypersingular_weights(q, 1.0)
+    w = _jump_masses(q, 1.0)
     vals = q.val_pi_vector
     assert (w[(vals < U.s0)] == 0).all()
     assert w[0] == 0
@@ -110,17 +102,17 @@ def test_annihilator_labels_are_exact_kernel(quotient):
 
 def _dense_kernel(quotient, alpha):
     """The kernel route as an n x n matrix, summed coset by coset through
-    the subtraction table: psi_i = pref * sum_j w_j (phi_sub(i,j) - phi_i),
+    the subtraction table: psi_i = sum_j n_j (phi_i - phi_sub(i,j)),
     sub(i, j) = index of rep_i - rep_j carried from digit differences."""
-    prefactor, w = hypersingular_weights(quotient, alpha)
+    w = _jump_masses(quotient, alpha)
     n = quotient.size
     dT = quotient.digit_matrix.T
     sub = quotient.index_of_digits((dT[:, :, None] - dT[:, None, :]).reshape(quotient.D, -1))
     mat = np.zeros((n, n))
     rows = np.broadcast_to(np.arange(n)[:, None], (n, n))
-    np.add.at(mat, (rows, sub.reshape(n, n)), np.broadcast_to(w, (n, n)))
-    mat[np.arange(n), np.arange(n)] -= w.sum()
-    return prefactor * mat
+    np.subtract.at(mat, (rows, sub.reshape(n, n)), np.broadcast_to(w, (n, n)))
+    mat[np.arange(n), np.arange(n)] += w.sum()
+    return mat
 
 
 @pytest.mark.parametrize("quotient", QUOTIENTS, ids=lambda q: q.key())
@@ -237,7 +229,9 @@ def test_routes_take_python_and_numpy_scalars_alike(quotient):
 def test_domain_validation():
     bad = BallQuotient(U, 2, 4)  # lo = 2 > s0 = 1
     with pytest.raises(ValueError):
-        hypersingular_weights(bad, 1.0)
+        apply_hypersingular(bad, np.zeros(bad.size), 1.0)
+    with pytest.raises(ValueError):
+        eigenvalue_estimates(bad, 1.0)
     with pytest.raises(ValueError):
         apply_spectral(bad, np.zeros(bad.size), 1.0)
 
