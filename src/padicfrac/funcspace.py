@@ -14,7 +14,9 @@ and maps every coset by an integer combination of their image digits.
 
 Cosets are listed in lexicographic digit order, row lo first.  In this block
 order every coset of pi^k O is a run of q^(s-k) consecutive indices, which
-``BallQuotient.radial_apply`` uses to apply radial operators in O(|G|).
+``BallQuotient.radial_apply`` uses to apply radial operators in O(|G|), and
+every shell {v_pi = w} is one run too, which ``BallQuotient.shell_sums``
+uses to pair a function with a radial weight in one pass.
 
 The dual group of G is the quotient pi^(s0-s) O / pi^(s0-lo) O built from the
 annihilator identity of the standard ball pi^{s0} O; it has the same shape
@@ -112,29 +114,45 @@ class BallQuotient:
 
         return self._cache("digits", build)
 
+    def _radial_depth(self, k0, coeffs):
+        depth = self.s - k0
+        if not self.lo <= k0 <= self.s or len(coeffs) != depth + 1:
+            raise ValueError("need one coefficient per radius k0..s, lo <= k0")
+        return depth
+
     def radial_apply(self, values, k0, coeffs):
         """sum_{k=k0}^{s} coeffs[k - k0] * P_k phi, where P_k phi averages
         phi over each coset of pi^k O: a block of q^(s-k) consecutive
         indices.
 
         One descending cascade, O(|G|) in all: the block sums S_j over runs
-        of q^j indices come from repeated reduction, then, from the coarsest
-        radius down, each level is the scaled copy S_j * (c_k / q^j) plus
-        the coarser level broadcast over its q sub-blocks -- three numpy
-        calls per radius.  Returns a new complex array; ``values`` is never
-        written."""
-        q, depth = self.q, self.s - k0
-        if not self.lo <= k0 <= self.s or len(coeffs) != depth + 1:
-            raise ValueError("need one coefficient per radius k0..s, lo <= k0")
-        sums = [np.asarray(values, dtype=np.complex128).reshape(self.size)]
+        of q^j indices come from one matrix-vector product per radius (the
+        finer sums in rows of q, times a vector of q ones), then, from the
+        coarsest radius down, each level is the scaled copy S_j * (c_k / q^j)
+        plus the coarser level repeated over its q sub-blocks.  Returns a
+        new complex array; ``values`` is never written."""
+        q, depth = self.q, self._radial_depth(k0, coeffs)
+        ones = np.ones(q, dtype=np.complex128)
+        # a strided input is copied once: the products then sum in the same
+        # order as on a contiguous copy
+        sums = [np.ascontiguousarray(values, dtype=np.complex128).reshape(self.size)]
         for _ in range(depth):
-            sums.append(np.add.reduce(sums[-1].reshape(-1, q), axis=1))
+            sums.append(sums[-1].reshape(-1, q) @ ones)
         acc = sums[depth] * (coeffs[0] / q**depth)
         for j in range(depth - 1, -1, -1):
             nxt = sums[j] * (coeffs[depth - j] / q**j)
-            nxt.reshape(-1, q)[...] += acc[:, None]
+            nxt += acc.repeat(q)
             acc = nxt
         return acc
+
+    def radial_at_zero(self, values, k0, coeffs):
+        """Entry 0 of ``radial_apply(values, k0, coeffs)``, from the shell
+        sums alone: the ball of radius k around the zero coset is its first
+        q^(s-k) indices, whose sum is the cumulative shell sum from the zero
+        coset out to valuation k."""
+        q, depth = self.q, self._radial_depth(k0, coeffs)
+        balls = np.cumsum(self.shell_sums(values)[::-1][: depth + 1])
+        return complex(np.dot(balls, [coeffs[depth - j] / q**j for j in range(depth + 1)]))
 
     def coset(self, index):
         return BallCoset(
@@ -178,6 +196,14 @@ class BallQuotient:
     def from_shells(self, per_shell):
         """The per-coset vector of a radial quantity given in ``shell_sizes`` order."""
         return np.asarray(per_shell)[self.val_pi_vector - self.lo]
+
+    def shell_sums(self, values):
+        """The sum of ``values`` over each shell, in ``shell_sizes`` order:
+        the adjoint of ``from_shells``.  In block order the shells are the
+        index runs starting at 0, 1, q, ..., q^(J-1), zero coset first, so
+        one ``np.add.reduceat`` over those starts, reversed, gives them."""
+        starts = [0] + [self.q**k for k in range(self.J)]
+        return np.add.reduceat(np.asarray(values).reshape(self.size), starts)[::-1]
 
     def per_coset(self, per_shell):
         """Whole-shell masses split evenly over each shell's exact count."""

@@ -12,9 +12,6 @@ Three measures drive everything here:
   the shell radius with the finite-mass correction kappa.  It is the kernel
   of the operator's Levy-Khintchine form, so its shell masses are written
   once, in ``vladimirov._jump_shell_masses``, which the kernel route reads
-  too.  It is the kernel
-  of the operator's Levy-Khintchine form, so its shell masses are written
-  once, in ``vladimirov._jump_shell_masses``, which the kernel route reads
   too.
 
 A level's heat marginal is naturally expressed in the scaled coordinate
@@ -40,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .vladimirov import _eigenvalue, _jump_coset_masses, _jump_shell_masses, apply_spectral
+from .vladimirov import _eigenvalue, _jump_coset_masses, _jump_shell_masses, _spectral_coeffs
 
 __all__ = [
     "mu_ball_mass",
@@ -280,19 +277,20 @@ def _require_zero_at_origin(values):
 
 def levy_integral(quotient, alpha, values):
     """Integrate a quotient function vanishing at the origin against the
-    jump measure, coset by coset."""
+    jump measure.  The measure is radial, so the integral is the jump mass
+    of one coset of each shell times the sum of the values over that shell,
+    a J-term sum once the shell sums are formed."""
     values = _require_zero_at_origin(values)
-    vec = levy_quotient_vector(quotient, alpha)
-    return complex(np.dot(values[1:], vec[1:]))
+    return complex(np.dot(_jump_coset_masses(quotient, alpha), quotient.shell_sums(values)[:-1]))
 
 
 def levy_integral_spectral(quotient, alpha, values):
     """Same integral through the Fourier side: minus the multiplier-weighted
-    sum of coefficients, -sum_b lambda_b c_b = -(D phi)(0).  Needs the
-    integrand to vanish at the origin, so that its coefficients sum to
-    zero."""
+    sum of coefficients, -sum_b lambda_b c_b = -(D phi)(0), with (D phi)(0)
+    read off the ball sums around the origin.  Needs the integrand to
+    vanish at the origin, so that its coefficients sum to zero."""
     values = _require_zero_at_origin(values)
-    return complex(-apply_spectral(quotient, values, alpha)[0])
+    return -quotient.radial_at_zero(values, *_spectral_coeffs(quotient, alpha))
 
 
 def levy_log_characteristic(level, alpha, lam_valuation, t=1.0, cutoff=None):

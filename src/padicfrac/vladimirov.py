@@ -30,9 +30,11 @@ finite total mass of the ball.
 
 Both routes reduce to at most s - s0 + 1 coefficients, which are built as
 plain Python floats; the work on the values is one ``radial_apply``
-cascade: block sums by repeated reduction, then from the coarsest radius
-down a scaled copy of each level's sums plus the coarser level broadcast
-over its q sub-blocks, three numpy calls per radius and O(|G|) in all.
+cascade: block sums by one matrix-vector product per radius, then from the
+coarsest radius down a scaled copy of each level's sums plus the coarser
+level repeated over its q sub-blocks, O(|G|) in all.  A single entry of a
+route needs less: ``radial_at_zero`` reads the value at the zero coset off
+the J + 1 shell sums.
 
 All routes work on a BallQuotient with lo <= s0 <= s, which is exactly the
 condition for the ball convolution to stay inside the quotient.
@@ -127,19 +129,25 @@ def _radius_eigenvalues(quotient, alpha):
     return s0, [0.0] + [_eigenvalue(lvl, alpha, r) for r in range(1, quotient.s - s0 + 1)]
 
 
-def _radial_multiplier(quotient, values, s0, lam):
-    """Multiply the labels of radius k by lam[k - s0] (all labels of radius
-    <= s0 for k = s0): sum_k (lam_k - lam_{k+1}) P_k phi, lam_{s+1} = 0."""
+def _multiplier_coeffs(lam):
+    """The coefficients of sum_k (lam_k - lam_{k+1}) P_k phi, lam_{s+1} = 0,
+    which multiplies the labels of radius k by lam[k - s0] (all labels of
+    radius <= s0 for k = s0)."""
     # the negated forward difference -(lam_{k+1} - lam_k): where it is zero
     # it is -0.0, and the sign of exact zeros in the rendered output
     # depends on it
-    coeffs = [-(b - a) for a, b in zip(lam, lam[1:] + [0.0])]
-    return quotient.radial_apply(values, s0, coeffs)
+    return [-(b - a) for a, b in zip(lam, lam[1:] + [0.0])]
+
+
+def _spectral_coeffs(quotient, alpha):
+    """(s0, coefficients) of the multiplier route as ball averages."""
+    s0, lam = _radius_eigenvalues(quotient, alpha)
+    return s0, _multiplier_coeffs(lam)
 
 
 def apply_spectral(quotient, values, alpha):
     """Multiplier route: ||b||**alpha on each label, as ball averages."""
-    return _radial_multiplier(quotient, values, *_radius_eigenvalues(quotient, alpha))
+    return quotient.radial_apply(values, *_spectral_coeffs(quotient, alpha))
 
 
 def apply_hypersingular(quotient, values, alpha):
@@ -182,4 +190,4 @@ def semigroup_apply(quotient, values, alpha, t):
     averages."""
     s0, lam = _radius_eigenvalues(quotient, alpha)
     t = float(t)
-    return _radial_multiplier(quotient, values, s0, [math.exp(-t * x) for x in lam])
+    return quotient.radial_apply(values, s0, _multiplier_coeffs([math.exp(-t * x) for x in lam]))

@@ -147,6 +147,8 @@ def test_radial_apply_returns_a_new_array_and_leaves_its_input(bq):
         random_function(bq, rng),
         rng.standard_normal(bq.size),
         rng.integers(-9, 10, size=bq.size),
+        # strided: every other entry of a 2|G| array
+        (rng.standard_normal(2 * bq.size) + 1j * rng.standard_normal(2 * bq.size))[::2],
     ]
     for k0 in (bq.lo, bq.s):  # every radius, and the one coefficient of P_s
         coeffs = rng.standard_normal(bq.s - k0 + 1)
@@ -170,6 +172,55 @@ def test_radial_apply_validation():
         bq.radial_apply(phi, 0, np.ones(2))
     with pytest.raises(ValueError):
         bq.radial_apply(np.ones(bq.size + 1), 0, np.ones(3))
+    with pytest.raises(ValueError):
+        bq.radial_at_zero(phi, -2, np.ones(5))
+    with pytest.raises(ValueError):
+        bq.radial_at_zero(phi, 0, np.ones(2))
+    with pytest.raises(ValueError):
+        bq.shell_sums(np.ones(bq.size + 1))
+
+
+@pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
+def test_shell_sums_are_the_adjoint_of_from_shells(bq):
+    # <from_shells(m), phi> = <m, shell_sums(phi)>
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal(bq.J + 1)
+    phi = random_function(bq, rng)
+    sums = bq.shell_sums(phi)
+    assert sums.shape == (bq.J + 1,) and sums[-1] == phi[0]
+    lhs = np.dot(bq.from_shells(m), phi)
+    assert abs(lhs - np.dot(m, sums)) <= 1e-13 * abs(lhs)
+    # integer values: both sides exact
+    m = rng.integers(-9, 10, size=bq.J + 1)
+    phi = rng.integers(-9, 10, size=bq.size)
+    assert np.dot(bq.from_shells(m), phi) == np.dot(m, bq.shell_sums(phi))
+    assert bq.shell_sums(phi)[-1] == phi[0]
+
+
+@pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
+def test_radial_at_zero_is_entry_zero_of_radial_apply(bq):
+    rng = np.random.default_rng(6)
+    phi = random_function(bq, rng)
+    for k0 in range(bq.lo, bq.s + 1):
+        coeffs = rng.standard_normal(bq.s - k0 + 1)
+        got = bq.radial_at_zero(phi, k0, coeffs)
+        scale = np.abs(coeffs).sum() * np.abs(phi).max()
+        assert isinstance(got, complex)
+        assert abs(got - bq.radial_apply(phi, k0, coeffs)[0]) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
+def test_shell_sums_read_strided_input(bq):
+    # every other entry of a 2|G| array: a view that is not contiguous
+    rng = np.random.default_rng(10)
+    wide = rng.standard_normal(2 * bq.size) + 1j * rng.standard_normal(2 * bq.size)
+    before = wide.copy()
+    view = wide[::2]
+    copy = np.ascontiguousarray(view)
+    coeffs = rng.standard_normal(bq.s - bq.lo + 1)
+    assert bq.shell_sums(view).tobytes() == bq.shell_sums(copy).tobytes()
+    assert bq.radial_at_zero(view, bq.lo, coeffs) == bq.radial_at_zero(copy, bq.lo, coeffs)
+    assert wide.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)

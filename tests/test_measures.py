@@ -29,7 +29,7 @@ from padicfrac.measures import (
     singularity_report,
 )
 from padicfrac.tower import build_unramified_tower, resolve_tower
-from padicfrac.vladimirov import apply_hypersingular, semigroup_apply
+from padicfrac.vladimirov import apply_hypersingular, apply_spectral, semigroup_apply
 
 Q2 = base_level(2)
 Q3 = base_level(3)
@@ -394,6 +394,29 @@ def test_levy_integral_routes_agree(alpha):
         direct = levy_integral(quotient, alpha, phi)
         spectral = levy_integral_spectral(quotient, alpha, phi)
         assert abs(direct - spectral) < 1e-9 * max(1.0, abs(direct))
+
+
+@pytest.mark.parametrize(
+    "quotient",
+    [
+        BallQuotient(Q2, -3, 4),
+        BallQuotient(U, -1, 3),
+        BallQuotient(E, -2, 4),
+        BallQuotient(U.extend_unramified(3), 0, 2),  # the sextic level, 4,096 cosets
+    ],
+    ids=lambda q: q.key(),
+)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_levy_integrals_match_their_oracles(quotient, alpha):
+    # the shell-sum integral against the coset-by-coset dot product, and the
+    # spectral one against the full multiplier route read at the origin
+    rng = np.random.default_rng(31)
+    phi = random_function(quotient, rng)
+    phi[0] = 0.0
+    per_coset = np.dot(phi[1:], levy_quotient_vector(quotient, alpha)[1:])
+    at_origin = -apply_spectral(quotient, phi, alpha)[0]
+    assert abs(levy_integral(quotient, alpha, phi) - per_coset) <= 1e-14 * abs(per_coset)
+    assert abs(levy_integral_spectral(quotient, alpha, phi) - at_origin) <= 1e-14 * abs(at_origin)
 
 
 def test_levy_integral_is_kernel_apply_at_origin():
