@@ -33,13 +33,12 @@ from .measures import (
     heat_shell_masses,
     levy_integral,
     levy_integral_spectral,
-    levy_shell_mass,
     mu_cylinder_mass,
     singularity_report,
 )
 from .process import expected_characteristic, mc_characteristic
 from .tower import min_positive_eigenvalue, resolve_tower, spectrum
-from .vladimirov import apply_hypersingular, apply_spectral
+from .vladimirov import _jump_shell_masses, apply_hypersingular, apply_spectral
 
 DEFAULT_TOWER = "unramified:p=2,f=1-2-6-24"
 
@@ -243,7 +242,8 @@ def cmd_apply(args):
             row[f"{name}_im"] = float(routes[name][g].imag)
         rows.append(row)
     failures = []
-    if deviation > args.tolerance * scale:
+    # every gate reads "not x <= bound", so that a nan fails it
+    if not deviation <= args.tolerance * scale:
         failures.append(
             f"route deviation {deviation!r} exceeds tolerance {args.tolerance!r} "
             f"x scale {scale!r}"
@@ -305,8 +305,8 @@ def cmd_levy(args):
     }
     columns = ["valuation", "shell_mass", "mass_through_shell"]
     rows, running = [], 0.0
-    for w in range(level.s0, cutoff + 1):
-        mass = levy_shell_mass(level, args.alpha, w)
+    shells = range(level.s0, cutoff + 1)
+    for w, mass in zip(shells, _jump_shell_masses(level, args.alpha, shells)):
         running += mass
         rows.append({
             "valuation": w, "shell_mass": mass, "mass_through_shell": running,
@@ -326,7 +326,7 @@ def cmd_levy(args):
             "integral_route_gap": float(gap),
             "quotient_lo": quotient.lo, "quotient_s": quotient.s,
         })
-        if gap > args.tolerance:
+        if not gap <= args.tolerance:
             failures.append(
                 f"integral routes differ by {gap!r} > {args.tolerance!r}"
             )
@@ -359,7 +359,7 @@ def cmd_heat(args):
     }
     columns = ["valuation", "cosets", "mass_per_coset", "shell_mass"]
     failures = []
-    if abs(total - 1.0) > args.tolerance:
+    if not abs(total - 1.0) <= args.tolerance:
         failures.append(f"coset masses sum to {total!r}, not 1")
     return config, columns, rows, failures
 
@@ -395,9 +395,9 @@ def cmd_simulate(args):
         "stderr": stderr, "expected": expected, "z_score": float(z),
     }]
     failures = []
-    if z > args.z_max:
+    if not z <= args.z_max:
         failures.append(f"estimate is {z!r} standard errors from the closed form")
-    if abs(estimate.imag) > args.z_max * stderr:
+    if not abs(estimate.imag) <= args.z_max * stderr:
         failures.append("imaginary part inconsistent with a symmetric jump law")
     return config, columns, rows, failures
 
@@ -520,8 +520,8 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if not getattr(args, "alpha", 1.0) > 0:
-            raise CommandError("--alpha must be positive")
+        if not 0.0 < getattr(args, "alpha", 1.0) < math.inf:
+            raise CommandError("--alpha must be positive and finite")
         # every comparison with nan is false, so a nan gate would pass anything
         if not 0.0 <= getattr(args, "tolerance", 0.0) < math.inf:
             raise CommandError("--tolerance must be finite and nonnegative")
@@ -533,7 +533,9 @@ def main(argv=None):
     except (CommandError, ValueError, OSError) as exc:
         _fail(args.command, str(exc))
         return 2
-    except OverflowError as exc:
+    # a float that rounds to 0 as a divisor is out of range too, as in the
+    # jump measure's kappa at a tiny --alpha
+    except (OverflowError, ZeroDivisionError) as exc:
         _fail(args.command, f"a number is out of floating-point range: {exc}")
         return 2
     if failures:

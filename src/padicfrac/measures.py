@@ -173,8 +173,13 @@ def heat_shell_masses(quotient, alpha, t):
 
 
 def heat_coset_vector(quotient, alpha, t):
-    """Heat mass of every coset, in index order."""
-    return quotient.from_shells(quotient.per_coset(heat_shell_masses(quotient, alpha, t)))
+    """Heat mass of every coset, in index order; the per-coset masses of
+    each shell are built once per (quotient, alpha, t)."""
+    per_shell = quotient._cache(
+        ("heat", float(alpha), float(t)),
+        lambda: quotient.per_coset(heat_shell_masses(quotient, alpha, t)),
+    )
+    return quotient.from_shells(per_shell)
 
 
 def heat_lower_bound(level, alpha, t, N):
@@ -254,7 +259,7 @@ def levy_tail_mass(level, alpha, delta):
     from s0 up to the cutoff valuation (0.0 when the cutoff lies inside
     the smallest shell)."""
     w_max = levy_cutoff_valuation(level, delta)
-    return sum(levy_shell_mass(level, alpha, w) for w in range(level.s0, w_max + 1))
+    return sum(_jump_shell_masses(level, alpha, range(level.s0, w_max + 1)))
 
 
 def levy_quotient_vector(quotient, alpha):
@@ -312,7 +317,9 @@ def levy_log_characteristic(level, alpha, lam_valuation, t=1.0, cutoff=None):
     boundary = s0 + L - 1
     if cutoff is None:
         cutoff = boundary
-    acc = sum(levy_shell_mass(level, alpha, w) for w in range(s0, min(boundary, cutoff + 1)))
+    # shells s0..boundary, or s0..cutoff when the cutoff comes first
+    masses = _jump_shell_masses(level, alpha, range(s0, min(boundary, cutoff) + 1))
+    acc = sum(masses[: boundary - s0])
     if boundary <= cutoff:
-        acc += q / (q - 1.0) * levy_shell_mass(level, alpha, boundary)
+        acc += q / (q - 1.0) * masses[-1]
     return -float(t) * acc

@@ -28,8 +28,10 @@ wavelet diagonalisation of Vladimirov-type operators).  The kernel combines
 a power of the norm with the additive constant kappa that accounts for the
 finite total mass of the ball.
 
-Both routes reduce to at most s - s0 + 1 coefficients, which are built as
-plain Python floats; the work on the values is one ``radial_apply``
+Both routes reduce to at most s - s0 + 1 coefficients, which depend only
+on the quotient and alpha (and t, for the semigroup).  They are built once
+per (quotient, alpha[, t]) and kept in the level cache, so a warm route is
+one dict lookup and then its pass over the values: one ``radial_apply``
 cascade: block sums by one matrix-vector product per radius, then from the
 coarsest radius down a scaled copy of each level's sums plus the coarser
 level repeated over its q sub-blocks, O(|G|) in all.  A single entry of a
@@ -87,6 +89,9 @@ def _jump_shell_masses(level, alpha, valuations):
     total over w >= s0 diverges: small jumps accumulate, only tails are
     finite.
     """
+    # no shell, no constants: an empty range cannot overflow or divide by 0
+    if not valuations:
+        return []
     q = float(level.q)
     ec = level.e * level.c
     a_m = float(alpha) / level.m
@@ -101,12 +106,18 @@ def _jump_shell_masses(level, alpha, valuations):
 def _jump_coset_masses(quotient, alpha):
     """Jump-measure mass of one coset of each shell of valuation lo..s-1:
     the shell mass split evenly over its (q - 1) q^(s - w - 1) cosets, and
-    0.0 on the shells below s0."""
-    lvl, s = quotient.level, quotient.s
-    q = float(lvl.q)
-    start = min(max(quotient.lo, lvl.s0), s)
-    masses = [0.0] * (start - quotient.lo) + _jump_shell_masses(lvl, alpha, range(start, s))
-    return [m * q ** float(w - s) / (1.0 - 1.0 / q) for w, m in zip(range(quotient.lo, s), masses)]
+    0.0 on the shells below s0.  Built once per (quotient, alpha)."""
+
+    def build():
+        lvl, s = quotient.level, quotient.s
+        q = float(lvl.q)
+        start = min(max(quotient.lo, lvl.s0), s)
+        masses = [0.0] * (start - quotient.lo) + _jump_shell_masses(lvl, alpha, range(start, s))
+        return [
+            m * q ** float(w - s) / (1.0 - 1.0 / q) for w, m in zip(range(quotient.lo, s), masses)
+        ]
+
+    return quotient._cache(("jump_cosets", float(alpha)), build)
 
 
 def spectral_multiplier(quotient, alpha):
@@ -140,9 +151,14 @@ def _multiplier_coeffs(lam):
 
 
 def _spectral_coeffs(quotient, alpha):
-    """(s0, coefficients) of the multiplier route as ball averages."""
-    s0, lam = _radius_eigenvalues(quotient, alpha)
-    return s0, _multiplier_coeffs(lam)
+    """(s0, coefficients) of the multiplier route as ball averages, built
+    once per (quotient, alpha)."""
+
+    def build():
+        s0, lam = _radius_eigenvalues(quotient, alpha)
+        return s0, _multiplier_coeffs(lam)
+
+    return quotient._cache(("spectral", float(alpha)), build)
 
 
 def apply_spectral(quotient, values, alpha):
@@ -155,18 +171,23 @@ def apply_hypersingular(quotient, values, alpha):
 
     psi = sum_{v=s0}^{s-1} M_v [phi - (q P_v phi - P_{v+1} phi) / (q - 1)],
 
-    with M_v the mass of the shell of valuation v; P_s phi = phi.
+    with M_v the mass of the shell of valuation v; P_s phi = phi.  The
+    coefficients are built once per (quotient, alpha).
     """
-    s0 = _check_domain(quotient)
-    masses = _jump_shell_masses(quotient.level, alpha, range(s0, quotient.s))
-    r = 1 / quotient.q
-    keep = 1 - r
-    coeffs = [0.0] * (quotient.s - s0 + 1)
-    for i, m in enumerate(masses):
-        coeffs[i] -= m / keep
-        coeffs[i + 1] += m * r / keep
-    coeffs[-1] += sum(masses)
-    return quotient.radial_apply(values, s0, coeffs)
+
+    def build():
+        s0 = _check_domain(quotient)
+        masses = _jump_shell_masses(quotient.level, alpha, range(s0, quotient.s))
+        r = 1 / quotient.q
+        keep = 1 - r
+        coeffs = [0.0] * (quotient.s - s0 + 1)
+        for i, m in enumerate(masses):
+            coeffs[i] -= m / keep
+            coeffs[i + 1] += m * r / keep
+        coeffs[-1] += sum(masses)
+        return s0, coeffs
+
+    return quotient.radial_apply(values, *quotient._cache(("kernel", float(alpha)), build))
 
 
 def eigenvalue_estimates(quotient, alpha):
@@ -187,7 +208,11 @@ def eigenvalue_estimates(quotient, alpha):
 
 def semigroup_apply(quotient, values, alpha, t):
     """Heat semigroup route: damp each label by exp(-t lambda_b), as ball
-    averages."""
-    s0, lam = _radius_eigenvalues(quotient, alpha)
+    averages; the coefficients are built once per (quotient, alpha, t)."""
     t = float(t)
-    return quotient.radial_apply(values, s0, _multiplier_coeffs([math.exp(-t * x) for x in lam]))
+
+    def build():
+        s0, lam = _radius_eigenvalues(quotient, alpha)
+        return s0, _multiplier_coeffs([math.exp(-t * x) for x in lam])
+
+    return quotient.radial_apply(values, *quotient._cache(("semigroup", float(alpha), t), build))

@@ -532,15 +532,16 @@ def test_unknown_tower_exits_with_config_error(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("alpha", ["0", "-1"])
+@pytest.mark.parametrize("alpha", ["0", "-1", "inf", "nan"])
 @pytest.mark.parametrize(
     "command", ["spectrum", "apply", "singularity", "levy", "heat", "simulate"]
 )
 def test_non_positive_alpha_is_a_config_error(tmp_path, capsys, command, alpha):
+    # an infinite alpha would give nan route values
     code, doc = run(tmp_path, command, "--tower", Q2_TOWER, "--alpha", alpha)
     assert code == 2 and doc is None
     (line,) = capsys.readouterr().err.strip().splitlines()
-    assert json.loads(line) == {"command": command, "error": "--alpha must be positive"}
+    assert json.loads(line) == {"command": command, "error": "--alpha must be positive and finite"}
 
 
 @pytest.mark.parametrize(
@@ -567,6 +568,31 @@ def test_gates_refuse_values_that_pass_or_fail_everything(
     assert json.loads(line) == {"command": command, "error": error}
 
 
+def _nan_times(route):
+    return lambda *args, **kwargs: route(*args, **kwargs) * math.nan
+
+
+@pytest.mark.parametrize(
+    "argv, route, nan_route, error",
+    [
+        (["apply"], "apply_spectral", _nan_times, "route deviation"),
+        (["levy", "--integrate"], "levy_integral_spectral", _nan_times, "integral routes differ"),
+        (["heat"], "heat_shell_masses", lambda route: lambda *a: [math.nan] * len(route(*a)),
+         "coset masses sum to"),
+        (["simulate"], "mc_characteristic", lambda route: lambda *a, **k: (complex(math.nan), 0.1),
+         "estimate is nan"),
+    ],
+    ids=["apply", "levy", "heat", "simulate"],
+)
+def test_gates_fail_a_nan(tmp_path, monkeypatch, capsys, argv, route, nan_route, error):
+    # every comparison with nan is false, so each gate asks for "not x <= bound"
+    monkeypatch.setattr(cli, route, nan_route(getattr(cli, route)))
+    code, _ = run(tmp_path, argv[0], "--tower", Q2_TOWER, *argv[1:])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["command"] == argv[0] and record["error"].startswith(error)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -574,6 +600,9 @@ def test_gates_refuse_values_that_pass_or_fail_everything(
         ["singularity", "--tower", "qp:p=2,depth=2", "--N", "2000"],
         ["spectrum", "--tower", "qp:p=2", "--max-value", "1e308"],
         ["simulate", "--tower", "qp:p=2", "--lam-valuation", "-1100"],
+        # q^(alpha/m) - 1 rounds to 0 in the jump measure's kappa
+        ["apply", "--tower", "qp:p=2", "--alpha", "1e-17"],
+        ["levy", "--tower", "qp:p=2", "--alpha", "1e-17", "--integrate"],
     ],
     ids=" ".join,
 )

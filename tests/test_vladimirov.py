@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from padicfrac import base_level
+from padicfrac import base_level, measures, vladimirov
 from padicfrac.funcspace import (
     BallQuotient,
     fourier,
@@ -9,7 +11,13 @@ from padicfrac.funcspace import (
     mu_integral,
     random_function,
 )
-from padicfrac.measures import levy_quotient_vector
+from padicfrac.measures import (
+    heat_coset_vector,
+    levy_integral,
+    levy_integral_spectral,
+    levy_quotient_vector,
+)
+from padicfrac.padic import Level
 from padicfrac.tower import resolve_tower
 from padicfrac.vladimirov import (
     apply_hypersingular,
@@ -297,3 +305,138 @@ def test_semigroup_damps_towards_projection():
     kept = coeffs.copy()
     kept[lam > 0] = 0.0
     assert np.abs(out - inverse_fourier(q, kept)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# route coefficients, built once per (quotient, alpha[, t]) in the level cache
+
+
+def _six_routes(quotient, phi, alpha, t):
+    """Every route that reads cached coefficients, as comparable bytes."""
+    return [
+        apply_spectral(quotient, phi, alpha).tobytes(),
+        apply_hypersingular(quotient, phi, alpha).tobytes(),
+        semigroup_apply(quotient, phi, alpha, t).tobytes(),
+        repr(levy_integral(quotient, alpha, phi)),
+        repr(levy_integral_spectral(quotient, alpha, phi)),
+        heat_coset_vector(quotient, alpha, t).tobytes(),
+    ]
+
+
+def _coefficient_keys(quotient):
+    """The names of the quotient's cached coefficient entries."""
+    return {
+        key[1]
+        for key in quotient.level._cache
+        if isinstance(key, tuple) and key[0] == "bq" and isinstance(key[1], tuple)
+        and key[2:] == (quotient.lo, quotient.s)
+    }
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the calls of the two scalar formulas every coefficient is built from."""
+    counts = {"_jump_shell_masses": 0, "_eigenvalue": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    shells = counted("_jump_shell_masses", vladimirov._jump_shell_masses)
+    monkeypatch.setattr(vladimirov, "_jump_shell_masses", shells)
+    eigenvalue = counted("_eigenvalue", vladimirov._eigenvalue)
+    monkeypatch.setattr(vladimirov, "_eigenvalue", eigenvalue)
+    monkeypatch.setattr(measures, "_eigenvalue", eigenvalue)
+    return counts
+
+
+def _zero_at_origin(quotient, seed):
+    phi = random_function(quotient, np.random.default_rng(seed))
+    phi[0] = 0.0
+    return phi
+
+
+def test_a_warm_route_builds_nothing(builds):
+    quotient = BallQuotient(Level(2), -3, 3)
+    phi = _zero_at_origin(quotient, 21)
+    first = _six_routes(quotient, phi, 1.0, 0.5)
+    assert all(builds.values())
+    cold = dict(builds)
+    assert _six_routes(quotient, phi, 1.0, 0.5) == first
+    # both read the jump coset masses the jump integral built
+    eigenvalue_estimates(quotient, 1.0)
+    levy_quotient_vector(quotient, 1.0)
+    assert builds == cold
+
+
+def test_a_new_alpha_or_t_builds_again(builds):
+    quotient = BallQuotient(Level(2), -3, 3)
+    phi = _zero_at_origin(quotient, 22)
+    first = _six_routes(quotient, phi, 1, 0.5)
+    keys = {
+        ("spectral", 1.0), ("kernel", 1.0), ("jump_cosets", 1.0),
+        ("semigroup", 1.0, 0.5), ("heat", 1.0, 0.5),
+    }
+    assert _coefficient_keys(quotient) == keys
+    cold = dict(builds)
+    for alpha in (1.0, Fraction(1), np.float64(1.0)):
+        assert _six_routes(quotient, phi, alpha, Fraction(1, 2)) == first
+    assert builds == cold and _coefficient_keys(quotient) == keys
+    # a new t builds the semigroup and heat coefficients only
+    _six_routes(quotient, phi, 1.0, 2)
+    assert builds["_eigenvalue"] > cold["_eigenvalue"]
+    assert builds["_jump_shell_masses"] == cold["_jump_shell_masses"]
+    keys |= {("semigroup", 1.0, 2.0), ("heat", 1.0, 2.0)}
+    assert _coefficient_keys(quotient) == keys
+    # a new alpha builds all five
+    warm = dict(builds)
+    _six_routes(quotient, phi, 0.5, 2.0)
+    assert builds["_eigenvalue"] > warm["_eigenvalue"]
+    assert builds["_jump_shell_masses"] > warm["_jump_shell_masses"]
+    keys |= {
+        ("spectral", 0.5), ("kernel", 0.5), ("jump_cosets", 0.5),
+        ("semigroup", 0.5, 2.0), ("heat", 0.5, 2.0),
+    }
+    assert _coefficient_keys(quotient) == keys
+
+
+FRESH_LEVELS = {
+    "Q_2": lambda: Level(2),
+    "Q_2-u2": lambda: Level(2).extend_unramified(2),
+    "Q_2-e2": lambda: Level(2).extend_eisenstein([-2, 0]),
+    "Q_3": lambda: Level(3),
+}
+
+
+@pytest.mark.parametrize(
+    "name, lo, s", [("Q_2", -4, 4), ("Q_2-u2", -1, 3), ("Q_2-e2", -4, 2), ("Q_3", -2, 2)]
+)
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_warm_routes_match_a_fresh_level_bit_for_bit(name, lo, s, alpha):
+    warm = BallQuotient(FRESH_LEVELS[name](), lo, s)
+    phi = _zero_at_origin(warm, 23)
+    for t in (0.5, 1.0):
+        _six_routes(warm, phi, alpha, t)
+    for t in (0.5, 1.0):
+        fresh = BallQuotient(FRESH_LEVELS[name](), lo, s)
+        assert _six_routes(warm, phi, alpha, t) == _six_routes(fresh, phi, alpha, t)
+
+
+def test_a_quotient_outside_the_domain_caches_nothing():
+    bad = BallQuotient(Level(2).extend_unramified(2), 2, 4)  # lo = 2 > s0 = 1
+    phi = np.zeros(bad.size)
+    routes = [
+        lambda: apply_spectral(bad, phi, 1.0),
+        lambda: apply_hypersingular(bad, phi, 1.0),
+        lambda: semigroup_apply(bad, phi, 1.0, 1.0),
+        lambda: eigenvalue_estimates(bad, 1.0),
+        lambda: levy_integral_spectral(bad, 1.0, phi),
+    ]
+    for _ in range(2):
+        for route in routes:
+            with pytest.raises(ValueError, match="lo <= s0 <= s"):
+                route()
+    assert _coefficient_keys(bad) == set()
