@@ -6,7 +6,6 @@ functions over an increasing tower of finite extensions of Q_p.
 """
 
 from .padic import (
-    BallCoset,
     ExtElement,
     Level,
     base_level,
@@ -20,7 +19,6 @@ from .padic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallCoset",
     "ExtElement",
     "Level",
     "base_level",

@@ -4,9 +4,10 @@ The working model for a locally constant function with bounded support is a
 vector of values on the quotient G = pi^lo O / pi^s O of a level.  Cosets are
 named by digit strings (rows indexed by the power of the uniformizer, columns
 by residue monomials), and the whole machinery -- additive characters, Fourier
-transforms, measure integrals, refinement to deeper levels -- works on those
-digit strings with exact rational character angles.  The digit system
-sum d * mono * pi^j is linear, so group sums and differences are digit sums:
+transforms, refinement to deeper levels -- works on those digit strings with
+exact rational character angles.  The digit system sum d * mono * pi^j is
+linear, so a coset's representative is the digit combination of the D basis
+elements, and group sums and differences are digit sums:
 ``BallQuotient.index_of_digits`` carries any integer digit vector back to a
 coset index.  Refinement uses the same linearity: the averaged projection T
 is additive, so ``refine_function`` projects the D basis elements exactly
@@ -34,12 +35,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .padic import BallCoset, ExtElement, pairing_angle, project_T
+from .padic import ExtElement, pairing_angle, project_T
 
 __all__ = [
     "BallQuotient",
-    "haar_integral",
-    "mu_integral",
     "fourier",
     "inverse_fourier",
     "plancherel_defect",
@@ -154,19 +153,25 @@ class BallQuotient:
         balls = np.cumsum(self.shell_sums(values)[::-1][: depth + 1])
         return complex(np.dot(balls, [coeffs[depth - j] / q**j for j in range(depth + 1)]))
 
-    def coset(self, index):
-        return BallCoset(
-            self.level, self.lo, self.s, tuple(int(x) for x in self.digit_matrix[index])
-        )
+    def _representatives(self, indices):
+        """The element sum_t dig[g, t] * basis_t of each coset g: the digit
+        system is linear, so the D basis elements are formed once."""
+        lvl, dig = self.level, self.digit_matrix
+        basis = [b.pay for b in self._basis_elements(self.lo)]
+        out = []
+        for g in indices:
+            acc = lvl._zero_pay()
+            for d, b in zip(dig[g].tolist(), basis):
+                if d:
+                    acc = lvl._add_pay(acc, lvl._smul_pay(d, b))
+            out.append(ExtElement(lvl, acc))
+        return out
 
     def representative(self, index):
-        return self.level.coset_representative(self.coset(index))
+        return self._representatives([index])[0]
 
     def representatives(self):
-        def build():
-            return [self.representative(i) for i in range(self.size)]
-
-        return self._cache("reps", build)
+        return self._cache("reps", lambda: self._representatives(range(self.size)))
 
     def index_of_element(self, x):
         """Coset index of an element of pi^lo O (an ExtElement or payload)."""
@@ -330,26 +335,12 @@ class BallQuotient:
     # -- measures ------------------------------------------------------------
 
     @property
-    def haar_coset_volume(self):
-        return Fraction(self.q) ** (-self.s)
-
-    @property
     def mu_coset_mass(self):
         return Fraction(self.q) ** (self.level.s0 - self.s)
 
     @property
     def mu_total_mass(self):
         return Fraction(self.q) ** (self.level.s0 - self.lo)
-
-
-def haar_integral(quotient, values):
-    """Integral against additive Haar measure with vol(O) = 1."""
-    return complex(np.sum(values)) * float(quotient.haar_coset_volume)
-
-
-def mu_integral(quotient, values):
-    """Integral against the normalized measure of the standard ball."""
-    return complex(np.sum(values)) * float(quotient.mu_coset_mass)
 
 
 def _transform(quotient, values, sign=-1):

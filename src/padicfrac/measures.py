@@ -51,8 +51,6 @@ __all__ = [
     "singularity_report",
     "levy_shell_mass",
     "levy_cutoff_valuation",
-    "levy_tail_mass",
-    "levy_quotient_vector",
     "levy_integral",
     "levy_integral_spectral",
     "levy_log_characteristic",
@@ -252,25 +250,6 @@ def levy_cutoff_valuation(level, delta):
     while num * level.p ** (w + 1) <= den:
         w += 1
     return w
-
-
-def levy_tail_mass(level, alpha, delta):
-    """Total jump-measure mass of {size >= delta}: the finite shell sum
-    from s0 up to the cutoff valuation (0.0 when the cutoff lies inside
-    the smallest shell)."""
-    w_max = levy_cutoff_valuation(level, delta)
-    return sum(_jump_shell_masses(level, alpha, range(level.s0, w_max + 1)))
-
-
-def levy_quotient_vector(quotient, alpha):
-    """Jump-measure mass of every nonzero coset of a quotient.
-
-    Shell mass splits evenly over the (q - 1) q^(s - w - 1) cosets of the
-    shell.  The zero coset aggregates all jumps smaller than the quotient
-    resolution, whose total mass diverges: its entry is +inf.
-    """
-    # the zero coset is the only one of valuation s
-    return quotient.from_shells(_jump_coset_masses(quotient, alpha) + [np.inf])
 
 
 def _require_zero_at_origin(values):

@@ -26,12 +26,10 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from typing import NamedTuple
 
 __all__ = [
     "Level",
     "ExtElement",
-    "BallCoset",
     "base_level",
     "vp",
     "frac_part",
@@ -128,20 +126,6 @@ class EisensteinStep:
 
 # ---------------------------------------------------------------------------
 # levels
-
-
-class BallCoset(NamedTuple):
-    """A coset of pi^s O inside pi^lo O, named by its digit string.
-
-    ``digits`` is the flattened (s - lo) x f array of base-p digits, position
-    major: entry ``(j - lo) * f + mu`` is the digit at pi^j times the mu-th
-    residue monomial.
-    """
-
-    level: "Level"
-    lo: int
-    s: int
-    digits: tuple
 
 
 class Level:
@@ -659,23 +643,6 @@ class Level:
                     r = self._add_pay(r, self._smul_pay(dig, mpay))
             cur = self._mul_pay(self._sub_pay(cur, r), pim1)
         return tuple(out)
-
-    def coset_representative(self, coset):
-        """ExtElement representative of a BallCoset of this level."""
-        monos = self._monomials()
-        f = self.f
-        acc = self._zero_pay()
-        for row in range(coset.s - coset.lo):
-            j = coset.lo + row
-            chunk = coset.digits[row * f : (row + 1) * f]
-            if not any(chunk):
-                continue
-            r = self._zero_pay()
-            for dig, mpay in zip(chunk, monos):
-                if dig:
-                    r = self._add_pay(r, self._smul_pay(dig, mpay))
-            acc = self._add_pay(acc, self._mul_pay(r, self._pi_pow_pay(j)))
-        return ExtElement(self, acc)
 
     # -- public element API ----------------------------------------------
 

@@ -5,13 +5,13 @@ total rate, and the process restricted to those jumps is compound Poisson:
 exponential inter-arrival times, jump values drawn shell by shell from the
 truncated measure.  Everything a character can see of the running sum lives
 in a finite ball quotient, so paths are simulated exactly as coset indices.
-The digit system is linear, so a path state is the carry normalisation of
-the summed digit vectors of its jumps: ``simulate_path`` normalises prefix
-sums, ``sample_endpoints`` one digit sum per path.  The characteristic
-function needs no states: a character is a homomorphism, chi_b(sum of
-jumps) = prod chi_b(jump), so ``mc_characteristic`` sums the jumps' exact
-integer phases mod kappa along each path and reads its root of unity from
-a kappa-entry table.  Both samplers share one block loop, ``_path_sums``.
+The digit system is linear, so ``sample_endpoints`` finds a path's endpoint
+as the carry normalisation of the summed digit vectors of its jumps.  The
+characteristic function needs no states: a character is a homomorphism,
+chi_b(sum of jumps) = prod chi_b(jump), so ``mc_characteristic`` sums the
+jumps' exact integer phases mod kappa along each path and reads its root of
+unity from a kappa-entry table.  Both samplers share one block loop,
+``_path_sums``.
 
 Jump cosets, and the per-path jump counts of ``_path_sums``, come from one
 integer inverse-cdf sampler, ``_sampler``: a draw reads a 16-bit chunk of a
@@ -22,8 +22,7 @@ the rest of their 53-bit uniform.  The law is exactly that of inverting the
 cdf rounded up to multiples of 2^-53, as ``Generator.choice`` does; the
 stream is the sampler's own.  The counts are drawn on a Poisson(rate * t)
 table.  A law builds its jump sampler once and its count sampler once per
-horizon.  ``simulate_path`` counts jumps by exponential arrival times
-instead, an independent route to the same Poisson law.
+horizon.
 
 The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
@@ -44,14 +43,12 @@ import numpy as np
 from numpy.random import Generator, Philox  # numpy loads numpy.random lazily: pay it at import
 
 from .funcspace import MAX_DIGIT_ENTRIES, BallQuotient
-from .measures import levy_cutoff_valuation, levy_quotient_vector
-from .vladimirov import _eigenvalue
+from .measures import levy_cutoff_valuation
+from .vladimirov import _eigenvalue, _jump_coset_masses
 
 __all__ = [
     "JumpLaw",
-    "PathSample",
     "build_jump_law",
-    "simulate_path",
     "sample_endpoints",
     "mc_characteristic",
     "expected_characteristic",
@@ -91,20 +88,6 @@ class JumpLaw:
         return self.quotient.level
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One trajectory: arrival times, jump cosets, and the running state."""
-
-    horizon: float
-    times: np.ndarray
-    jumps: np.ndarray
-    states: np.ndarray
-
-    @property
-    def final_index(self):
-        return int(self.states[-1]) if self.states.size else 0
-
-
 def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
     """Truncate the jump measure of the operator to shells of valuation
     at most ``cutoff_valuation`` (equivalently, jumps of size >= ``delta``).
@@ -113,8 +96,8 @@ def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
     the shells s0 .. cutoff and errors out when the cutoff excludes even
     the outermost shell.
     """
-    if alpha <= 0:
-        raise ValueError("the operator exponent must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("the operator exponent must be positive and finite")
     if (cutoff_valuation is None) == (delta is None):
         raise ValueError("give exactly one of cutoff_valuation and delta")
     if delta is not None:
@@ -126,9 +109,8 @@ def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
             f"(shells start at {level.s0})"
         )
     quotient = BallQuotient(level, level.s0, cutoff_valuation + 1)
-    masses = levy_quotient_vector(quotient, alpha)
-    probs = np.zeros_like(masses)
-    probs[1:] = masses[1:]
+    # the zero coset, the only one of valuation s, is no jump
+    probs = quotient.from_shells(_jump_coset_masses(quotient, alpha) + [0.0])
     rate = probs.sum()
     probs /= rate
     return JumpLaw(
@@ -248,40 +230,6 @@ def _count_sampler(law, t):
         k_lo, probs = _poisson_table(law.rate * t)
         law._samplers[key] = _sampler(probs, k_lo)
     return law._samplers[key]
-
-
-def simulate_path(law, t, seed, stream=0):
-    """Draw one trajectory on [0, t]: exponential inter-arrival times at the
-    law's rate, jump cosets from the truncated measure, states by group
-    addition.  Reproducible: (seed, stream) keys a counter-based generator.
-
-    Inter-arrival times are drawn in blocks of about rate * t plus three
-    standard deviations, accumulated and cut at t, until a block crosses t.
-    The arrival times are those of one draw per jump, but the draws past
-    the crossing are spent, so the jumps come from a later point of the
-    stream than one draw per jump would leave it at: the law of the path is
-    the same, the path of a given (seed, stream) is not.
-    """
-    _check_horizon(t)
-    rng = _rng(seed, stream)
-    mean = law.rate * t
-    block = int(mean + 3.0 * math.sqrt(mean)) + 1
-    chunks = []
-    clock = 0.0
-    while True:
-        arrivals = rng.exponential(1.0 / law.rate, size=block)
-        arrivals[0] += clock
-        np.cumsum(arrivals, out=arrivals)
-        cut = int(arrivals.searchsorted(t, side="right"))
-        chunks.append(arrivals[:cut])
-        if cut < block:
-            break
-        clock = arrivals[-1]
-    times = np.concatenate(chunks)
-    jumps = _jump_sampler(law)(rng, times.size)
-    quotient = law.quotient
-    states = quotient.index_of_digits(quotient.digit_matrix[jumps].cumsum(axis=0).T)
-    return PathSample(horizon=float(t), times=times, jumps=jumps, states=states)
 
 
 def _path_sums(law, t, n_paths, seed, stream, columns):

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import ExtElement, Level, base_level, vp
+from .padic import base_level, vp
 
 __all__ = [
     "TowerSpec",

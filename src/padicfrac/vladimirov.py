@@ -46,12 +46,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .funcspace import _transform
 
 __all__ = [
-    "spectral_multiplier",
     "apply_spectral",
     "apply_hypersingular",
     "eigenvalue_estimates",
@@ -118,18 +115,6 @@ def _jump_coset_masses(quotient, alpha):
         ]
 
     return quotient._cache(("jump_cosets", float(alpha)), build)
-
-
-def spectral_multiplier(quotient, alpha):
-    """Eigenvalue vector over the dual labels: ||b||**alpha, zero on labels
-    of nonnegative valuation (they annihilate the standard ball)."""
-    _check_domain(quotient)
-    dual = quotient.dual()
-    # the dual shells of valuation s0-s..-1, then zeros for valuations
-    # 0..s0-lo-1 and the zero label
-    val = np.arange(dual.lo, 0, dtype=np.float64)
-    norm_power = float(quotient.p) ** (-val * float(alpha) / quotient.level.e)
-    return dual.from_shells(np.concatenate([norm_power, np.zeros(dual.s + 1)]))
 
 
 def _radius_eigenvalues(quotient, alpha):

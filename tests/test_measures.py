@@ -21,15 +21,19 @@ from padicfrac.measures import (
     levy_integral,
     levy_integral_spectral,
     levy_log_characteristic,
-    levy_quotient_vector,
     levy_shell_mass,
-    levy_tail_mass,
     mu_ball_mass,
     mu_cylinder_mass,
     singularity_report,
 )
+from padicfrac.process import build_jump_law
 from padicfrac.tower import build_unramified_tower, resolve_tower
-from padicfrac.vladimirov import apply_hypersingular, apply_spectral, semigroup_apply
+from padicfrac.vladimirov import (
+    _jump_coset_masses,
+    apply_hypersingular,
+    apply_spectral,
+    semigroup_apply,
+)
 
 Q2 = base_level(2)
 Q3 = base_level(3)
@@ -334,19 +338,36 @@ def test_levy_cutoff_valuation_exact():
         levy_cutoff_valuation(Q2, 2)
 
 
+def _coset_masses(quotient, alpha):
+    """The oracle jump-measure mass of every coset: each shell's mass over
+    its exact coset count, and 0.0 on the zero coset."""
+    shells = range(quotient.lo, quotient.s)
+    per_shell = [
+        levy_shell_mass(quotient.level, alpha, w) / n for w, n in zip(shells, quotient.shell_sizes())
+    ]
+    return quotient.from_shells(per_shell + [0.0])
+
+
 def test_levy_tail_masses():
-    assert abs(levy_tail_mass(Q2, 1.0, 1) - 1.0) < 1e-14
-    assert abs(levy_tail_mass(Q2, 1.0, Fraction(1, 2)) - 2.5) < 1e-14
-    assert abs(levy_tail_mass(Q2, 1.0, Fraction(1, 4)) - 5.25) < 1e-14
-    assert abs(levy_tail_mass(Q2, 2.0, Fraction(1, 2)) - 9.0) < 1e-13
+    # the rate of the law truncated at size delta is the tail mass
+    def tail(level, alpha, delta):
+        return build_jump_law(level, alpha, delta=delta).rate
+
+    assert abs(tail(Q2, 1.0, 1) - 1.0) < 1e-14
+    assert abs(tail(Q2, 1.0, Fraction(1, 2)) - 2.5) < 1e-14
+    assert abs(tail(Q2, 1.0, Fraction(1, 4)) - 5.25) < 1e-14
+    assert abs(tail(Q2, 2.0, Fraction(1, 2)) - 9.0) < 1e-13
     # cutoff inside the smallest shell: nothing qualifies as a jump
-    assert levy_tail_mass(U, 1.0, 1) == 0.0
+    with pytest.raises(ValueError, match="excludes every jump shell"):
+        tail(U, 1.0, 1)
 
 
-def test_levy_quotient_vector_structure():
-    q = BallQuotient(Q2, 0, 3)
-    vec = levy_quotient_vector(q, 1.0)
-    assert np.isinf(vec[0])
+def test_jump_law_coset_structure():
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=2)
+    q = law.quotient
+    assert q == BallQuotient(Q2, 0, 3)
+    vec = law.coset_probs * law.rate
+    assert vec[0] == 0.0
     assert (vec[1:] > 0).all()
     vals = q.val_pi_vector
     for w in range(3):
@@ -376,8 +397,7 @@ def test_levy_cosets_split_the_shell_masses(quotient, alpha):
     # every coset of the shell of valuation w carries the shell mass times
     # q^(w - s) / (1 - 1/q), bit for bit: the jump law the sampler inverts
     # is built from these entries
-    vec = levy_quotient_vector(quotient, alpha)
-    assert np.isinf(vec[0])
+    vec = quotient.from_shells(_jump_coset_masses(quotient, alpha) + [0.0])
     q, vals = float(quotient.q), quotient.val_pi_vector
     for w in range(quotient.lo, quotient.s):
         mass = levy_shell_mass(quotient.level, alpha, w)
@@ -413,7 +433,7 @@ def test_levy_integrals_match_their_oracles(quotient, alpha):
     rng = np.random.default_rng(31)
     phi = random_function(quotient, rng)
     phi[0] = 0.0
-    per_coset = np.dot(phi[1:], levy_quotient_vector(quotient, alpha)[1:])
+    per_coset = np.dot(phi[1:], _coset_masses(quotient, alpha)[1:])
     at_origin = -apply_spectral(quotient, phi, alpha)[0]
     assert abs(levy_integral(quotient, alpha, phi) - per_coset) <= 1e-14 * abs(per_coset)
     assert abs(levy_integral_spectral(quotient, alpha, phi) - at_origin) <= 1e-14 * abs(at_origin)

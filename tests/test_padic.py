@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from padicfrac.funcspace import BallQuotient
 from padicfrac.padic import (
-    BallCoset,
     ExtElement,
     base_level,
     frac_part,
@@ -298,11 +297,10 @@ def test_digit_round_trip(level, lo, s):
     import random
 
     rng = random.Random(4)
-    f = level.f
+    bq = BallQuotient(level, lo, s)
     for _ in range(6):
-        digs = tuple(rng.randrange(level.p) for _ in range((s - lo) * f))
-        coset = BallCoset(level, lo, s, digs)
-        rep = level.coset_representative(coset)
+        digs = tuple(rng.randrange(level.p) for _ in range(bq.D))
+        rep = bq.representative(bq.index_of_digits(digs))
         assert level.digits_in_ball(rep.pay, lo, s) == digs
 
 

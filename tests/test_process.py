@@ -7,12 +7,7 @@ import pytest
 
 from padicfrac import base_level, process
 from padicfrac.padic import Level
-from padicfrac.measures import (
-    levy_log_characteristic,
-    levy_quotient_vector,
-    levy_shell_mass,
-    levy_tail_mass,
-)
+from padicfrac.measures import levy_log_characteristic, levy_shell_mass
 from padicfrac.process import (
     build_jump_law,
     expected_characteristic,
@@ -22,7 +17,6 @@ from padicfrac.process import (
     poisson_pmf,
     poisson_quantile,
     sample_endpoints,
-    simulate_path,
 )
 from padicfrac.tower import resolve_tower
 
@@ -44,11 +38,14 @@ def _add_table(quotient):
 # law construction
 
 
-def test_build_jump_law_validates_exponent():
-    with pytest.raises(ValueError):
-        build_jump_law(Q2, 0.0, cutoff_valuation=1)
-    with pytest.raises(ValueError):
-        build_jump_law(Q2, -1.0, cutoff_valuation=1)
+def test_build_jump_law_validates_exponent(monkeypatch):
+    # NaN and infinity fail every comparison but one: each must be refused
+    # before a quotient or a coset mass is built
+    monkeypatch.setattr(process, "BallQuotient", _no_table)
+    monkeypatch.setattr(process, "_jump_coset_masses", _no_table)
+    for alpha in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_jump_law(Q2, alpha, cutoff_valuation=1)
 
 
 def test_build_jump_law_needs_exactly_one_cutoff():
@@ -89,7 +86,7 @@ def test_rate_is_the_shell_mass_sum(level, alpha, cutoff, delta, rate):
         levy_shell_mass(level, alpha, w) for w in range(level.s0, cutoff + 1)
     )
     assert abs(law.rate - shells) < 1e-12
-    assert abs(law.rate - levy_tail_mass(level, alpha, delta)) < 1e-12
+    assert abs(law.rate - build_jump_law(level, alpha, delta=delta).rate) < 1e-12
 
 
 @pytest.mark.parametrize("level, cutoff", [(Q2, 2), (U, 3), (E, 1), (W, 4)])
@@ -116,82 +113,11 @@ def test_coset_probs_are_a_symmetric_distribution():
 # path sampling
 
 
-def test_simulate_path_is_reproducible():
-    law = build_jump_law(Q2, 1.0, delta=Fraction(1, 2))
-    a = simulate_path(law, 3.0, seed=5)
-    b = simulate_path(law, 3.0, seed=5)
-    assert (a.times == b.times).all()
-    assert (a.jumps == b.jumps).all()
-    assert (a.states == b.states).all()
-    c = simulate_path(law, 3.0, seed=5, stream=1)
-    assert c.times.size != a.times.size or (c.times != a.times).any()
-
-
-def test_simulate_path_invariants():
-    law = build_jump_law(Q2, 1.0, delta=Fraction(1, 2))
-    path = simulate_path(law, 3.0, seed=5)
-    assert path.horizon == 3.0
-    assert path.times.size == path.jumps.size == path.states.size == 7
-    assert (np.diff(path.times) > 0).all()
-    assert path.times[0] > 0 and path.times[-1] <= 3.0
-    add = _add_table(law.quotient)
-    state = 0
-    for k, j in enumerate(path.jumps):
-        state = add[state, j]
-        assert path.states[k] == state
-    assert path.final_index == 0
-
-
-def test_simulate_path_without_jumps_sits_at_zero():
-    law = build_jump_law(Q2, 1.0, delta=Fraction(1, 2))
-    path = simulate_path(law, 1e-9, seed=5)
-    assert path.times.size == 0
-    assert path.final_index == 0
-
-
-def test_simulate_path_times_are_one_draw_per_jump():
-    # block draws cut at t give the arrival times of one exponential per
-    # jump, also for paths that need a second block
-    law = build_jump_law(Q2, 1.0, delta=Fraction(1, 2))
-    t = 3.0
-    block = int(law.rate * t + 3.0 * math.sqrt(law.rate * t)) + 1
-    long_paths = 0
-    for stream in range(1500):
-        rng = process._rng(5, stream)
-        clock, expect = 0.0, []
-        while True:
-            clock += rng.exponential(1.0 / law.rate)
-            if clock > t:
-                break
-            expect.append(clock)
-        times = simulate_path(law, t, seed=5, stream=stream).times
-        assert times.tolist() == expect
-        long_paths += len(expect) >= block
-    assert long_paths > 0
-
-
-def test_simulate_path_jump_counts_pass_poisson_goodness_of_fit():
-    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
-    t = 1.0
-    counts = np.array(
-        [simulate_path(law, t, seed=17, stream=k).jumps.size for k in range(4000)]
-    )
-    assert poisson_gof_pvalue(counts, law.rate * t) > 0.01
-
-
 BAD_HORIZONS = [0.0, -1.0, -2.0, math.nan, math.inf]
 
 
 def _no_table(*args, **kwargs):
     raise AssertionError("no sampler table may be built")
-
-
-def test_simulate_path_rejects_bad_horizon(monkeypatch):
-    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
-    monkeypatch.setattr(process, "_guide_table", _no_table)
-    for t in BAD_HORIZONS:
-        with pytest.raises(ValueError, match="positive and finite"):
-            simulate_path(law, t, seed=1)
 
 
 def test_sample_endpoints_rejects_bad_horizon(monkeypatch):
@@ -420,8 +346,7 @@ def test_sampling_runs_past_the_old_table_cap():
     assert quotient.size == 8192
     t, n_paths = 1.0 / 4096, 3000
     states, counts = sample_endpoints(law, t, n_paths, seed=5)
-    path = simulate_path(law, 1.0 / 1024, seed=3)
-    assert 0 < counts.sum() and 0 < path.jumps.size
+    assert 0 < counts.sum()
     # the same draws again; chi_b(endpoint) = prod chi_b(jump) for every b
     rng = process._rng(5, 0)
     expect_counts = process._count_sampler(law, t)(rng, n_paths)
@@ -432,13 +357,13 @@ def test_sampling_runs_past_the_old_table_cap():
         phases, kappa = quotient.character_phases(b)
         sums = np.bincount(owner, weights=phases[jumps], minlength=n_paths)
         assert (phases[states] == sums.astype(np.int64) % kappa).all()
-        walk = np.cumsum(phases[path.jumps]) % kappa
-        assert (phases[path.states] == walk).all()
-    # and by field arithmetic on the single path
-    state = quotient.representative(0)
-    for k, j in enumerate(path.jumps):
-        state = state + quotient.representative(j)
-        assert path.states[k] == quotient.index_of_element(state)
+    # and by field arithmetic on every path that jumps
+    ends = np.cumsum(expect_counts)
+    for i in np.flatnonzero(expect_counts):
+        state = quotient.representative(0)
+        for j in jumps[ends[i] - expect_counts[i] : ends[i]]:
+            state = state + quotient.representative(j)
+        assert states[i] == quotient.index_of_element(state)
     limit = quotient.size * quotient.D
     assert max(_entries(v) for v in level._cache.values()) <= limit
 
@@ -780,16 +705,16 @@ def test_mc_characteristic_runs_past_the_table_caps():
 
 def test_mc_characteristic_builds_its_law_once(monkeypatch):
     level = Level(2)  # a fresh cache
-    vectors = []
+    laws = []
 
-    def counted(quotient, alpha):
-        vectors.append(alpha)
-        return levy_quotient_vector(quotient, alpha)
+    def counted(level, alpha, **cutoff):
+        laws.append(alpha)
+        return build_jump_law(level, alpha, **cutoff)
 
-    monkeypatch.setattr(process, "levy_quotient_vector", counted)
+    monkeypatch.setattr(process, "build_jump_law", counted)
     first = mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3)
     assert mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3) == first
-    assert vectors == [1.0]
+    assert laws == [1.0]
     # the cached law draws what a freshly built one draws
     monkeypatch.undo()
     assert mc_characteristic(Level(2), 1.0, -2, 0.5, 1000, seed=3) == first
