@@ -68,6 +68,20 @@ def test_digit_matrix_matches_lex_enumeration():
 
 
 @pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
+def test_representatives_read_back_their_digit_rows(bq):
+    # a representative is built from its digit row by linearity; reading
+    # its digits back through the field must give that row, on every coset
+    reps = bq.representatives()
+    assert len(reps) == bq.size
+    for i, row in enumerate(bq.digit_matrix.tolist()):
+        assert list(bq.level.digits_in_ball(reps[i].pay, bq.lo, bq.s)) == row
+        assert bq.index_of_element(reps[i]) == i
+    # one index at a time is the same element as the batch
+    for i in random.Random(3).sample(range(bq.size), min(bq.size, 8)):
+        assert (bq.representative(i) - reps[i]).is_zero()
+
+
+@pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
 def test_valuation_vector_matches_representatives(bq):
     vals = bq.val_pi_vector
     reps = bq.representatives()

@@ -84,27 +84,25 @@ def test_import_loads_no_scipy():
     assert json.loads(out.stdout) == []
 
 
-def test_every_exported_function_is_read_outside_its_body():
-    # a public function reached only by its own tests restates other code:
-    # some other function of the package, the benchmark's workloads or the
-    # README must name it
-    outside = _identifiers(ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")))
-    outside |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
-    nodes = [(node, _identifiers(node)) for tree in SOURCES.values() for node in tree.body]
+def _unread_exports(sources, outside):
+    """module.function for each function in a module's __all__ that no
+    top-level node other than its own definition names, nor ``outside``."""
+    nodes = [(node, _identifiers(node)) for tree in sources.values() for node in tree.body]
     unread = []
-    for name, tree in SOURCES.items():
+    for name, tree in sources.items():
         for fn in tree.body:
             if not isinstance(fn, ast.FunctionDef) or fn.name not in _exports(tree):
                 continue
             readers = set().union(outside, *(ids for node, ids in nodes if node is not fn))
             if fn.name not in readers | UNREACHED_EXEMPT:
                 unread.append(f"{name}.{fn.name}")
-    assert unread == []
+    return unread
 
 
-def test_every_module_level_import_is_used():
+def _unused_imports(sources):
+    """module: name for each module-level import its module never reads."""
     unused = []
-    for name, tree in SOURCES.items():
+    for name, tree in sources.items():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exports(tree)
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -114,4 +112,49 @@ def test_every_module_level_import_is_used():
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in read:
                         unused.append(f"{name}: {bound}")
-    assert unused == []
+    return unused
+
+
+def test_every_exported_function_is_read_outside_its_body():
+    # a public function reached only by its own tests restates other code:
+    # some other function of the package, the benchmark's workloads or the
+    # README must name it
+    outside = _identifiers(ast.parse((ROOT / "perfbench" / "workloads.py").read_text(encoding="utf-8")))
+    outside |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    assert _unread_exports(SOURCES, outside) == []
+
+
+def test_the_export_guard_flags_a_function_only_its_body_reads():
+    planted = {
+        "a": ast.parse(
+            '__all__ = ["used", "recursive", "lonely", "refine_function", "Kept"]\n'
+            "def used(): return 1\n"
+            "def recursive(n): return recursive(n - 1) if n else 0\n"
+            "def lonely(): return used()\n"
+            "def refine_function(): return 0\n"
+            "class Kept: pass\n"
+        ),
+        "b": ast.parse("from a import used\nx = used()\n"),
+    }
+    # a call from inside its own body is no reader; classes are not swept
+    assert _unread_exports(planted, set()) == ["a.recursive", "a.lonely"]
+    assert _unread_exports(planted, {"lonely", "recursive"}) == []
+
+
+def test_every_module_level_import_is_used():
+    assert _unused_imports(SOURCES) == []
+
+
+def test_the_import_guard_flags_an_unused_import():
+    planted = {
+        "a": ast.parse(
+            "from __future__ import annotations\n"
+            "import math\n"
+            "import os.path\n"
+            "import numpy as np\n"
+            "from .b import Used, Exported, Dropped\n"
+            '__all__ = ["Exported"]\n'
+            "def f(): return math.pi, os.path.sep, Used\n"
+        ),
+    }
+    assert _unused_imports(planted) == ["a: np", "a: Dropped"]
