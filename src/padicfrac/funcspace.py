@@ -155,7 +155,7 @@ class BallQuotient:
 
     def _representatives(self, indices):
         """The element sum_t dig[g, t] * basis_t of each coset g: the digit
-        system is linear, so the D basis elements are formed once."""
+        system is linear, so a coset costs at most D scaled additions."""
         lvl, dig = self.level, self.digit_matrix
         basis = [b.pay for b in self._basis_elements(self.lo)]
         out = []
@@ -222,13 +222,19 @@ class BallQuotient:
         return BallQuotient(self.level, s0 - self.s, s0 - self.lo)
 
     def _basis_elements(self, lo):
-        monos = self.level._monomials()
-        out = []
-        for j in range(lo, lo + self.J):
-            pw = self.level._pi_pow_pay(j)
-            for mpay in monos:
-                out.append(ExtElement(self.level, self.level._mul_pay(pw, mpay)))
-        return out
+        """The D elements mono_mu * pi^j, rows j = lo .. lo + J - 1, in digit
+        order: kept in the level's cache per (lo, J), so the representatives,
+        the pairing table and the carries form them once between them."""
+        key = ("bq", "basis", lo, self.J)
+        cache = self.level._cache
+        if key not in cache:
+            lvl, monos = self.level, self.level._monomials()
+            cache[key] = tuple(
+                ExtElement(lvl, lvl._mul_pay(lvl._pi_pow_pay(j), mpay))
+                for j in range(lo, lo + self.J)
+                for mpay in monos
+            )
+        return cache[key]
 
     def _pairing(self):
         """(theta_int, kappa): the exact D x D table of basis pairing angles

@@ -28,6 +28,10 @@ The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
 so once the cutoff covers that shell the truncated process has exactly the
 characteristic function exp(-t ||label||^alpha) of the full one.
+``mc_characteristic`` keeps only the shells the label can see, s0 through
+that boundary shell: the jumps past it are an independent Poisson process
+of phase 0 (Kingman 1993, 5.1), so dropping them leaves every path's phase
+sum unchanged in law.
 
 The jump counts of a path are Poisson(rate * t); ``poisson_gof_pvalue``
 tests them with a chi-square statistic, its Poisson and chi-square laws
@@ -292,9 +296,9 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     """Monte Carlo estimate of the characteristic function at a label of
     the given pi-valuation.
 
-    The cutoff is chosen so the truncation is exact in law (it covers both
-    the label's size threshold and the last nontrivially-paired shell), so
-    the estimate targets exp(-t ||label||^alpha) with no truncation bias.
+    The cutoff is the boundary shell s0 + L - 1, the last one the label
+    pairs nontrivially with, so the truncation is exact in law and the
+    estimate targets exp(-t ||label||^alpha) with no truncation bias.
     Returns (estimate, stderr).  The draws are those of ``sample_endpoints``
     through the shared ``_path_sums``, and each path's value is
     chi_b(endpoint), computed as the sum of its jumps' integer phases mod
@@ -309,7 +313,7 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     if n_paths < 2:
         raise ValueError("a standard error needs at least two paths")
     L = -lam_valuation
-    cutoff = max(L, level.s0 + L - 1)
+    cutoff = level.s0 + L - 1
     key = ("jump_law", float(alpha), cutoff)
     if key not in level._cache:
         law = build_jump_law(level, alpha, cutoff_valuation=cutoff)

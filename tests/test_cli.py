@@ -465,6 +465,16 @@ def test_default_simulate_fails_fast_within_a_memory_limit():
     }
 
 
+def test_deep_label_simulates_within_a_memory_limit():
+    # the jump law of a label of valuation -19 on Q_2 stops at its boundary
+    # shell: a 2^19-coset quotient, inside the digit-matrix budget
+    argv = ["simulate", "--tower", "qp:p=2", "--lam-valuation", "-19", "--t", "1e-5",
+            "--format", "json"]
+    proc = _run_capped(argv, 1536 << 20, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["config"]["lam_valuation"] == -19
+
+
 # mc_characteristic holds at most 7 int64 entries per path at its peak
 MAX_PATHS = MAX_DIGIT_ENTRIES // 7
 

@@ -81,6 +81,25 @@ def test_representatives_read_back_their_digit_rows(bq):
         assert (bq.representative(i) - reps[i]).is_zero()
 
 
+def test_basis_is_formed_once_per_rows(monkeypatch):
+    # the D basis elements are kept in the level cache per (lo, J), so
+    # representative(i) only scales and adds them, and the dual quotient's
+    # pairing table reads the same two row ranges the other way round
+    lvl = Level(2).extend_unramified(2)  # a fresh cache
+    bq = BallQuotient(lvl, -1, 3)
+    first = bq.representative(5)
+    products = []
+    mul = lvl._mul_pay
+    monkeypatch.setattr(lvl, "_mul_pay", lambda a, b: products.append(1) or mul(a, b))
+    assert (bq.representative(5) - first).is_zero()
+    for i in range(bq.size):
+        bq.representative(i)
+    assert products == []
+    dual = bq.dual()
+    assert dual._basis_elements(lvl.s0 - dual.s) is bq._basis_elements(bq.lo)
+    assert BallQuotient(lvl, -1, 3)._basis_elements(-1) is bq._basis_elements(-1)
+
+
 @pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
 def test_valuation_vector_matches_representatives(bq):
     vals = bq.val_pi_vector

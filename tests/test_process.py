@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from padicfrac import base_level, process
+from padicfrac.funcspace import BallQuotient
 from padicfrac.padic import Level
 from padicfrac.measures import levy_log_characteristic, levy_shell_mass
 from padicfrac.process import (
@@ -652,9 +653,10 @@ def test_mc_characteristic_is_reproducible():
 
 
 def _mc_oracle(level, alpha, lam_valuation, t, n_paths, seed, stream):
-    # the same estimate from path endpoints and the character table
+    # the same estimate from path endpoints and the character table, on the
+    # law cut at the boundary shell s0 + L - 1
     L = -lam_valuation
-    law = build_jump_law(level, alpha, cutoff_valuation=max(L, level.s0 + L - 1))
+    law = build_jump_law(level, alpha, cutoff_valuation=level.s0 + L - 1)
     states, counts = sample_endpoints(law, t, n_paths, seed, stream)
     b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
     phases, kappa = law.quotient.character_phases(b)
@@ -690,6 +692,44 @@ def test_mc_characteristic_matches_the_endpoint_oracle(
         assert jumps == 0 and got == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("level", [Q2, U, E, W, Q3], ids=["Q2", "U", "E", "W", "Q3"])
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_cosets_past_the_boundary_shell_pair_trivially(level, L):
+    # the premise of cutting the jump law at s0 + L - 1: on the quotient the
+    # law was once cut on, every coset of valuation >= s0 + L has phase 0
+    # for the label pi^(-L), so the jumps there are invisible to it, while
+    # the boundary shell itself is not
+    boundary = level.s0 + L - 1
+    quotient = BallQuotient(level, level.s0, max(L, boundary) + 1)
+    b = quotient.dual().index_of_element(level.uniformizer_pow(-L))
+    phases, _ = quotient.character_phases(b)
+    vals = quotient.val_pi_vector
+    assert not phases[vals > boundary].any()
+    assert phases[vals == boundary].any()
+    if level.s0 <= 0:  # the old cutoff drew jumps past the boundary
+        assert (vals[1:] > boundary).any()
+
+
+# the four benchmark cases on Q_2-u2 at seed 1, pinned before the jump law
+# was cut at the boundary shell; there s0 = 1, so the cutoff did not move
+U_PINS = [
+    (1.0, -1, 1.0, 5, "((0.132+5.3149671082995135e-17j), 0.009912992824706084)"),
+    (1.0, -2, 0.5, 6, "((0.15510000000000002-0.003499999999999969j), 0.009879419734651897)"),
+    (2.0, -1, 1.0, 7, "((0.001+6.11711076174103e-17j), 0.010000495037251856)"),
+    (0.5, -3, 1.0, 8, "((0.04685563491861037+0.00027157287525381515j), 0.00998951583486989)"),
+]
+
+
+@pytest.mark.parametrize("alpha, lam_valuation, t, stream, pinned", U_PINS)
+def test_mc_characteristic_is_unchanged_where_s0_is_positive(
+    alpha, lam_valuation, t, stream, pinned
+):
+    L = -lam_valuation
+    assert max(L, U.s0 + L - 1) == U.s0 + L - 1
+    got = mc_characteristic(U, alpha, lam_valuation, t, 10_000, 1, stream)
+    assert repr(got) == pinned
+
+
 def test_mc_characteristic_runs_past_the_table_caps():
     level = Level(2)  # a fresh cache, so every table below is built here
     t = 1.0 / 4096
@@ -723,16 +763,19 @@ def test_mc_characteristic_builds_its_law_once(monkeypatch):
 @pytest.mark.parametrize(
     "p, alpha, lam_valuation, stream, pinned",
     [
-        # Q_3 at alpha = 1: a cdf breakpoint of its law, 0.75, sits on a
-        # guide-table bucket edge, so the last bit of a coset mass can move
-        # a draw
-        (3, 1.0, -1, 13, "((0.04779999999999993+0.0003464101615138859j), 0.009989068132123977)"),
-        (2, 2.0, -1, 3, "((0.011600000000000001+6.05220448138622e-17j), 0.009999827181224955)"),
+        # Q_3 at alpha = 1: the law's two cosets of mass 1/2 put its cdf
+        # breakpoint on a guide-table bucket edge
+        (3, 1.0, -1, 13, "((0.05259999999999993+0.007101408311032506j), 0.009986403447957756)"),
+        # Q_2 at L = 1: one jump coset, so the count draws alone move the bits
+        (2, 2.0, -1, 3, "((0.0036000000000000003+6.101190353352114e-17j), 0.010000435234052918)"),
+        # Q_2 at L = 3: seven cosets over three shells, whose breakpoints
+        # fall inside guide buckets, so the jump draws read fresh words
+        (2, 0.5, -3, 4, "((0.06668578643762688-0.005162741699796948j), 0.009978105604656598)"),
     ],
-    ids=["Q_3-alpha1", "Q_2-alpha2"],
+    ids=["Q_3-alpha1", "Q_2-alpha2", "Q_2-alpha0.5"],
 )
 def test_mc_characteristic_stream_is_pinned(p, alpha, lam_valuation, stream, pinned):
-    # two cases of the benchmark's first timed cycle at seed 1 (10,000 paths
+    # cases of the benchmark's first timed cycle at seed 1 (10,000 paths
     # each): a change that moves any draw of the jump or count samplers
     # changes these bits
     got = mc_characteristic(base_level(p), alpha, lam_valuation, 1.0, 10_000, 1, stream)
@@ -769,10 +812,15 @@ def test_expected_characteristic_values():
 @pytest.mark.parametrize("level", [Q2, U, E, W])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("L", [1, 2])
+@pytest.mark.parametrize(
+    "cutoff_of",
+    [lambda s0, L: s0 + L - 1, lambda s0, L: max(L, s0 + L - 1)],
+    ids=["boundary", "past-boundary"],
+)
 def test_truncated_log_characteristic_is_exact_past_the_boundary_shell(
-    level, alpha, L
+    level, alpha, L, cutoff_of
 ):
-    cutoff = max(L, level.s0 + L - 1)
+    cutoff = cutoff_of(level.s0, L)
     law = build_jump_law(level, alpha, cutoff_valuation=cutoff)
     got = levy_log_characteristic(law.level, law.alpha, -L, 1.5, cutoff=law.cutoff)
     want = -1.5 * float(level.p) ** (L * alpha / level.e)
