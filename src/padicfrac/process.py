@@ -11,7 +11,12 @@ characteristic function needs no states: a character is a homomorphism,
 chi_b(sum of jumps) = prod chi_b(jump), so ``mc_characteristic`` sums the
 jumps' exact integer phases mod kappa along each path and reads its root of
 unity from a kappa-entry table.  Both samplers share one block loop,
-``_path_sums``.
+``_path_sums``.  A law with a single jump coset g needs no jump draws: a
+path of N jumps sums to N times g's column, so its sums are read from the
+counts alone.  ``sample_counts`` draws only the counts, the first draws of
+the stream ``_path_sums`` reads, so a reader of the counts alone (the
+Poisson test) gets the same counts with no jump drawn and no endpoint
+formed.
 
 Jump cosets, and the per-path jump counts of ``_path_sums``, come from one
 integer inverse-cdf sampler, ``_sampler``: a draw reads a 16-bit chunk of a
@@ -54,6 +59,7 @@ __all__ = [
     "JumpLaw",
     "build_jump_law",
     "sample_endpoints",
+    "sample_counts",
     "mc_characteristic",
     "expected_characteristic",
     "poisson_pmf",
@@ -77,7 +83,8 @@ class JumpLaw:
     shell splits into whole cosets; ``coset_probs[g]`` is the probability
     that a single jump lands in coset g (zero for the zero coset), and
     ``rate`` is the total jump intensity.  ``_samplers`` keeps the samplers
-    built on the law (``_jump_sampler``, ``_count_sampler``).
+    built on the law (``_jump_sampler``, ``_count_sampler``) and its only
+    jump coset, when it has one (``_single_coset``).
     """
 
     alpha: float
@@ -202,6 +209,14 @@ def _jump_sampler(law):
     return law._samplers["jumps"]
 
 
+def _single_coset(law):
+    """The law's only jump coset, or None when it has several; found once."""
+    if "single" not in law._samplers:
+        (cosets,) = np.nonzero(law.coset_probs)
+        law._samplers["single"] = int(cosets[0]) if cosets.size == 1 else None
+    return law._samplers["single"]
+
+
 def _poisson_table(lam):
     """(k_lo, probs): the Poisson(lam) law on the counts k_lo..k_hi, scaled
     to 1 at the mode.  Each tail left out holds < 2^-53 of the mass by
@@ -236,6 +251,11 @@ def _count_sampler(law, t):
     return law._samplers[key]
 
 
+def _check_paths(n_paths, per_path):
+    if n_paths * per_path > MAX_DIGIT_ENTRIES:
+        raise ValueError("n_paths too large: its per-path arrays exceed the size budget")
+
+
 def _path_sums(law, t, n_paths, seed, stream, columns):
     """(sums, counts) for n_paths paths of the law on [0, t]: counts are
     the Poisson(rate * t) jump counts and sums[:, i] the sum of
@@ -244,17 +264,20 @@ def _path_sums(law, t, n_paths, seed, stream, columns):
     path order, in blocks of ``_BLOCK_DRAWS`` jumps however the paths fall.
     A block's prefix sums are read at every path end it holds, and a path's
     sum is the difference between its end and the previous path's, which
-    may lie in an earlier block.
+    may lie in an earlier block.  A law with a single jump coset g draws no
+    jumps: sums[:, i] is counts[i] times columns[:, g].
 
     The per-path arrays peak at 2 len(columns) + 5 int64 entries a path:
     the counts, their ends, the sums and the path ends of a block here,
     then what the callers add, a copy of the sums in ``index_of_digits``
     or the totals mod kappa, z and its temporaries.  An n_paths whose peak
     exceeds the entry budget is refused before any draw."""
-    if n_paths * (2 * len(columns) + 5) > MAX_DIGIT_ENTRIES:
-        raise ValueError("n_paths too large: its per-path arrays exceed the size budget")
+    _check_paths(n_paths, 2 * len(columns) + 5)
     rng = _rng(seed, stream)
     counts = _count_sampler(law, t)(rng, n_paths)
+    g = _single_coset(law)
+    if g is not None:
+        return columns[:, g : g + 1] * counts, counts
     draw = _jump_sampler(law)
     ends = np.cumsum(counts)
     total = int(counts.sum())
@@ -290,6 +313,18 @@ def sample_endpoints(law, t, n_paths, seed, stream=0):
     columns = np.ascontiguousarray(quotient.digit_matrix.T)
     sums, counts = _path_sums(law, t, n_paths, seed, stream, columns)
     return quotient.index_of_digits(sums), counts
+
+
+def sample_counts(law, t, n_paths, seed, stream=0):
+    """The Poisson(rate * t) jump counts of n_paths independent
+    trajectories on [0, t]: the counts ``sample_endpoints`` returns on the
+    same (seed, stream), bit for bit, as they are the first draws of its
+    stream; no jump is drawn and no endpoint formed.  The per-path arrays
+    are the counts and a reader's copy of them (``poisson_gof_pvalue``
+    clips one), held to the entry budget before any draw."""
+    _check_horizon(t)
+    _check_paths(n_paths, 2)
+    return _count_sampler(law, t)(_rng(seed, stream), n_paths)
 
 
 def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):

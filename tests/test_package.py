@@ -124,6 +124,17 @@ def test_every_exported_function_is_read_outside_its_body():
     assert _unread_exports(SOURCES, outside) == []
 
 
+def test_readme_python_blocks_run_in_order():
+    # the documented API, run as a reader pasting the blocks in order would,
+    # one namespace for all of them
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) >= 3
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "<README.md>", "exec"), namespace)
+
+
 def test_the_export_guard_flags_a_function_only_its_body_reads():
     planted = {
         "a": ast.parse(

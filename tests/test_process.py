@@ -17,6 +17,7 @@ from padicfrac.process import (
     poisson_gof_pvalue,
     poisson_pmf,
     poisson_quantile,
+    sample_counts,
     sample_endpoints,
 )
 from padicfrac.tower import resolve_tower
@@ -138,6 +139,7 @@ def test_sample_endpoints_rejects_bad_horizon(monkeypatch):
         (E, 2, 1.0, 1),
         (W, 6, 1e-9, 50),
         (Q2, 2, 4000.0, 3),  # about 21,000 jumps a path: paths span blocks
+        (E, -1, 3.0, 300),  # one jump coset: the sums come from the counts
     ],
 )
 def test_sample_endpoints_matches_per_path_walk(monkeypatch, level, cutoff, t, n_paths):
@@ -156,8 +158,12 @@ def test_sample_endpoints_matches_per_path_walk(monkeypatch, level, cutoff, t, n
 
     monkeypatch.setattr(process, "_jump_sampler", counted)
     states, counts = sample_endpoints(law, t, n_paths, seed=9, stream=2)
-    # the jumps are drawn in blocks of at most _BLOCK_DRAWS, however long a path
-    assert sum(asked) == counts.sum() and max(asked, default=0) <= process._BLOCK_DRAWS
+    # the jumps are drawn in blocks of at most _BLOCK_DRAWS, however long a
+    # path, and not at all on a law of one jump coset
+    if np.count_nonzero(law.coset_probs) == 1:
+        assert asked == [] and counts.sum() > 0
+    else:
+        assert sum(asked) == counts.sum() and max(asked, default=0) <= process._BLOCK_DRAWS
     if t > 1000:
         assert counts.min() > 2 * process._BLOCK_DRAWS
     monkeypatch.undo()
@@ -380,6 +386,40 @@ def test_sample_endpoints_is_reproducible_and_stream_separated():
     assert (s_a >= 0).all() and (s_a < law.quotient.size).all()
     with pytest.raises(ValueError):
         sample_endpoints(law, 0.0, 10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "level,cutoff",
+    [(Q2, 0), (Q2, 2), (U, 2), (E, -1), (E, 1), (W, 6), (Q3, 1)],
+)
+def test_sample_counts_are_the_endpoint_counts(level, cutoff):
+    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    for t, seed, stream in [(0.2, 1, 0), (1.0, 9, 2), (3.5, 42, 7), (1e-9, 3, 1)]:
+        counts = sample_counts(law, t, 700, seed, stream)
+        _, expect = sample_endpoints(law, t, 700, seed, stream)
+        assert counts.dtype == expect.dtype and (counts == expect).all()
+
+
+def test_sample_counts_refuse_before_any_draw(monkeypatch):
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
+    monkeypatch.setattr(process, "_guide_table", _no_table)
+    monkeypatch.setattr(process, "_rng", _no_table)
+    for t in BAD_HORIZONS:
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_counts(law, t, 10, seed=1)
+    # the counts and a reader's clipped copy: two int64 entries a path
+    with pytest.raises(ValueError, match="size budget"):
+        sample_counts(law, 1.0, process.MAX_DIGIT_ENTRIES // 2 + 1, seed=1)
+
+
+def test_check_monte_carlo_pvalues_are_pinned():
+    # the Poisson GOF p-values of acceptance.check_monte_carlo, at the bits
+    # its counts gave when they were drawn through sample_endpoints
+    pinned = [0.34543288882340806, 0.504428841453127, 0.18428113681814318]
+    for (alpha, v, t), pval in zip([(1.0, -1, 1.0), (1.0, -2, 0.5), (2.0, -1, 1.0)], pinned):
+        law = build_jump_law(Q2, alpha, delta=Fraction(1, 2 ** (-v)))
+        counts = sample_counts(law, t, 100_000, 2718)
+        assert poisson_gof_pvalue(counts, law.rate * t) == pval
 
 
 def test_jump_counts_pass_poisson_goodness_of_fit():
@@ -780,6 +820,17 @@ def test_mc_characteristic_stream_is_pinned(p, alpha, lam_valuation, stream, pin
     # changes these bits
     got = mc_characteristic(base_level(p), alpha, lam_valuation, 1.0, 10_000, 1, stream)
     assert repr(got) == pinned
+
+
+def test_one_coset_law_draws_no_jumps(monkeypatch):
+    # Q_2 at L = 1: the jump law's one coset, so a path's phase sum is its
+    # count times that coset's phase, read with no jump sampler
+    def no_jumps(law):
+        raise AssertionError("a one-coset law must draw no jumps")
+
+    monkeypatch.setattr(process, "_jump_sampler", no_jumps)
+    got = mc_characteristic(Level(2), 2.0, -1, 1.0, 10_000, 1, 3)
+    assert repr(got) == "((0.0036000000000000003+6.101190353352114e-17j), 0.010000435234052918)"
 
 
 @pytest.mark.parametrize(
