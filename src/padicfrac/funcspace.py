@@ -94,11 +94,7 @@ class BallQuotient:
             raise ValueError("quotient too large to enumerate")
 
     def _cache(self, name, builder):
-        key = ("bq", name, self.lo, self.s)
-        cache = self.level._cache
-        if key not in cache:
-            cache[key] = builder()
-        return cache[key]
+        return self.level._memo(("bq", name, self.lo, self.s), builder)
 
     # -- digit coordinates ---------------------------------------------------
 
@@ -225,16 +221,17 @@ class BallQuotient:
         """The D elements mono_mu * pi^j, rows j = lo .. lo + J - 1, in digit
         order: kept in the level's cache per (lo, J), so the representatives,
         the pairing table and the carries form them once between them."""
-        key = ("bq", "basis", lo, self.J)
-        cache = self.level._cache
-        if key not in cache:
-            lvl, monos = self.level, self.level._monomials()
-            cache[key] = tuple(
+        lvl = self.level
+
+        def build():
+            monos = lvl._monomials()
+            return tuple(
                 ExtElement(lvl, lvl._mul_pay(lvl._pi_pow_pay(j), mpay))
                 for j in range(lo, lo + self.J)
                 for mpay in monos
             )
-        return cache[key]
+
+        return lvl._memo(("bq", "basis", lo, self.J), build)
 
     def _pairing(self):
         """(theta_int, kappa): the exact D x D table of basis pairing angles
@@ -269,10 +266,10 @@ class BallQuotient:
 
         return self._cache("pairing", build)
 
-    def character_phases(self, b=slice(None)):
+    def character_phases(self, b):
         """(phases, kappa) with chi_b(g) = exp(2 pi i phases[g] / kappa) for
-        dual label b (an index, or by default every label): rows of the
-        character table as exact integers, O(|G| D) per row."""
+        dual label b (an index): one row of the character table as exact
+        integers, O(|G| D)."""
         theta_int, kappa = self._pairing()
         dig = self.digit_matrix
         return (dig[b] @ theta_int @ dig.T) % kappa, kappa
@@ -435,10 +432,7 @@ def refine_function(src, values, target_level):
         return src.index_of_digits(images.T @ dst.digit_matrix.T)
 
     key = ("bq", "refine", dst.lo, dst.s, n_level.depth, src.lo, src.s)
-    cache = target_level._cache
-    if key not in cache:
-        cache[key] = build_map()
-    return dst, values[cache[key]]
+    return dst, values[target_level._memo(key, build_map)]
 
 
 def random_function(quotient, rng):

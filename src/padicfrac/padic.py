@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -80,48 +81,28 @@ def frac_part(x, p):
 # tower steps
 
 
-class UnramifiedStep:
-    """Unramified step: a monic lift of an irreducible residue polynomial.
+@dataclass(frozen=True)
+class Step:
+    """One defining step over the level below: ``kind`` is "unramified" (a
+    monic lift of an irreducible residue polynomial) or "eisenstein"
+    (monic, v(c_i) >= 1 for i < degree, v(c_0) = 1).
 
     ``coeffs`` holds the non-leading coefficients (constant term first) as
-    payloads over the parent level; ``None`` defers the deterministic search
-    until element arithmetic first needs the polynomial.
+    payloads over the parent level.  It is None for an unramified step whose
+    polynomial is searched: the search result is kept in the cache of the
+    level the step tops, so a step, and the key of every level holding it,
+    never changes once made.
     """
 
-    kind = "unramified"
+    kind: str
+    degree: int
+    coeffs: tuple | None = None
 
-    def __init__(self, degree, coeffs=None):
-        self.degree = int(degree)
+    def __post_init__(self):
         if self.degree < 2:
-            raise ValueError("unramified step degree must be >= 2")
-        self.e_factor = 1
-        self.f_factor = self.degree
-        self.coeffs = None if coeffs is None else tuple(coeffs)
-        self.power_sums = None
-
-    def key(self):
-        return ("u", self.degree, self.coeffs)
-
-
-class EisensteinStep:
-    """Eisenstein step: monic, v(c_i) >= 1 for i < degree, v(c_0) = 1."""
-
-    kind = "eisenstein"
-
-    def __init__(self, degree, coeffs):
-        self.degree = int(degree)
-        if self.degree < 2:
-            raise ValueError("eisenstein step degree must be >= 2")
-        self.e_factor = self.degree
-        self.f_factor = 1
-        self.coeffs = tuple(coeffs)
-        if len(self.coeffs) != self.degree:
+            raise ValueError(f"{self.kind} step degree must be >= 2")
+        if self.coeffs is not None and len(self.coeffs) != self.degree:
             raise ValueError("need exactly `degree` non-leading coefficients")
-        self.power_sums = None
-        self.d_step = None
-
-    def key(self):
-        return ("e", self.degree, self.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +113,9 @@ class Level:
     """A finite extension of Q_p presented by a chain of defining steps.
 
     Levels of a tower are chain prefixes, so elements of a shallower level
-    embed into deeper ones by zero padding.  All caches live on the level;
-    construction is cheap, heavy tables are built lazily.
+    embed into deeper ones by zero padding.  Construction is cheap: every
+    table, coefficient list, jump law and sampler built on the level is
+    built lazily, once, through ``_memo`` and kept in ``_cache``.
     """
 
     def __init__(self, p, steps=(), parent=None):
@@ -142,8 +124,10 @@ class Level:
         self.parent = parent
         e = f = 1
         for st in self.steps:
-            e *= st.e_factor
-            f *= st.f_factor
+            if st.kind == "eisenstein":
+                e *= st.degree
+            else:
+                f *= st.degree
         self.e = e
         self.f = f
         self.m = e * f
@@ -151,18 +135,28 @@ class Level:
         self.c = vp(self.m, self.p)  # v_p of the level degree m
         self._cache = {}
 
+    def _memo(self, key, build):
+        """The value kept under ``key``, built by ``build()`` on the first
+        call: the one writer of ``_cache``.  A hit is one dict lookup."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            pass
+        value = self._cache[key] = build()
+        return value
+
     # -- construction ----------------------------------------------------
 
     def extend_unramified(self, degree, coeffs=None):
         if coeffs is not None:
             coeffs = tuple(self._as_pay(c) for c in coeffs)
             self._validate_unramified_coeffs(coeffs)
-        step = UnramifiedStep(degree, coeffs)
+        step = Step("unramified", int(degree), coeffs)
         return Level(self.p, self.steps + (step,), parent=self)
 
     def extend_eisenstein(self, coeffs):
         coeffs = tuple(self._as_pay(c) for c in coeffs)
-        step = EisensteinStep(len(coeffs), coeffs)
+        step = Step("eisenstein", len(coeffs), coeffs)
         lvl = Level(self.p, self.steps + (step,), parent=self)
         v0 = self._val_pi_pay(coeffs[0])
         if v0 != 1:
@@ -194,41 +188,30 @@ class Level:
     @property
     def d(self):
         """Exponent of the different over Q_p, in pi-units of this level."""
-        if "d" not in self._cache:
+
+        def build():
             if self.depth == 0:
-                self._cache["d"] = 0
-            else:
-                st = self.steps[-1]
-                base = self.parent.d
-                if st.kind == "unramified":
-                    self._cache["d"] = base
-                else:
-                    self._cache["d"] = st.degree * base + self._d_step(st)
-        return self._cache["d"]
+                return 0
+            st, par = self.steps[-1], self.parent
+            if st.kind == "unramified":
+                return par.d
+            # an Eisenstein step adds v(E'(pi)) at this level; exact, no
+            # cancellation since the term valuations are pairwise distinct
+            # mod the step degree
+            e = st.degree
+            slots = [par._smul_pay(j + 1, st.coeffs[j + 1]) for j in range(e - 1)]
+            slots.append(par._smul_pay(e, par._one_pay()))
+            return e * par.d + self._val_pi_pay(tuple(slots))
+
+        return self._memo("d", build)
 
     @property
     def s0(self):
         """pi-exponent of the level's standard compact ball e*c - d."""
         return self.e * self.c - self.d
 
-    def _d_step(self, st):
-        if st.d_step is None:
-            # valuation of E'(pi) at this level; exact, no cancellation since
-            # the term valuations are pairwise distinct mod the step degree.
-            e = st.degree
-            par = self.parent
-            slots = []
-            for j in range(e):
-                if j + 1 < e:
-                    cj = par._smul_pay(j + 1, st.coeffs[j + 1])
-                else:
-                    cj = par._smul_pay(e, par._one_pay())
-                slots.append(cj)
-            st.d_step = self._val_pi_pay(tuple(slots))
-        return st.d_step
-
     def key(self):
-        return (self.p, tuple(st.key() for st in self.steps))
+        return (self.p, self.steps)
 
     def __eq__(self, other):
         return isinstance(other, Level) and self.key() == other.key()
@@ -245,20 +228,18 @@ class Level:
     def is_prefix_of(self, other):
         if self.p != other.p or self.depth > other.depth:
             return False
-        return self.key()[1] == other.key()[1][: self.depth]
+        return self.steps == other.steps[: self.depth]
 
     # -- payload arithmetic ----------------------------------------------
     # A payload is a Fraction at depth 0, else a tuple of parent payloads of
     # length equal to the top step degree.
 
     def _zero_pay(self):
-        if "zero" not in self._cache:
-            if self.depth == 0:
-                self._cache["zero"] = Fraction(0)
-            else:
-                z = self.parent._zero_pay()
-                self._cache["zero"] = (z,) * self.steps[-1].degree
-        return self._cache["zero"]
+        return self._memo(
+            "zero",
+            lambda: Fraction(0) if self.depth == 0
+            else (self.parent._zero_pay(),) * self.steps[-1].degree,
+        )
 
     def _one_pay(self):
         return self._scalar_pay(1)
@@ -330,10 +311,12 @@ class Level:
         return tuple(par._smul_pay(r, x) for x in a)
 
     def _coeffs_of_top(self):
+        """The top step's non-leading coefficients; a searched polynomial
+        is found once and kept in this level's cache."""
         st = self.steps[-1]
-        if st.coeffs is None:
-            st.coeffs = self.parent._find_unramified_coeffs(st.degree)
-        return st.coeffs
+        if st.coeffs is not None:
+            return st.coeffs
+        return self._memo("poly", lambda: self.parent._find_unramified_coeffs(st.degree))
 
     def _mul_pay(self, a, b):
         if self.depth == 0:
@@ -403,14 +386,15 @@ class Level:
         return build(self)
 
     def _basis_pays(self):
-        if "basis" not in self._cache:
+        def build():
             basis = []
             for k in range(self.m):
                 coords = [Fraction(0)] * self.m
                 coords[k] = Fraction(1)
                 basis.append(self._unflat(coords))
-            self._cache["basis"] = basis
-        return self._cache["basis"]
+            return basis
+
+        return self._memo("basis", build)
 
     def _inv_pay(self, a):
         if self._is_zero_pay(a):
@@ -440,11 +424,9 @@ class Level:
 
     def _monomials(self):
         """Payloads of the residue monomial basis, f of them, lex order."""
-        if "monomials" not in self._cache:
-            gens = []
-            for idx, st in enumerate(self.steps):
-                if st.kind == "unramified":
-                    gens.append((idx, st.degree))
+
+        def build():
+            gens = [(idx, st.degree) for idx, st in enumerate(self.steps) if st.kind == "unramified"]
             monos = []
             for powers in itertools.product(*(range(g) for _, g in gens)):
                 mpay = self._one_pay()
@@ -453,30 +435,26 @@ class Level:
                     for _ in range(k):
                         mpay = self._mul_pay(mpay, gpay)
                 monos.append(mpay)
-            self._cache["monomials"] = monos
-        return self._cache["monomials"]
+            return monos
+
+        return self._memo("monomials", build)
 
     def _gen_pay(self, step_index):
         """Generator of steps[step_index] embedded into this level."""
-        key = ("gen", step_index)
-        if key not in self._cache:
-            lvl = self
-            chain = []
-            while lvl.depth > step_index + 1:
-                chain.append(lvl)
-                lvl = lvl.parent
-            st = lvl.steps[-1]
+
+        def build():
+            lvl = self.level_at_depth(step_index + 1)
             par = lvl.parent
-            pay = (par._zero_pay(), par._one_pay()) + (par._zero_pay(),) * (
-                st.degree - 2
-            )
-            depth = lvl.depth
-            self._cache[key] = self._embed_pay(pay, depth)
-        return self._cache[key]
+            zero = par._zero_pay()
+            pay = (zero, par._one_pay()) + (zero,) * (lvl.steps[-1].degree - 2)
+            return self._embed_pay(pay, lvl.depth)
+
+        return self._memo(("gen", step_index), build)
 
     def _mono_positions(self):
         """Flat coordinate index of each residue monomial."""
-        if "mono_pos" not in self._cache:
+
+        def build():
             pos = []
             for mpay in self._monomials():
                 flat = self._flat(mpay)
@@ -484,13 +462,15 @@ class Level:
                 if len(nz) != 1 or flat[nz[0]] != 1:
                     raise AssertionError("monomial is not a basis vector")
                 pos.append(nz[0])
-            self._cache["mono_pos"] = pos
-        return self._cache["mono_pos"]
+            return pos
+
+        return self._memo("mono_pos", build)
 
     def _residue_system(self):
         """All q = p^f polynomial representatives, indexed by digit tuples
         (last monomial fastest); the zero digit string comes first."""
-        if "residues" not in self._cache:
+
+        def build():
             monos = self._monomials()
             out = []
             for digs in itertools.product(range(self.p), repeat=self.f):
@@ -499,8 +479,9 @@ class Level:
                     if dig:
                         acc = self._add_pay(acc, self._smul_pay(dig, mpay))
                 out.append(acc)
-            self._cache["residues"] = out
-        return self._cache["residues"]
+            return out
+
+        return self._memo("residues", build)
 
     def _find_unramified_coeffs(self, g):
         """Deterministic search for a monic degree-g lift of an irreducible
@@ -530,48 +511,38 @@ class Level:
     # -- uniformizer -----------------------------------------------------
 
     def _pi_pay(self):
-        if "pi" not in self._cache:
-            idx = None
-            for k, st in enumerate(self.steps):
-                if st.kind == "eisenstein":
-                    idx = k
-            if idx is None:
-                self._cache["pi"] = self._scalar_pay(self.p)
-            else:
-                self._cache["pi"] = self._gen_pay(idx)
-        return self._cache["pi"]
+        def build():
+            ramified = [k for k, st in enumerate(self.steps) if st.kind == "eisenstein"]
+            return self._gen_pay(ramified[-1]) if ramified else self._scalar_pay(self.p)
+
+        return self._memo("pi", build)
 
     def _pi_pow_pay(self, j):
-        key = ("pipow", j)
-        if key in self._cache:
-            return self._cache[key]
-        if j == 0:
-            pay = self._one_pay()
-        elif j > 0:
-            pay = self._mul_pay(self._pi_pow_pay(j - 1), self._pi_pay())
-        else:
-            inv_key = ("pipow", -1)
-            if inv_key not in self._cache:
-                self._cache[inv_key] = self._inv_pay(self._pi_pay())
-            if j == -1:
-                pay = self._cache[inv_key]
-            else:
-                pay = self._mul_pay(self._pi_pow_pay(j + 1), self._cache[inv_key])
-        self._cache[key] = pay
+        """pi^j, kept per j.  pi^0 = 1 and pi^-1, the inverse of pi, are
+        built directly; any other cold power is built from the nearest kept
+        one between it and them, one factor of pi (or pi^-1) at a time,
+        keeping each power on the way: a loop, so no |j| is too deep."""
+        step = 1 if j >= 0 else -1
+        k = j
+        while k not in (0, -1) and ("pipow", k) not in self._cache:
+            k -= step
+        pay = self._memo(("pipow", k), lambda: self._inv_pay(self._pi_pay()) if k else self._one_pay())
+        if k != j:
+            unit = self._pi_pay() if j > 0 else self._pi_pow_pay(-1)
+            for i in range(k + step, j + step, step):
+                pay = self._memo(("pipow", i), lambda: self._mul_pay(pay, unit))
         return pay
 
     # -- traces and projections ------------------------------------------
 
     def _power_sums_top(self):
-        st = self.steps[-1]
-        if st.power_sums is None:
+        """Power sums of the roots of the top step's polynomial, over the
+        parent level."""
+
+        def build():
             par = self.parent
-            g = st.degree
-            coeffs = (
-                self._coeffs_of_top()
-                if st.kind == "unramified"
-                else st.coeffs
-            )
+            g = self.steps[-1].degree
+            coeffs = self._coeffs_of_top()
             # Newton's identities: p_k = sum_{i<k} (-1)^{i-1} e_i p_{k-i}
             #                            + (-1)^{k-1} k e_k
             elem = [None] * (g + 1)
@@ -584,8 +555,9 @@ class Level:
                     term = par._mul_pay(elem[i], sums[k - i])
                     acc = par._add_pay(acc, par._smul_pay((-1) ** (i - 1), term))
                 sums.append(acc)
-            st.power_sums = tuple(sums)
-        return st.power_sums
+            return tuple(sums)
+
+        return self._memo("power_sums", build)
 
     def _trace_step_pay(self, pay):
         """Trace to the parent level."""

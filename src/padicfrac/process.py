@@ -26,8 +26,9 @@ bucket of the guide table that holds a cdf breakpoint read a fresh word for
 the rest of their 53-bit uniform.  The law is exactly that of inverting the
 cdf rounded up to multiples of 2^-53, as ``Generator.choice`` does; the
 stream is the sampler's own.  The counts are drawn on a Poisson(rate * t)
-table.  A law builds its jump sampler once and its count sampler once per
-horizon.
+table.  A law, its jump sampler and its only jump coset are kept in the
+cache of its level under (alpha, cutoff), and its count samplers under
+(alpha, cutoff, t): each is built once.
 
 The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
@@ -82,9 +83,11 @@ class JumpLaw:
     ``quotient`` resolves the group down to pi^(cutoff+1), so every kept
     shell splits into whole cosets; ``coset_probs[g]`` is the probability
     that a single jump lands in coset g (zero for the zero coset), and
-    ``rate`` is the total jump intensity.  ``_samplers`` keeps the samplers
-    built on the law (``_jump_sampler``, ``_count_sampler``) and its only
-    jump coset, when it has one (``_single_coset``).
+    ``rate`` is the total jump intensity.  The samplers built on the law
+    (``_jump_sampler``, ``_count_sampler``) and its only jump coset, when it
+    has one (``_single_coset``), are kept in its level's cache, keyed by
+    ``(alpha, cutoff)`` as the law itself is, and the count samplers by
+    the horizon t too.
     """
 
     alpha: float
@@ -92,7 +95,6 @@ class JumpLaw:
     quotient: BallQuotient
     rate: float
     coset_probs: np.ndarray = field(repr=False)
-    _samplers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def level(self):
@@ -105,7 +107,8 @@ def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
 
     Exactly one of the two cutoffs must be given; the resulting law keeps
     the shells s0 .. cutoff and errors out when the cutoff excludes even
-    the outermost shell.
+    the outermost shell.  The law is built once per (alpha, cutoff) and
+    kept in the level's cache.
     """
     if not 0 < alpha < math.inf:
         raise ValueError("the operator exponent must be positive and finite")
@@ -119,18 +122,23 @@ def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
             f"cutoff valuation {cutoff_valuation} excludes every jump shell "
             f"(shells start at {level.s0})"
         )
-    quotient = BallQuotient(level, level.s0, cutoff_valuation + 1)
-    # the zero coset, the only one of valuation s, is no jump
-    probs = quotient.from_shells(_jump_coset_masses(quotient, alpha) + [0.0])
-    rate = probs.sum()
-    probs /= rate
-    return JumpLaw(
-        alpha=float(alpha),
-        cutoff=cutoff_valuation,
-        quotient=quotient,
-        rate=float(rate),
-        coset_probs=probs,
-    )
+
+    def build():
+        quotient = BallQuotient(level, level.s0, cutoff_valuation + 1)
+        # the zero coset, the only one of valuation s, is no jump
+        probs = quotient.from_shells(_jump_coset_masses(quotient, alpha) + [0.0])
+        rate = probs.sum()
+        probs /= rate
+        probs.flags.writeable = False  # every caller shares the kept law
+        return JumpLaw(
+            alpha=float(alpha),
+            cutoff=cutoff_valuation,
+            quotient=quotient,
+            rate=float(rate),
+            coset_probs=probs,
+        )
+
+    return level._memo(("jump_law", float(alpha), cutoff_valuation), build)
 
 
 def _rng(seed, stream):
@@ -204,17 +212,19 @@ def _sampler(probs, offset=0):
 
 def _jump_sampler(law):
     """The law's jump sampler, ``_sampler(law.coset_probs)``, built once."""
-    if "jumps" not in law._samplers:
-        law._samplers["jumps"] = _sampler(law.coset_probs)
-    return law._samplers["jumps"]
+    return law.level._memo(
+        ("jump_sampler", law.alpha, law.cutoff), lambda: _sampler(law.coset_probs)
+    )
 
 
 def _single_coset(law):
     """The law's only jump coset, or None when it has several; found once."""
-    if "single" not in law._samplers:
+
+    def build():
         (cosets,) = np.nonzero(law.coset_probs)
-        law._samplers["single"] = int(cosets[0]) if cosets.size == 1 else None
-    return law._samplers["single"]
+        return int(cosets[0]) if cosets.size == 1 else None
+
+    return law.level._memo(("single_coset", law.alpha, law.cutoff), build)
 
 
 def _poisson_table(lam):
@@ -244,11 +254,12 @@ def _poisson_table(lam):
 def _count_sampler(law, t):
     """The law's sampler of Poisson(rate * t) jump counts, built once per
     horizon: ``_sampler`` on the table of ``_poisson_table`` shifted by k_lo."""
-    key = ("counts", t)
-    if key not in law._samplers:
+
+    def build():
         k_lo, probs = _poisson_table(law.rate * t)
-        law._samplers[key] = _sampler(probs, k_lo)
-    return law._samplers[key]
+        return _sampler(probs, k_lo)
+
+    return law.level._memo(("count_sampler", law.alpha, law.cutoff, t), build)
 
 
 def _check_paths(n_paths, per_path):
@@ -338,8 +349,9 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     through the shared ``_path_sums``, and each path's value is
     chi_b(endpoint), computed as the sum of its jumps' integer phases mod
     kappa: a path's own sum stays exact, as kappa divides |G| <= 2^24.
-    The law and the label's dual index are kept in the level's cache, keyed
-    by (alpha, cutoff); the cutoff grows with L, so it fixes the label.
+    The law is kept in the level's cache, keyed by (alpha, cutoff), and the
+    label's dual index by the cutoff, which grows with L, so it fixes the
+    label.
     """
     lam_valuation = int(lam_valuation)
     if lam_valuation >= 0:
@@ -349,12 +361,11 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
         raise ValueError("a standard error needs at least two paths")
     L = -lam_valuation
     cutoff = level.s0 + L - 1
-    key = ("jump_law", float(alpha), cutoff)
-    if key not in level._cache:
-        law = build_jump_law(level, alpha, cutoff_valuation=cutoff)
-        b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
-        level._cache[key] = (law, b)
-    law, b = level._cache[key]
+    law = build_jump_law(level, alpha, cutoff_valuation=cutoff)
+    b = level._memo(
+        ("label", cutoff),
+        lambda: law.quotient.dual().index_of_element(level.uniformizer_pow(-L)),
+    )
     phases, kappa = law.quotient.character_phases(b)
     (total,), _ = _path_sums(law, t, n_paths, seed, stream, phases[None, :])
     z = np.exp((2j * np.pi / kappa) * np.arange(kappa)).take(total % kappa)

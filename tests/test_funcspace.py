@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from padicfrac import funcspace
-from padicfrac.padic import Level, base_level, project_T
+from padicfrac.padic import Level, base_level, pairing_angle, project_T
 from padicfrac.tower import resolve_tower
 from padicfrac.funcspace import (
     BallQuotient,
@@ -27,9 +27,10 @@ W = U.extend_eisenstein([U.element(2), U.element(2)])
 E3 = Q3.extend_eisenstein([Fraction(3), Fraction(3)])
 
 def _character_table(bq):
-    """The dense oracle U[b, g] = chi_b(g), |G| x |G|, from the exact phases."""
-    phases, kappa = bq.character_phases()
-    return np.exp((2j * np.pi / kappa) * phases)
+    """The dense oracle U[b, g] = chi_b(g), |G| x |G|, from the exact
+    phases, one label's row at a time."""
+    rows = [bq.character_phases(b) for b in range(bq.size)]
+    return np.array([np.exp((2j * np.pi / kappa) * phases) for phases, kappa in rows])
 
 
 def _sub_table(bq):
@@ -291,10 +292,14 @@ def test_characters_are_homomorphisms(bq):
 def test_character_phases_are_the_character_rows(bq):
     Umat = _character_table(bq)
     sub = _sub_table(bq)
+    reps, dual = bq.representatives(), bq.dual()
     for b in range(bq.size):
         phases, kappa = bq.character_phases(b)
         assert phases.min() >= 0 and phases.max() < kappa
         assert (np.exp((2j * np.pi / kappa) * phases) == Umat[b]).all()
+        # the exact angle of the pairing with the label's representative
+        label = dual.representative(b)
+        assert [Fraction(int(ph), kappa) for ph in phases] == [pairing_angle(label, g) for g in reps]
         # additive mod kappa: the exact form of chi_b(g - h) = chi_b(g) / chi_b(h)
         assert (phases[sub] == (phases[:, None] - phases[None, :]) % kappa).all()
 

@@ -84,6 +84,101 @@ def test_import_loads_no_scipy():
     assert json.loads(out.stdout) == []
 
 
+def _is_cache(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "_cache") or (
+        isinstance(node, ast.Name) and node.id == "_cache"
+    )
+
+
+def _memo_nodes(tree):
+    """The nodes of ``Level._memo``, the one writer of the store."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "Level":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "_memo":
+                    return {id(node) for node in ast.walk(fn)}
+    return set()
+
+
+def _is_dict(node):
+    """Whether an annotation or a value is a dict: ``dict`` and its kin,
+    subscripted or not, a dict display or comprehension, a call of one, or
+    ``field(default_factory=dict)``."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    if isinstance(node, ast.Name):
+        return node.id in {"dict", "Dict", "defaultdict", "OrderedDict"}
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return True
+    if isinstance(node, ast.Call):
+        return _is_dict(node.func) or any(
+            kw.arg == "default_factory" and _is_dict(kw.value) for kw in node.keywords
+        )
+    return False
+
+
+CACHE_MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _cache_writes(sources):
+    """module:line of each write into a ``_cache`` store outside
+    ``Level._memo``: a subscript store or delete, a call of a mutating
+    method, or a name bound to the store, through which it could be
+    written unseen."""
+    writes = []
+    for name, tree in sources.items():
+        inside = _memo_nodes(tree) if name == "padic" else set()
+        lines = set()
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if isinstance(node, ast.Subscript):
+                flagged = isinstance(node.ctx, (ast.Store, ast.Del)) and _is_cache(node.value)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                flagged = (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in CACHE_MUTATORS
+                    and _is_cache(func.value)
+                )
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)):
+                flagged = node.value is not None and _is_cache(node.value)
+            else:
+                flagged = False
+            if flagged:
+                lines.add(node.lineno)
+        writes += [f"{name}:{line}" for line in sorted(lines)]
+    return writes
+
+
+def _dict_fields(sources):
+    """module.Class.field for each dict-valued field a class declares, in
+    its body or as ``self.field`` in a method; ``Level._cache`` is the one
+    store of memoised state."""
+    fields = []
+    for name, tree in sources.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    if _is_dict(node.annotation) or node.value is not None and _is_dict(node.value):
+                        fields.append(f"{name}.{cls.name}.{node.target.id}")
+                elif isinstance(node, ast.Assign) and _is_dict(node.value):
+                    fields += [f"{name}.{cls.name}.{t.id}" for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.FunctionDef):
+                    for sub in ast.walk(node):
+                        if not isinstance(sub, (ast.Assign, ast.AnnAssign)) or sub.value is None:
+                            continue
+                        if not _is_dict(sub.value):
+                            continue
+                        targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                        fields += [
+                            f"{name}.{cls.name}.{t.attr}"
+                            for t in targets
+                            if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self"
+                        ]
+    return [f for f in fields if f != "padic.Level._cache"]
+
+
 def _unread_exports(sources, outside):
     """module.function for each function in a module's __all__ that no
     top-level node other than its own definition names, nor ``outside``."""
@@ -169,3 +264,47 @@ def test_the_import_guard_flags_an_unused_import():
         ),
     }
     assert _unused_imports(planted) == ["a: np", "a: Dropped"]
+
+
+def test_memoised_state_has_one_store():
+    # every table, coefficient list, jump law and sampler is kept in
+    # Level._cache, and only Level._memo writes it
+    assert _cache_writes(SOURCES) == []
+    assert _dict_fields(SOURCES) == []
+
+
+def test_the_store_guards_flag_a_second_store():
+    planted = {
+        "padic": ast.parse(
+            "class Level:\n"
+            "    def __init__(self):\n"
+            "        self._cache = {}\n"
+            "    def _memo(self, key, build):\n"
+            "        self._cache[key] = build()\n"
+            "        return self._cache[key]\n"
+            "    def d(self):\n"
+            "        if 'd' not in self._cache:\n"
+            "            self._cache['d'] = 0\n"
+            "        return self._memo('d', int)\n"
+        ),
+        "b": ast.parse(
+            "from dataclasses import dataclass, field\n"
+            "@dataclass(frozen=True)\n"
+            "class Law:\n"
+            "    rate: float\n"
+            "    _samplers: dict = field(default_factory=dict, compare=False)\n"
+            "    kept = {}\n"
+            "class Table:\n"
+            "    def __init__(self):\n"
+            "        self.rows = dict()\n"
+            "        self.size = 0\n"
+            "def build(level, key):\n"
+            "    level._cache.setdefault(key, 0)\n"
+            "    cache = level._cache\n"
+            "    del level._cache[key]\n"
+            "    return key in level._cache, level._memo(key, int)\n"
+        ),
+    }
+    # reads and _memo calls are fine; the store itself is exempt
+    assert _cache_writes(planted) == ["padic:9", "b:12", "b:13", "b:14"]
+    assert _dict_fields(planted) == ["b.Law._samplers", "b.Law.kept", "b.Table.rows"]

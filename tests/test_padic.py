@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from padicfrac.funcspace import BallQuotient
 from padicfrac.padic import (
     ExtElement,
+    Level,
     base_level,
     frac_part,
     pairing_angle,
@@ -162,6 +163,12 @@ def test_unramified_rejects_reducible():
         Q2.extend_unramified(2, coeffs=(Fraction(1), Fraction(0)))  # x^2+1
 
 
+def test_unramified_rejects_coefficients_of_another_degree():
+    # x^4 + x^3 + x^2 + x + 1 has no root mod 2, but it is no quadratic
+    with pytest.raises(ValueError, match="exactly `degree`"):
+        Q2.extend_unramified(2, coeffs=(Fraction(1),) * 4)
+
+
 def test_unramified_search_is_deterministic():
     a = Q2.extend_unramified(2)
     b = Q2.extend_unramified(2)
@@ -237,6 +244,20 @@ def test_uniformizer_powers():
         assert pi.val_pi() == 1
         assert (lvl.uniformizer_pow(-3) * lvl.uniformizer_pow(3) - 1).is_zero()
         assert lvl.uniformizer_pow(-2).val_pi() == -2
+
+
+@pytest.mark.parametrize("j", [-1500, 1500])
+@pytest.mark.parametrize(
+    "make", [lambda: Level(2), lambda: Level(2).extend_unramified(2)], ids=["Q_2", "Q_2-u2"]
+)
+def test_far_uniformizer_powers_on_a_cold_level(make, j):
+    # a cold power is built one factor at a time from the nearest kept one:
+    # no recursion, however far
+    lvl = make()  # a fresh cache, nothing kept
+    x = lvl.uniformizer_pow(j)
+    assert x.val_pi() == j
+    assert x * lvl.uniformizer_pow(-j) == 1
+    assert lvl.uniformizer_pow(j - 1) == x * lvl.uniformizer_pow(-1)
 
 
 def _matrix_trace(x):

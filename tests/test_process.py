@@ -786,14 +786,20 @@ def test_mc_characteristic_runs_past_the_table_caps():
 def test_mc_characteristic_builds_its_law_once(monkeypatch):
     level = Level(2)  # a fresh cache
     laws = []
+    make_law = process.JumpLaw
 
-    def counted(level, alpha, **cutoff):
-        laws.append(alpha)
-        return build_jump_law(level, alpha, **cutoff)
+    def counted(**fields):
+        laws.append(fields["alpha"])
+        return make_law(**fields)
 
-    monkeypatch.setattr(process, "build_jump_law", counted)
+    monkeypatch.setattr(process, "JumpLaw", counted)
     first = mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3)
     assert mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3) == first
+    assert laws == [1.0]
+    # a direct call with the same (alpha, cutoff) gets the kept law
+    assert build_jump_law(level, 1.0, cutoff_valuation=level.s0 + 1) is build_jump_law(
+        level, 1.0, cutoff_valuation=level.s0 + 1
+    )
     assert laws == [1.0]
     # the cached law draws what a freshly built one draws
     monkeypatch.undo()

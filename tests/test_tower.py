@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicfrac.cli import DEFAULT_TOWER
 from padicfrac.funcspace import BallQuotient
 from padicfrac.tower import (
     build_factorial_tower,
@@ -210,6 +211,23 @@ def test_dump_load_round_trip():
     t2 = load_tower(json.loads(blob))
     assert [lvl.key() for lvl in t2] == [lvl.key() for lvl in t]
     assert [lvl.d for lvl in t2] == [lvl.d for lvl in t]
+
+
+@pytest.mark.parametrize("preset, n", [("unramified:p=2,f=1-2", 2), (DEFAULT_TOWER, 3)])
+def test_arithmetic_leaves_level_keys_and_dumps_unchanged(preset, n):
+    # a searched step polynomial is kept in the cache of the level it tops,
+    # not on the step: keys, hashes, dict membership and the dumped file
+    # stay as the level was made
+    t = resolve_tower(preset)  # fresh levels above Q_p, nothing computed yet
+    level = t.level(n)
+    key, digest, blob = level.key(), hash(level), json.dumps(dump_tower(t))
+    seen = {level: n}
+    g = level.generator()
+    assert not (g * g * g).is_zero()  # the product reduces by the searched polynomial
+    assert (level.key(), hash(level), json.dumps(dump_tower(t))) == (key, digest, blob)
+    assert level in seen and seen[level] == n
+    assert "poly" in level._cache
+    assert load_tower(json.loads(json.dumps(dump_tower(t)))).levels == t.levels
 
 
 def test_load_handwritten_file(tmp_path):

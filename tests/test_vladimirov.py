@@ -47,9 +47,10 @@ ALPHAS = [0.5, 1.0, 2.0]
 
 
 def _character_table(quotient):
-    """The dense oracle U[b, g] = chi_b(g), |G| x |G|, from the exact phases."""
-    phases, kappa = quotient.character_phases()
-    return np.exp((2j * np.pi / kappa) * phases)
+    """The dense oracle U[b, g] = chi_b(g), |G| x |G|, from the exact
+    phases, one label's row at a time."""
+    rows = [quotient.character_phases(b) for b in range(quotient.size)]
+    return np.array([np.exp((2j * np.pi / kappa) * phases) for phases, kappa in rows])
 
 
 def _jump_masses(quotient, alpha):
