@@ -8,27 +8,31 @@ in a finite ball quotient, so paths are simulated exactly as coset indices.
 The digit system is linear, so ``sample_endpoints`` finds a path's endpoint
 as the carry normalisation of the summed digit vectors of its jumps.  The
 characteristic function needs no states: a character is a homomorphism,
-chi_b(sum of jumps) = prod chi_b(jump), so ``mc_characteristic`` sums the
-jumps' exact integer phases mod kappa along each path and reads its root of
-unity from a kappa-entry table.  Both samplers share one block loop,
-``_path_sums``.  A law with a single jump coset g needs no jump draws: a
-path of N jumps sums to N times g's column, so its sums are read from the
-counts alone.  ``sample_counts`` draws only the counts, the first draws of
-the stream ``_path_sums`` reads, so a reader of the counts alone (the
-Poisson test) gets the same counts with no jump drawn and no endpoint
-formed.
+chi_b(sum of jumps) = prod chi_b(jump), so ``mc_characteristic`` draws each
+jump as its exact integer phase for the label, sums the phases along each
+path, and forms its estimate from the kappa-bin histogram of the path
+totals mod kappa: O(n) integer work and complex work on at most kappa
+residues.  Both samplers share one block loop, ``_path_sums``.  A law with
+a single jump coset g needs no jump draws: a path of N jumps sums to N
+times g's column, so its sums are read from the counts alone.
+``sample_counts`` draws only the counts, the first draws of the stream
+``_path_sums`` reads, so a reader of the counts alone (the Poisson test)
+gets the same counts with no jump drawn and no endpoint formed.
 
-Jump cosets, and the per-path jump counts of ``_path_sums``, come from one
-integer inverse-cdf sampler, ``_sampler``: a draw reads a 16-bit chunk of a
-raw Philox word (a 32-bit one on laws of more than 4,096 entries), so a
-word serves four draws (or two), and only the draws whose chunk falls in a
-bucket of the guide table that holds a cdf breakpoint read a fresh word for
-the rest of their 53-bit uniform.  The law is exactly that of inverting the
-cdf rounded up to multiples of 2^-53, as ``Generator.choice`` does; the
-stream is the sampler's own.  The counts are drawn on a Poisson(rate * t)
-table.  A law, its jump sampler and its only jump coset are kept in the
-cache of its level under (alpha, cutoff), and its count samplers under
-(alpha, cutoff, t): each is built once.
+Jump cosets, the label's phases of the jumps, and the per-path jump counts
+of ``_path_sums`` come from one integer inverse-cdf sampler, ``_sampler``,
+whose guide table holds the drawn values themselves (a coset index, its
+phase, or a count), so a draw needs no lookup after it: a draw reads a
+16-bit chunk of a raw Philox word (a 32-bit one on laws of more than 4,096
+entries), so a word serves four draws (or two), and only the draws whose
+chunk falls in a bucket of the guide table that holds a cdf breakpoint read
+a fresh word for the rest of their 53-bit uniform.  The law is exactly that
+of inverting the cdf rounded up to multiples of 2^-53, as
+``Generator.choice`` does; the stream is the sampler's own, and the same
+whichever values it hands out.  The counts are drawn on a Poisson(rate * t)
+table.  A law, its jump and phase samplers and its only jump coset are kept
+in the cache of its level under (alpha, cutoff), and its count samplers
+under (alpha, cutoff, t): each is built once.
 
 The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
@@ -84,10 +88,10 @@ class JumpLaw:
     shell splits into whole cosets; ``coset_probs[g]`` is the probability
     that a single jump lands in coset g (zero for the zero coset), and
     ``rate`` is the total jump intensity.  The samplers built on the law
-    (``_jump_sampler``, ``_count_sampler``) and its only jump coset, when it
-    has one (``_single_coset``), are kept in its level's cache, keyed by
-    ``(alpha, cutoff)`` as the law itself is, and the count samplers by
-    the horizon t too.
+    (``_jump_sampler``, ``_phase_sampler``, ``_count_sampler``) and its
+    only jump coset, when it has one (``_single_coset``), are kept in its
+    level's cache, keyed by ``(alpha, cutoff)`` as the law itself is, and
+    the count samplers by the horizon t too.
     """
 
     alpha: float
@@ -173,20 +177,27 @@ def _guide_table(probs):
     return cdf53, m, guide
 
 
-def _sampler(probs, offset=0):
-    """draw(rng, n): offset + n indices drawn with weights ``probs``, exactly
-    P(g) = (cdf53[g] - cdf53[g-1]) 2^-53 each.
+def _sampler(probs, values):
+    """draw(rng, n): n draws of ``values``, value g with weight ``probs[g]``,
+    exactly P(g) = (cdf53[g] - cdf53[g-1]) 2^-53 each; ``values`` are
+    nonnegative int64s, one per weight.
 
     A draw reads one 16-bit chunk of a raw word, or one 32-bit chunk when
     the guide has m > 16 bits, so a word serves four draws (or two).  Each
     block of ``_BLOCK_DRAWS`` draws takes its words first and splits them
     low chunk first; the chunks left over in its last word are dropped.  A
     chunk's top m bits pick a bucket of ``_guide_table``, and a pure bucket
-    gives its index.  A draw in a -1 bucket then takes one fresh word f, in
-    draw order: its uniform u53 = (bucket << (53 - m)) | (f >> (11 + m))
-    is searched in cdf53.
+    gives its value, kept in the guide in place of its index.  A draw in a
+    -1 bucket then takes one fresh word f, in draw order: its uniform
+    u53 = (bucket << (53 - m)) | (f >> (11 + m)) is searched in cdf53, and
+    gives the value at the index found.  The words read, and so the stream,
+    do not depend on ``values``.
     """
     cdf53, m, guide = _guide_table(probs)
+    # map the guide through values in place: one |guide|-sized mask
+    impure = guide < 0
+    np.take(values, guide, out=guide, mode="wrap")
+    guide[impure] = -1
     bits = 16 if m <= 16 else 32
     per_word = 64 // bits
     chunk = f"<u{bits // 8}"  # little-endian, so the split is the same on any host
@@ -201,19 +212,27 @@ def _sampler(probs, offset=0):
             g = guide.take(bucket)
             tied = np.flatnonzero(g < 0)
             u53 = (bucket[tied].astype(np.uint64) << (53 - m)) | (raw(tied.size) >> (11 + m))
-            g[tied] = cdf53.searchsorted(u53.view(np.int64), side="right")
+            g[tied] = values.take(cdf53.searchsorted(u53.view(np.int64), side="right"))
             out[a : a + k] = g
-        if offset:
-            out += offset
         return out
 
     return draw
 
 
 def _jump_sampler(law):
-    """The law's jump sampler, ``_sampler(law.coset_probs)``, built once."""
+    """The law's sampler of jump coset indices, built once."""
+    probs = law.coset_probs
     return law.level._memo(
-        ("jump_sampler", law.alpha, law.cutoff), lambda: _sampler(law.coset_probs)
+        ("jump_sampler", law.alpha, law.cutoff), lambda: _sampler(probs, np.arange(probs.size))
+    )
+
+
+def _phase_sampler(law, phases):
+    """The law's sampler of the jumps' phases for a label: it draws
+    phases[g] where ``_jump_sampler`` draws g, from the same words.  Built
+    once, under the law's key: its cutoff fixes the label."""
+    return law.level._memo(
+        ("phase_sampler", law.alpha, law.cutoff), lambda: _sampler(law.coset_probs, phases)
     )
 
 
@@ -253,11 +272,12 @@ def _poisson_table(lam):
 
 def _count_sampler(law, t):
     """The law's sampler of Poisson(rate * t) jump counts, built once per
-    horizon: ``_sampler`` on the table of ``_poisson_table`` shifted by k_lo."""
+    horizon: ``_sampler`` on the table of ``_poisson_table``, whose values
+    are the counts k_lo, k_lo + 1, ..."""
 
     def build():
         k_lo, probs = _poisson_table(law.rate * t)
-        return _sampler(probs, k_lo)
+        return _sampler(probs, np.arange(k_lo, k_lo + probs.size))
 
     return law.level._memo(("count_sampler", law.alpha, law.cutoff, t), build)
 
@@ -267,47 +287,50 @@ def _check_paths(n_paths, per_path):
         raise ValueError("n_paths too large: its per-path arrays exceed the size budget")
 
 
-def _path_sums(law, t, n_paths, seed, stream, columns):
+def _path_sums(law, t, n_paths, seed, stream, columns, summands):
     """(sums, counts) for n_paths paths of the law on [0, t]: counts are
     the Poisson(rate * t) jump counts and sums[:, i] the sum of
-    columns[:, j] over path i's jumps j.  Both come from the law's cached
+    columns[:, g] over path i's jumps g.  Both come from the law's cached
     samplers on one stream: first the n_paths counts, then the jumps in
     path order, in blocks of ``_BLOCK_DRAWS`` jumps however the paths fall.
-    A block's prefix sums are read at every path end it holds, and a path's
-    sum is the difference between its end and the previous path's, which
-    may lie in an earlier block.  A law with a single jump coset g draws no
-    jumps: sums[:, i] is counts[i] times columns[:, g].
+    ``summands(rng, k)`` draws the next k jumps and gives their entries in
+    each row of ``columns``, row by row.  A block's prefix sums are read at
+    every path end it holds, and a path's sum is the difference between its
+    end and the previous path's, which may lie in an earlier block.  A law
+    with a single jump coset g draws no jumps: sums[:, i] is counts[i]
+    times columns[:, g].
 
-    The per-path arrays peak at 2 len(columns) + 5 int64 entries a path:
-    the counts, their ends, the sums and the path ends of a block here,
-    then what the callers add, a copy of the sums in ``index_of_digits``
-    or the totals mod kappa, z and its temporaries.  An n_paths whose peak
-    exceeds the entry budget is refused before any draw."""
+    The per-path arrays peak at no more than 2 len(columns) + 5 int64
+    entries a path: the counts, their ends, the sums and the path ends of a
+    block here, then what the callers add, a copy of the sums, the indices
+    and a carry row in ``index_of_digits``, or the histogram fold of
+    ``mc_characteristic`` (its totals mod kappa, or a bincount at most
+    n_paths + kappa long).  An n_paths whose peak exceeds the entry budget
+    is refused before any draw."""
     _check_paths(n_paths, 2 * len(columns) + 5)
     rng = _rng(seed, stream)
     counts = _count_sampler(law, t)(rng, n_paths)
     g = _single_coset(law)
     if g is not None:
         return columns[:, g : g + 1] * counts, counts
-    draw = _jump_sampler(law)
     ends = np.cumsum(counts)
     total = int(counts.sum())
-    # acc[1 + j] sums a column through jump j of the block, and last[r] is
-    # the latest path end on that scale, carried from block to block;
-    # int64 wraparound in them cancels in the differences
+    # acc[1 + j] sums a row through jump j of the block, and last[r] is the
+    # latest path end on that row, carried from block to block; int64
+    # wraparound in them cancels in the differences
     sums = np.zeros((len(columns), n_paths), dtype=np.int64)
     acc = np.zeros(min(_BLOCK_DRAWS, total) + 1, dtype=np.int64)
     last = np.zeros((len(columns), 1), dtype=np.int64)
     i0 = 0
     for a in range(0, total, _BLOCK_DRAWS):
-        jumps = draw(rng, min(_BLOCK_DRAWS, total - a))
-        i1 = int(ends.searchsorted(a + jumps.size, side="right"))
+        k = min(_BLOCK_DRAWS, total - a)
+        i1 = int(ends.searchsorted(a + k, side="right"))
         end = ends[i0:i1] - a
-        for row, column, prev in zip(sums, columns, last):
-            np.cumsum(column.take(jumps), out=acc[1 : jumps.size + 1])
+        for row, entries, prev in zip(sums, summands(rng, k), last):
+            np.cumsum(entries, out=acc[1 : k + 1])
             at = np.concatenate([prev, acc[end]])
             np.subtract(at[1:], at[:-1], out=row[i0:i1])
-            np.subtract(at[-1:], acc[jumps.size], out=prev)
+            np.subtract(at[-1:], acc[k], out=prev)
         i0 = i1
     return sums, counts
 
@@ -322,7 +345,12 @@ def sample_endpoints(law, t, n_paths, seed, stream=0):
     _check_horizon(t)
     quotient = law.quotient
     columns = np.ascontiguousarray(quotient.digit_matrix.T)
-    sums, counts = _path_sums(law, t, n_paths, seed, stream, columns)
+
+    def digits(rng, k):
+        jumps = _jump_sampler(law)(rng, k)
+        return (column.take(jumps) for column in columns)
+
+    sums, counts = _path_sums(law, t, n_paths, seed, stream, columns, digits)
     return quotient.index_of_digits(sums), counts
 
 
@@ -345,12 +373,15 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     The cutoff is the boundary shell s0 + L - 1, the last one the label
     pairs nontrivially with, so the truncation is exact in law and the
     estimate targets exp(-t ||label||^alpha) with no truncation bias.
-    Returns (estimate, stderr).  The draws are those of ``sample_endpoints``
-    through the shared ``_path_sums``, and each path's value is
-    chi_b(endpoint), computed as the sum of its jumps' integer phases mod
-    kappa: a path's own sum stays exact, as kappa divides |G| <= 2^24.
-    The law is kept in the level's cache, keyed by (alpha, cutoff), and the
-    label's dual index by the cutoff, which grows with L, so it fixes the
+    Returns (estimate, stderr).  The counts and jump draws are those of
+    ``sample_endpoints`` through the shared ``_path_sums``, but each jump
+    is drawn as its integer phase for the label (``_phase_sampler``), and
+    a path's value chi_b(endpoint) is read from its phase total mod kappa:
+    a path's own total stays exact, as kappa divides |G| <= 2^24.  The
+    estimate and its standard error come from the kappa-bin histogram of
+    those residues (``_histogram_estimate``).  The law and its phase
+    sampler are kept in the level's cache, keyed by (alpha, cutoff), and
+    the label's phases by the cutoff, which grows with L, so it fixes the
     label.
     """
     lam_valuation = int(lam_valuation)
@@ -362,17 +393,46 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     L = -lam_valuation
     cutoff = level.s0 + L - 1
     law = build_jump_law(level, alpha, cutoff_valuation=cutoff)
-    b = level._memo(
+    # the label's phases on the law's quotient, which the cutoff fixes
+    phases, kappa = level._memo(
         ("label", cutoff),
-        lambda: law.quotient.dual().index_of_element(level.uniformizer_pow(-L)),
+        lambda: law.quotient.character_phases(
+            law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
+        ),
     )
-    phases, kappa = law.quotient.character_phases(b)
-    (total,), _ = _path_sums(law, t, n_paths, seed, stream, phases[None, :])
-    z = np.exp((2j * np.pi / kappa) * np.arange(kappa)).take(total % kappa)
-    estimate = z.mean()
-    stderr = float(
-        np.sqrt((np.abs(z - estimate) ** 2).sum() / ((n_paths - 1) * n_paths))
-    )
+
+    def jump_phases(rng, k):
+        return (_phase_sampler(law, phases)(rng, k),)
+
+    (total,), _ = _path_sums(law, t, n_paths, seed, stream, phases[None, :], jump_phases)
+    return _histogram_estimate(total, kappa)
+
+
+def _histogram_estimate(total, kappa):
+    """(estimate, stderr) of the mean of omega^total over n paths, omega =
+    exp(2 pi i / kappa), from the paths' nonnegative integer phase totals.
+
+    A path's value depends only on its total mod kappa, so the totals are
+    folded into a kappa-bin histogram h: estimate = sum_r h_r omega^r / n
+    and stderr = sqrt(sum_r h_r |omega^r - estimate|^2 / ((n - 1) n)), the
+    per-path formulas with each value counted once per residue.  Where
+    the largest total keeps the bincount of the totals themselves at most
+    n + kappa long, its rows of kappa are summed, with no per-path
+    division; otherwise the totals are taken mod kappa first.  O(n)
+    integer work, then complex work on the residues that occur.
+    """
+    n = total.size
+    top = int(total.max())
+    if top < n + kappa:
+        rows = top // kappa + 1
+        h = np.bincount(total, minlength=rows * kappa).reshape(rows, kappa).sum(axis=0)
+    else:
+        h = np.bincount(total % kappa, minlength=kappa)
+    (residues,) = np.nonzero(h)
+    hits = h[residues]
+    z = np.exp((2j * np.pi / kappa) * residues)
+    estimate = (hits @ z) / n
+    stderr = float(np.sqrt((hits @ (np.abs(z - estimate) ** 2)) / ((n - 1) * n)))
     return complex(estimate), stderr
 
 

@@ -320,6 +320,39 @@ def test_jump_sampler_on_cdf_ties(level, cutoff):
     assert fresh[1:-1].any()
 
 
+def _label_phases(law):
+    """(phases, kappa) of the label pi^(-L) whose boundary shell is the
+    law's cutoff, the label ``mc_characteristic`` cuts the law for."""
+    level = law.level
+    L = law.cutoff - level.s0 + 1
+    b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
+    return law.quotient.character_phases(b)
+
+
+@pytest.mark.parametrize(
+    "level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1), (Q2, 12)]
+)
+@pytest.mark.parametrize("n", [0, 1, 4 * process._BLOCK_DRAWS + 1])
+def test_phase_draws_are_the_phases_of_the_index_draws(level, cutoff, n):
+    # the phase sampler reads the words the index sampler reads and maps
+    # each draw through the label's phases: 16-bit chunks on the first five
+    # laws, 32-bit ones on the 8,192 cosets, over more than four blocks
+    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    phases, _ = _label_phases(law)
+    rng_a, rng_b = process._rng(6, 2), process._rng(6, 2)
+    got = process._phase_sampler(law, phases)(rng_a, n)
+    assert got.dtype == np.int64 and got.shape == (n,)
+    assert (got == phases[process._jump_sampler(law)(rng_b, n)]).all()
+    assert rng_a.bit_generator.random_raw() == rng_b.bit_generator.random_raw()
+    if cutoff == 1:  # Q_3: the breakpoint on a bucket edge, and fresh words read
+        cdf53, _, _ = process._guide_table(law.coset_probs)
+        u53 = _tie_uniforms(cdf53)
+        index, index_fresh = _draw_each(process._jump_sampler(law), law.coset_probs, u53)
+        got, fresh = _draw_each(process._phase_sampler(law, phases), law.coset_probs, u53)
+        assert (got == phases[index]).all() and (fresh == index_fresh).all()
+        assert fresh.any()
+
+
 @pytest.mark.parametrize("level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1)])
 def test_guide_buckets_are_pure(level, cutoff):
     # a bucket either defers to the search or holds the coset of both of its
@@ -700,11 +733,14 @@ def _mc_oracle(level, alpha, lam_valuation, t, n_paths, seed, stream):
     states, counts = sample_endpoints(law, t, n_paths, seed, stream)
     b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
     phases, kappa = law.quotient.character_phases(b)
-    z = np.exp((2j * np.pi / kappa) * phases)[states]
-    estimate = z.mean()
-    stderr = float(
-        np.sqrt((np.abs(z - estimate) ** 2).sum() / ((n_paths - 1) * n_paths))
-    )
+    # the kappa-bin histogram of the endpoints' phases, and the estimate
+    # and its standard error read from it
+    h = np.bincount(phases[states], minlength=kappa)
+    (residues,) = np.nonzero(h)
+    hits = h[residues]
+    z = np.exp((2j * np.pi / kappa) * residues)
+    estimate = (hits @ z) / n_paths
+    stderr = float(np.sqrt((hits @ (np.abs(z - estimate) ** 2)) / ((n_paths - 1) * n_paths)))
     return (complex(estimate), stderr), int(counts.sum())
 
 
@@ -732,6 +768,68 @@ def test_mc_characteristic_matches_the_endpoint_oracle(
         assert jumps == 0 and got == (1.0, 0.0)
 
 
+BENCH_LEVELS = {"Q_2": Q2, "Q_2-u2": U, "Q_2-e2": E, "Q_3": Q3}
+BENCH_CASES = [(1.0, -1, 1.0), (1.0, -2, 0.5), (2.0, -1, 1.0), (0.5, -3, 1.0)]
+HISTOGRAM_CASES = (
+    # the monte_carlo benchmark's 16 cases, on its first cycle's streams
+    [
+        pytest.param(BENCH_LEVELS[name], *case, 10_000, 1, 1 + 4 * i + j, id=f"{name}-{j}")
+        for i, name in enumerate(BENCH_LEVELS)
+        for j, case in enumerate(BENCH_CASES)
+    ]
+    # acceptance.check_monte_carlo's three
+    + [
+        pytest.param(Q2, *case, 100_000, 2718, 0, id=f"check-{j}")
+        for j, case in enumerate(BENCH_CASES[:3])
+    ]
+    + [
+        # a zero-jump horizon: every total is 0
+        pytest.param(Q3, 1.0, -1, 1e-9, 300, 17, 3, id="no-jumps"),
+        # kappa = 2^19, past the bincount bound: the totals are taken mod kappa
+        pytest.param(None, 1.0, -19, 1e-5, 2000, 1, 1, id="kappa-2^19"),
+    ]
+)
+
+
+@pytest.mark.parametrize("level, alpha, lam_valuation, t, n_paths, seed, stream", HISTOGRAM_CASES)
+def test_histogram_estimate_is_the_per_path_formula(
+    monkeypatch, level, alpha, lam_valuation, t, n_paths, seed, stream
+):
+    level = level or Level(2)  # a fresh cache for the 2^19-coset law
+    seen = []
+    estimate_of = process._histogram_estimate
+
+    def kept(total, kappa):
+        seen.append((total.copy(), kappa))
+        return estimate_of(total, kappa)
+
+    monkeypatch.setattr(process, "_histogram_estimate", kept)
+    got = mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream)
+    ((total, kappa),) = seen
+    # the totals are the phases of the index draws, summed path by path
+    law = build_jump_law(level, alpha, cutoff_valuation=level.s0 - lam_valuation - 1)
+    phases, label_kappa = _label_phases(law)
+    assert kappa == label_kappa
+    rng = process._rng(seed, stream)
+    counts = process._count_sampler(law, t)(rng, n_paths)
+    jumps = process._jump_sampler(law)(rng, int(counts.sum()))
+    ends = np.cumsum(counts)
+    acc = np.concatenate([[0], np.cumsum(phases[jumps])])
+    assert (total == acc[ends] - acc[ends - counts]).all()
+    if t < 1e-6:
+        assert not total.any() and got == (1.0, 0.0)
+    # both folds run: the bincount of the totals, and their residues
+    assert (total.max() < n_paths + kappa) == (kappa < 1 << 19)
+    # the per-path values and formulas, to within 4 ulp of 1.0
+    z = np.exp((2j * np.pi / kappa) * np.arange(kappa)).take(total % kappa)
+    estimate = z.mean()
+    stderr = np.sqrt((np.abs(z - estimate) ** 2).sum() / ((n_paths - 1) * n_paths))
+    tol = 4 * np.spacing(1.0)
+    assert abs(got[0].real - estimate.real) <= tol
+    assert abs(got[0].imag - estimate.imag) <= tol
+    assert abs(got[1] - stderr) <= tol
+
+
 @pytest.mark.parametrize("level", [Q2, U, E, W, Q3], ids=["Q2", "U", "E", "W", "Q3"])
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_cosets_past_the_boundary_shell_pair_trivially(level, L):
@@ -750,13 +848,14 @@ def test_cosets_past_the_boundary_shell_pair_trivially(level, L):
         assert (vals[1:] > boundary).any()
 
 
-# the four benchmark cases on Q_2-u2 at seed 1, pinned before the jump law
-# was cut at the boundary shell; there s0 = 1, so the cutoff did not move
+# the four benchmark cases on Q_2-u2 at seed 1: there s0 = 1, so cutting the
+# jump law at the boundary shell left their draws as they were; the last
+# bits are those of the histogram estimate
 U_PINS = [
-    (1.0, -1, 1.0, 5, "((0.132+5.3149671082995135e-17j), 0.009912992824706084)"),
-    (1.0, -2, 0.5, 6, "((0.15510000000000002-0.003499999999999969j), 0.009879419734651897)"),
+    (1.0, -1, 1.0, 5, "((0.132+5.314967108299513e-17j), 0.009912992824706082)"),
+    (1.0, -2, 0.5, 6, "((0.1551-0.0034999999999999775j), 0.009879419734651897)"),
     (2.0, -1, 1.0, 7, "((0.001+6.11711076174103e-17j), 0.010000495037251856)"),
-    (0.5, -3, 1.0, 8, "((0.04685563491861037+0.00027157287525381515j), 0.00998951583486989)"),
+    (0.5, -3, 1.0, 8, "((0.046855634918610375+0.00027157287525383255j), 0.00998951583486989)"),
 ]
 
 
@@ -811,12 +910,12 @@ def test_mc_characteristic_builds_its_law_once(monkeypatch):
     [
         # Q_3 at alpha = 1: the law's two cosets of mass 1/2 put its cdf
         # breakpoint on a guide-table bucket edge
-        (3, 1.0, -1, 13, "((0.05259999999999993+0.007101408311032506j), 0.009986403447957756)"),
+        (3, 1.0, -1, 13, "((0.05259999999999996+0.0071014083110325105j), 0.009986403447957756)"),
         # Q_2 at L = 1: one jump coset, so the count draws alone move the bits
         (2, 2.0, -1, 3, "((0.0036000000000000003+6.101190353352114e-17j), 0.010000435234052918)"),
         # Q_2 at L = 3: seven cosets over three shells, whose breakpoints
         # fall inside guide buckets, so the jump draws read fresh words
-        (2, 0.5, -3, 4, "((0.06668578643762688-0.005162741699796948j), 0.009978105604656598)"),
+        (2, 0.5, -3, 4, "((0.06668578643762686-0.005162741699796948j), 0.009978105604656598)"),
     ],
     ids=["Q_3-alpha1", "Q_2-alpha2", "Q_2-alpha0.5"],
 )
@@ -831,10 +930,11 @@ def test_mc_characteristic_stream_is_pinned(p, alpha, lam_valuation, stream, pin
 def test_one_coset_law_draws_no_jumps(monkeypatch):
     # Q_2 at L = 1: the jump law's one coset, so a path's phase sum is its
     # count times that coset's phase, read with no jump sampler
-    def no_jumps(law):
+    def no_jumps(law, *args):
         raise AssertionError("a one-coset law must draw no jumps")
 
     monkeypatch.setattr(process, "_jump_sampler", no_jumps)
+    monkeypatch.setattr(process, "_phase_sampler", no_jumps)
     got = mc_characteristic(Level(2), 2.0, -1, 1.0, 10_000, 1, 3)
     assert repr(got) == "((0.0036000000000000003+6.101190353352114e-17j), 0.010000435234052918)"
 
