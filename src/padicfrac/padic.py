@@ -89,9 +89,9 @@ class Step:
 
     ``coeffs`` holds the non-leading coefficients (constant term first) as
     payloads over the parent level.  It is None for an unramified step whose
-    polynomial is searched: the search result is kept in the cache of the
-    level the step tops, so a step, and the key of every level holding it,
-    never changes once made.
+    polynomial is the one the search finds: the search result is kept in the
+    cache of the level the step tops, so a step, and the key of every level
+    holding it, never changes once made.
     """
 
     kind: str
@@ -148,10 +148,20 @@ class Level:
     # -- construction ----------------------------------------------------
 
     def extend_unramified(self, degree, coeffs=None):
+        """The unramified step of the given degree, its polynomial searched
+        or given by ``coeffs``.  Coefficients equal to the ones the search
+        finds make a searched step, so both give equal levels, and a
+        dumped polynomial loads as the level it was dumped from."""
+        degree = int(degree)
         if coeffs is not None:
             coeffs = tuple(self._as_pay(c) for c in coeffs)
             self._validate_unramified_coeffs(coeffs)
-        step = Step("unramified", int(degree), coeffs)
+            try:
+                if coeffs == self._find_unramified_coeffs(degree):
+                    coeffs = None
+            except NotImplementedError:  # no search at this degree
+                pass
+        step = Step("unramified", degree, coeffs)
         return Level(self.p, self.steps + (step,), parent=self)
 
     def extend_eisenstein(self, coeffs):

@@ -193,11 +193,9 @@ def _sampler(probs, values):
     gives the value at the index found.  The words read, and so the stream,
     do not depend on ``values``.
     """
-    cdf53, m, guide = _guide_table(probs)
-    # map the guide through values in place: one |guide|-sized mask
-    impure = guide < 0
-    np.take(values, guide, out=guide, mode="wrap")
-    guide[impure] = -1
+    cdf53, m, index = _guide_table(probs)
+    guide = values.take(index, mode="wrap")
+    guide[index < 0] = -1
     bits = 16 if m <= 16 else 32
     per_word = 64 // bits
     chunk = f"<u{bits // 8}"  # little-endian, so the split is the same on any host
@@ -227,12 +225,28 @@ def _jump_sampler(law):
     )
 
 
-def _phase_sampler(law, phases):
-    """The law's sampler of the jumps' phases for a label: it draws
-    phases[g] where ``_jump_sampler`` draws g, from the same words.  Built
-    once, under the law's key: its cutoff fixes the label."""
+def _label_phases(law):
+    """(phases, kappa): the phases on the law's quotient of the label
+    pi^(-L) whose boundary shell s0 + L - 1 is the law's cutoff, the label
+    ``mc_characteristic`` cuts the law for.  Found once per cutoff, which
+    fixes the label and the quotient."""
+    level, quotient = law.level, law.quotient
+    L = law.cutoff - level.s0 + 1
+    return level._memo(
+        ("label", law.cutoff),
+        lambda: quotient.character_phases(
+            quotient.dual().index_of_element(level.uniformizer_pow(-L))
+        ),
+    )
+
+
+def _phase_sampler(law):
+    """The law's sampler of its label's phases (``_label_phases``): it
+    draws phases[g] where ``_jump_sampler`` draws g, from the same words.
+    Built once, under the law's key."""
     return law.level._memo(
-        ("phase_sampler", law.alpha, law.cutoff), lambda: _sampler(law.coset_probs, phases)
+        ("phase_sampler", law.alpha, law.cutoff),
+        lambda: _sampler(law.coset_probs, _label_phases(law)[0]),
     )
 
 
@@ -381,8 +395,8 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     estimate and its standard error come from the kappa-bin histogram of
     those residues (``_histogram_estimate``).  The law and its phase
     sampler are kept in the level's cache, keyed by (alpha, cutoff), and
-    the label's phases by the cutoff, which grows with L, so it fixes the
-    label.
+    the label's phases (``_label_phases``) by the cutoff, which grows with
+    L, so it fixes the label.
     """
     lam_valuation = int(lam_valuation)
     if lam_valuation >= 0:
@@ -390,19 +404,11 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     _check_horizon(t)
     if n_paths < 2:
         raise ValueError("a standard error needs at least two paths")
-    L = -lam_valuation
-    cutoff = level.s0 + L - 1
-    law = build_jump_law(level, alpha, cutoff_valuation=cutoff)
-    # the label's phases on the law's quotient, which the cutoff fixes
-    phases, kappa = level._memo(
-        ("label", cutoff),
-        lambda: law.quotient.character_phases(
-            law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
-        ),
-    )
+    law = build_jump_law(level, alpha, cutoff_valuation=level.s0 - lam_valuation - 1)
+    phases, kappa = _label_phases(law)
 
     def jump_phases(rng, k):
-        return (_phase_sampler(law, phases)(rng, k),)
+        return (_phase_sampler(law)(rng, k),)
 
     (total,), _ = _path_sums(law, t, n_paths, seed, stream, phases[None, :], jump_phases)
     return _histogram_estimate(total, kappa)

@@ -339,7 +339,7 @@ def load_tower(obj, label=None):
             if degree is None:
                 raise ValueError("step needs a degree or a polynomial")
             if kind == "unramified":
-                cur = _unramified_step(cur, degree, coeffs)
+                cur = cur.extend_unramified(degree, coeffs=coeffs)
             elif kind == "eisenstein":
                 if coeffs is None:
                     raise ValueError("eisenstein steps need a polynomial")
@@ -350,23 +350,6 @@ def load_tower(obj, label=None):
     return TowerSpec(
         p=p, label=label or obj.get("label", "custom"), levels=tuple(levels)
     )
-
-
-def _unramified_step(cur, degree, coeffs):
-    """The unramified step of the given degree over ``cur``.  Coefficients
-    equal to the ones the polynomial search finds make a searched step, so
-    the level equals the one a preset builds: an older dump spells out a
-    searched polynomial."""
-    searched = cur.extend_unramified(degree)
-    if coeffs is None:
-        return searched
-    coeffs = tuple(coeffs)
-    try:
-        if searched._coeffs_of_top() == coeffs:
-            return searched
-    except NotImplementedError:  # no search at this degree
-        pass
-    return cur.extend_unramified(degree, coeffs=coeffs)
 
 
 def resolve_tower(arg):

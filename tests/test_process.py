@@ -338,9 +338,11 @@ def test_phase_draws_are_the_phases_of_the_index_draws(level, cutoff, n):
     # each draw through the label's phases: 16-bit chunks on the first five
     # laws, 32-bit ones on the 8,192 cosets, over more than four blocks
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
-    phases, _ = _label_phases(law)
+    phases, kappa = _label_phases(law)
+    kept_phases, kept_kappa = process._label_phases(law)
+    assert (kept_phases == phases).all() and kept_kappa == kappa
     rng_a, rng_b = process._rng(6, 2), process._rng(6, 2)
-    got = process._phase_sampler(law, phases)(rng_a, n)
+    got = process._phase_sampler(law)(rng_a, n)
     assert got.dtype == np.int64 and got.shape == (n,)
     assert (got == phases[process._jump_sampler(law)(rng_b, n)]).all()
     assert rng_a.bit_generator.random_raw() == rng_b.bit_generator.random_raw()
@@ -348,7 +350,7 @@ def test_phase_draws_are_the_phases_of_the_index_draws(level, cutoff, n):
         cdf53, _, _ = process._guide_table(law.coset_probs)
         u53 = _tie_uniforms(cdf53)
         index, index_fresh = _draw_each(process._jump_sampler(law), law.coset_probs, u53)
-        got, fresh = _draw_each(process._phase_sampler(law, phases), law.coset_probs, u53)
+        got, fresh = _draw_each(process._phase_sampler(law), law.coset_probs, u53)
         assert (got == phases[index]).all() and (fresh == index_fresh).all()
         assert fresh.any()
 
@@ -803,8 +805,17 @@ def test_histogram_estimate_is_the_per_path_formula(
         seen.append((total.copy(), kappa))
         return estimate_of(total, kappa)
 
+    binned = []
+    bincount = np.bincount
+
+    def counted(x, *args, **kwargs):
+        binned.append(x.copy())
+        return bincount(x, *args, **kwargs)
+
     monkeypatch.setattr(process, "_histogram_estimate", kept)
+    monkeypatch.setattr(np, "bincount", counted)
     got = mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream)
+    monkeypatch.setattr(np, "bincount", bincount)
     ((total, kappa),) = seen
     # the totals are the phases of the index draws, summed path by path
     law = build_jump_law(level, alpha, cutoff_valuation=level.s0 - lam_valuation - 1)
@@ -818,8 +829,12 @@ def test_histogram_estimate_is_the_per_path_formula(
     assert (total == acc[ends] - acc[ends - counts]).all()
     if t < 1e-6:
         assert not total.any() and got == (1.0, 0.0)
-    # both folds run: the bincount of the totals, and their residues
+    # both folds run: the bincount of the totals themselves, and past the
+    # bound that of their residues
+    (folded,) = binned
     assert (total.max() < n_paths + kappa) == (kappa < 1 << 19)
+    assert (folded == (total if kappa < 1 << 19 else total % kappa)).all()
+    assert (folded == total).all() == (kappa < 1 << 19)
     # the per-path values and formulas, to within 4 ulp of 1.0
     z = np.exp((2j * np.pi / kappa) * np.arange(kappa)).take(total % kappa)
     estimate = z.mean()

@@ -9,6 +9,7 @@ from padicfrac.cli import DEFAULT_TOWER
 from padicfrac.funcspace import BallQuotient
 from padicfrac.tower import (
     TowerSpec,
+    _encode_coeff,
     build_factorial_tower,
     build_qp_tower,
     build_unramified_tower,
@@ -235,23 +236,36 @@ def test_a_dump_with_searched_polynomials_loads_as_the_preset():
     # an older dump, written after arithmetic, spells out the polynomials
     # the search found; the loaded levels must still be the preset's
     preset = resolve_tower("unramified:p=2,f=1-2-6-24")
+    doc = json.loads(json.dumps(dump_tower(preset)))
+    assert not any("poly" in st for steps in doc["levels"] for st in steps)
+    for (st,), parent, level in zip(doc["levels"][1:3], preset.levels, preset.levels[1:3]):
+        coeffs = [[_encode_coeff(parent, c), i] for i, c in enumerate(level._coeffs_of_top())]
+        st["poly"] = [["1", st["degree"]]] + coeffs
+    assert doc["levels"][1][0]["poly"] == [["1", 2], ["1", 0], ["1", 1]]
+    loaded = load_tower(doc)
+    assert loaded.levels == preset.levels
+    assert [hash(lvl) for lvl in loaded] == [hash(lvl) for lvl in preset]
+    for n in (2, 3, 4):
+        g, h = loaded.level(n).generator(), preset.level(n).generator()
+        assert (g + h - g - g).is_zero() and not (g + h).is_zero()
+
+
+def test_explicit_searched_polynomials_make_the_searched_levels():
+    # given or searched, the same polynomial makes the same level, and a
+    # tower so built round-trips through its dump
+    preset = resolve_tower("unramified:p=2,f=1-2-6-24")
     base, u2, u6, _ = preset.levels
     e2 = base.extend_unramified(2, coeffs=u2._coeffs_of_top())
     e6 = e2.extend_unramified(3, coeffs=u6._coeffs_of_top())
     explicit = TowerSpec(p=2, label="x", levels=(base, e2, e6, e6.extend_unramified(4)))
-    doc = json.loads(json.dumps(dump_tower(explicit)))
-    assert [len(steps) and "poly" in steps[0] for steps in doc["levels"]] == [0, True, True, False]
-    loaded = load_tower(doc)
-    assert loaded.levels[1:] == preset.levels[1:]
-    assert [hash(lvl) for lvl in loaded] == [hash(lvl) for lvl in preset]
-    for n in (2, 3):
-        g, h = loaded.level(n).generator(), preset.level(n).generator()
-        assert (g + h - g - g).is_zero() and not (g + h).is_zero()
+    assert explicit.levels == preset.levels
+    assert load_tower(dump_tower(explicit)).levels == explicit.levels
     # another lift of the same residue polynomial stays explicit
     assert u2._coeffs_of_top() == (1, 1)
     other = [["1", 2], ["1", 1], ["3", 0]]
     odd = load_tower({"p": 2, "levels": [[], [{"kind": "unramified", "poly": other}]]})
     assert odd.level(2).steps[-1].coeffs == (3, 1) and odd.level(2) != preset.level(2)
+    assert load_tower(dump_tower(odd)).levels == odd.levels
 
 
 def test_load_handwritten_file(tmp_path):
