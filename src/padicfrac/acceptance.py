@@ -77,32 +77,38 @@ def _base_levels():
     return q2, q2.extend_unramified(2), q2.extend_eisenstein([-2, 0])
 
 
-def check_route_agreement():
-    """Hypersingular-kernel and spectral-multiplier routes coincide on
-    random locally constant functions over four qualitatively different
-    levels (base, unramified, ramified, composite unramified)."""
-    t0 = time.perf_counter()
+def _route_agreement_cases():
     q2, u, e = _base_levels()
     sextic = u.extend_unramified(3)
-    cases = [
+    return [
         BallQuotient(q2, -4, 6),   # 2**10 cosets
         BallQuotient(u, -1, 4),    # 4**5 cosets
         BallQuotient(e, -5, 5),    # 2**10 cosets
         BallQuotient(sextic, 1, 2),  # 64 cosets
     ]
+
+
+def check_route_agreement():
+    """Hypersingular-kernel and spectral-multiplier routes coincide on
+    random locally constant functions over four qualitatively different
+    levels (base, unramified, ramified, composite unramified).  Function k
+    of a level runs at alpha = alphas[k % 3]; each route takes the
+    functions of one alpha as one stack."""
+    t0 = time.perf_counter()
     alphas = (0.5, 1.0, 2.0)
     tol = 1e-9
     worst = 0.0
     rng = np.random.default_rng(1001)
-    for bq in cases:
+    for bq in _route_agreement_cases():
         assert bq.size <= 1024
+        # function k joins the stack of alphas[k % 3], in draw order
+        stacks = [np.empty((len(range(i, 100, 3)), bq.size), dtype=np.complex128) for i in range(3)]
         for k in range(100):
-            f = random_function(bq, rng)
-            alpha = alphas[k % len(alphas)]
-            dev = np.abs(
-                apply_hypersingular(bq, f, alpha) - apply_spectral(bq, f, alpha)
-            ).max()
-            worst = max(worst, float(dev))
+            stacks[k % 3][k // 3] = random_function(bq, rng)
+        for stack, alpha in zip(stacks, alphas):
+            dev = apply_hypersingular(bq, stack, alpha)
+            dev -= apply_spectral(bq, stack, alpha)
+            worst = max(worst, float(np.abs(dev).max()))
     ok = worst <= tol
     detail = (
         f"max route deviation {worst:.2e} <= {tol:.0e} "
@@ -246,23 +252,27 @@ def check_log_characteristic():
     return _finish("log_characteristic", t0, 10.0, ok, detail)
 
 
-def check_kernel_jump_consistency():
-    """The operator evaluated as an explicit group-law sum of increments
-    against the per-coset jump masses agrees pointwise with the kernel
-    route's radial cascade of ball averages on random cylindrical
-    functions."""
-    t0 = time.perf_counter()
+def _kernel_jump_cases():
     q2, u, e = _base_levels()
-    cases = [
+    return [
         BallQuotient(q2, -2, 3),
         BallQuotient(u, 0, 3),
         BallQuotient(e, -1, 4),
     ]
+
+
+def check_kernel_jump_consistency():
+    """The operator evaluated as an explicit group-law sum of increments
+    against the per-coset jump masses agrees pointwise with the kernel
+    route's radial cascade of ball averages on random cylindrical
+    functions.  The increments of a function at its 20 points form one
+    stack, integrated in one call."""
+    t0 = time.perf_counter()
     alphas = (0.5, 1.0, 2.0)
     tol = 1e-9
     worst = 0.0
     rng = np.random.default_rng(7001)
-    for bq in cases:
+    for bq in _kernel_jump_cases():
         # add[i, j] = index of rep_i + rep_j, by carrying digit sums
         dT = bq.digit_matrix.T
         add = bq.index_of_digits((dT[:, :, None] + dT[:, None, :]).reshape(bq.D, -1))
@@ -272,10 +282,10 @@ def check_kernel_jump_consistency():
             alpha = alphas[k % len(alphas)]
             kernel_route = apply_hypersingular(bq, f, alpha)
             points = rng.choice(bq.size, size=20, replace=False)
-            for idx in points:
-                increments = f[add[idx]] - f[idx]
-                jump_route = -levy_integral(bq, alpha, increments)
-                worst = max(worst, abs(kernel_route[idx] - jump_route))
+            # row i: x -> f(point_i + x) - f(point_i), zero at x = 0
+            increments = f[add[points]] - f[points, None]
+            jump_route = -levy_integral(bq, alpha, increments)
+            worst = max(worst, float(np.abs(kernel_route[points] - jump_route).max()))
     ok = worst <= tol
     detail = (
         f"max |kernel - jump| = {worst:.2e} <= {tol:.0e} "

@@ -17,7 +17,10 @@ Cosets are listed in lexicographic digit order, row lo first.  In this block
 order every coset of pi^k O is a run of q^(s-k) consecutive indices, which
 ``BallQuotient.radial_apply`` uses to apply radial operators in O(|G|), and
 every shell {v_pi = w} is one run too, which ``BallQuotient.shell_sums``
-uses to pair a function with a radial weight in one pass.
+uses to pair a function with a radial weight in one pass.  Both act along
+the last axis of their input, which must hold |G| values: a (..., |G|)
+stack of functions costs one pass, and each of its rows comes out as the
+function alone would.
 
 The dual group of G is the quotient pi^(s0-s) O / pi^(s0-lo) O built from the
 annihilator identity of the standard ball pi^{s0} O; it has the same shape
@@ -47,6 +50,17 @@ __all__ = [
 ]
 
 MAX_DIGIT_ENTRIES = 1 << 24       # largest |G| * D held as a digit matrix
+
+
+def _row_dots(rows, weights):
+    """The dot product of ``weights`` with ``rows`` along its last axis: a
+    complex for one row, an array over the leading axes for a stack.
+
+    Each row is its own (1, n) @ (n,) product, the one BLAS dot a single
+    row makes, so a stacked row sums in the same order as the row alone;
+    BLAS reads only a contiguous row, hence the copy."""
+    out = (np.ascontiguousarray(rows)[..., None, :] @ np.asarray(weights))[..., 0]
+    return complex(out) if out.ndim == 0 else out
 
 
 class BallQuotient:
@@ -115,39 +129,60 @@ class BallQuotient:
             raise ValueError("need one coefficient per radius k0..s, lo <= k0")
         return depth
 
+    def _check_stack(self, values):
+        """The array ``values``, once its last axis is known to hold |G|
+        entries."""
+        if values.shape[-1:] != (self.size,):
+            raise ValueError(f"need {self.size} values along the last axis")
+        return values
+
     def radial_apply(self, values, k0, coeffs):
         """sum_{k=k0}^{s} coeffs[k - k0] * P_k phi, where P_k phi averages
         phi over each coset of pi^k O: a block of q^(s-k) consecutive
-        indices.
+        indices.  ``values`` is one function or a stack of them along its
+        last axis; the result has its shape.
 
         One descending cascade, O(|G|) in all: the block sums S_j over runs
         of q^j indices come from one matrix-vector product per radius (the
         finer sums in rows of q, times a vector of q ones), then, from the
-        coarsest radius down, each level is the scaled copy S_j * (c_k / q^j)
-        plus the coarser level repeated over its q sub-blocks.  Returns a
-        new complex array; ``values`` is never written."""
+        coarsest radius down, each level is S_j * (c_k / q^j) plus the
+        coarser level repeated over its q sub-blocks.  A block never
+        crosses from one function of a stack to the next.  The products
+        take the stack as a (rows, blocks, q) array, one product per
+        function, so each function's blocks sum as they would alone: a
+        product over a single block sums its q terms in another order than
+        one over many (at q = 4, a function's coarsest sum at k0 = lo
+        would differ from a flat stack's).  Returns a new complex array;
+        ``values`` is never written."""
         q, depth = self.q, self._radial_depth(k0, coeffs)
-        ones = np.ones(q, dtype=np.complex128)
-        # a strided input is copied once: the products then sum in the same
-        # order as on a contiguous copy
-        sums = [np.ascontiguousarray(values, dtype=np.complex128).reshape(self.size)]
+        # an own C-ordered copy, which the cascade scales in place: a
+        # strided input then sums in the same order as a contiguous one
+        out = self._check_stack(np.array(values, dtype=np.complex128, order="C"))
+        ones = self._cache("ones", lambda: np.ones(q, dtype=np.complex128))
+        rows, blocks = out.size // self.size, self.size
+        sums = [out.reshape(-1)]
         for _ in range(depth):
-            sums.append(sums[-1].reshape(-1, q) @ ones)
-        acc = sums[depth] * (coeffs[0] / q**depth)
+            blocks //= q
+            sums.append((sums[-1].reshape(rows, blocks, q) @ ones).ravel())
+        # each level is dropped once the next finer one has read it
+        acc = sums.pop()
+        acc *= coeffs[0] / q**depth
         for j in range(depth - 1, -1, -1):
-            nxt = sums[j] * (coeffs[depth - j] / q**j)
+            nxt = sums.pop()
+            nxt *= coeffs[depth - j] / q**j
             nxt += acc.repeat(q)
             acc = nxt
-        return acc
+        return out
 
     def radial_at_zero(self, values, k0, coeffs):
         """Entry 0 of ``radial_apply(values, k0, coeffs)``, from the shell
         sums alone: the ball of radius k around the zero coset is its first
         q^(s-k) indices, whose sum is the cumulative shell sum from the zero
-        coset out to valuation k."""
+        coset out to valuation k.  A complex for one function, an array
+        over the leading axes for a stack."""
         q, depth = self.q, self._radial_depth(k0, coeffs)
-        balls = np.cumsum(self.shell_sums(values)[::-1][: depth + 1])
-        return complex(np.dot(balls, [coeffs[depth - j] / q**j for j in range(depth + 1)]))
+        balls = np.cumsum(self.shell_sums(values)[..., ::-1][..., : depth + 1], axis=-1)
+        return _row_dots(balls, [coeffs[depth - j] / q**j for j in range(depth + 1)])
 
     def _representatives(self, indices):
         """The element sum_t dig[g, t] * basis_t of each coset g: the digit
@@ -199,12 +234,15 @@ class BallQuotient:
         return np.asarray(per_shell)[self.val_pi_vector - self.lo]
 
     def shell_sums(self, values):
-        """The sum of ``values`` over each shell, in ``shell_sizes`` order:
-        the adjoint of ``from_shells``.  In block order the shells are the
-        index runs starting at 0, 1, q, ..., q^(J-1), zero coset first, so
-        one ``np.add.reduceat`` over those starts, reversed, gives them."""
-        starts = [0] + [self.q**k for k in range(self.J)]
-        return np.add.reduceat(np.asarray(values).reshape(self.size), starts)[::-1]
+        """The sum of ``values`` over each shell, in ``shell_sizes`` order,
+        along the last axis: the adjoint of ``from_shells``.  In block
+        order the shells are the index runs starting at 0, 1, q, ...,
+        q^(J-1), zero coset first, so one ``np.add.reduceat`` over those
+        starts, reversed, gives them."""
+        starts = self._cache(
+            "shell_starts", lambda: np.array([0] + [self.q**k for k in range(self.J)])
+        )
+        return np.add.reduceat(self._check_stack(np.asarray(values)), starts, axis=-1)[..., ::-1]
 
     def per_coset(self, per_shell):
         """Whole-shell masses split evenly over each shell's exact count."""
@@ -239,29 +277,39 @@ class BallQuotient:
 
         The angle of (b, g) is bilinear in the digit strings, so
         dig[b] @ theta_int @ dig[g] mod kappa is kappa times the angle of
-        <b, g>, with no rounding.
+        <b, g>, with no rounding.  The product of the dual basis element
+        mono_nu * pi^(s0-s+a) and the basis element mono_mu * pi^(lo+c) is
+        mono_nu * mono_mu * pi^(s0-s+lo+a+c), so its angle depends on the
+        row sum a + c alone: f^2 (2J - 1) exact angles fill the table.
         """
 
         def build():
-            s0 = self.level.s0
+            f, J = self.f, self.J
             basis = self._basis_elements(self.lo)
-            dual_basis = self._basis_elements(s0 - self.s)
-            theta = [
-                [pairing_angle(b, g) for g in basis] for b in dual_basis
-            ]
-            kappa = math.lcm(*(ang.denominator for row in theta for ang in row))
+            dual_basis = self._basis_elements(self.level.s0 - self.s)
+            # theta[r][nu][mu]: the angles of row sum r, read at its first
+            # pair of rows (a, r - a)
+            theta = []
+            for r in range(2 * J - 1):
+                a = max(0, r - J + 1)
+                duals, gs = dual_basis[a * f:(a + 1) * f], basis[(r - a) * f:(r - a + 1) * f]
+                theta.append([[pairing_angle(b, g) for g in gs] for b in duals])
+            kappa = math.lcm(*(ang.denominator for plane in theta for row in plane for ang in row))
             k = kappa
             while k % self.p == 0:
                 k //= self.p
             if k != 1:
                 raise AssertionError("angle denominators must be p powers")
-            theta_int = np.array(
-                [[int(ang * kappa) for ang in row] for row in theta],
-                dtype=np.int64,
-            )
             bound = (self.D * (self.p - 1)) ** 2 * kappa
             if bound >= 1 << 62:
                 raise ValueError("character table would overflow int64")
+            by_sum = np.array(
+                [[[int(ang * kappa) for ang in row] for row in plane] for plane in theta],
+                dtype=np.int64,
+            )
+            rows = np.arange(J)
+            # by_sum[a + c] is indexed [a, c, nu, mu]; the table by [(a, nu), (c, mu)]
+            theta_int = by_sum[rows[:, None] + rows].transpose(0, 2, 1, 3).reshape(self.D, self.D)
             return theta_int, kappa
 
         return self._cache("pairing", build)
@@ -278,20 +326,25 @@ class BallQuotient:
 
     def _carries(self):
         """carries[t] lists (u, E[t, u]) for the nonzero digits E[t] of
-        p * mono_mu * pi^j, basis position t = (j, mu): one exact expansion
-        per position.  Since p lies in pi^e O, E[t] is zero in positions
-        <= t (rows <= j), so carries only move deeper.
+        p * mono_mu * pi^j, basis position t = (j, mu).  Since p lies in
+        pi^e O, E[t] is zero in positions <= t (rows <= j), so carries only
+        move deeper.  Multiplying by pi moves every digit one row deeper,
+        so the f expansions of row lo give every row: E[t] for row lo + j
+        is the row-lo expansion shifted j rows, cut at row s.
         """
 
         def build():
-            lvl, p = self.level, self.p
-            basis = self._basis_elements(self.lo)
-            E = np.array(
-                [lvl.digits_in_ball(lvl._smul_pay(p, b.pay), self.lo, self.s) for b in basis]
-            )
+            lvl, p, f, D = self.level, self.p, self.f, self.D
+            top = np.array([
+                lvl.digits_in_ball(lvl._smul_pay(p, b.pay), self.lo, self.s)
+                for b in self._basis_elements(self.lo)[:f]
+            ], dtype=np.int64)
+            E = np.zeros((D, D), dtype=np.int64)
+            for j in range(self.J):
+                E[j * f:(j + 1) * f, j * f:] = top[:, : D - j * f]
             if np.tril(E).any():
                 raise AssertionError("carry vectors must point to deeper rows")
-            return [[(int(u), int(E[t, u])) for u in np.flatnonzero(E[t])] for t in range(self.D)]
+            return [[(int(u), int(E[t, u])) for u in np.flatnonzero(E[t])] for t in range(D)]
 
         return self._cache("carries", build)
 

@@ -37,6 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .funcspace import _row_dots
 from .vladimirov import _eigenvalue, _jump_coset_masses, _jump_shell_masses, _spectral_coeffs
 
 __all__ = [
@@ -254,7 +255,7 @@ def levy_cutoff_valuation(level, delta):
 
 def _require_zero_at_origin(values):
     values = np.asarray(values)
-    if values[0] != 0:
+    if np.count_nonzero(values[..., 0]):
         raise ValueError("integrand must vanish on the zero coset")
     return values
 
@@ -263,16 +264,21 @@ def levy_integral(quotient, alpha, values):
     """Integrate a quotient function vanishing at the origin against the
     jump measure.  The measure is radial, so the integral is the jump mass
     of one coset of each shell times the sum of the values over that shell,
-    a J-term sum once the shell sums are formed."""
+    a J-term sum once the shell sums are formed.
+
+    ``values`` is one function or a stack of them along its last axis,
+    each vanishing at the origin: a complex for one, an array over the
+    leading axes for a stack, each entry the integral of its row alone."""
     values = _require_zero_at_origin(values)
-    return complex(np.dot(_jump_coset_masses(quotient, alpha), quotient.shell_sums(values)[:-1]))
+    return _row_dots(quotient.shell_sums(values)[..., :-1], _jump_coset_masses(quotient, alpha))
 
 
 def levy_integral_spectral(quotient, alpha, values):
     """Same integral through the Fourier side: minus the multiplier-weighted
     sum of coefficients, -sum_b lambda_b c_b = -(D phi)(0), with (D phi)(0)
     read off the ball sums around the origin.  Needs the integrand to
-    vanish at the origin, so that its coefficients sum to zero."""
+    vanish at the origin, so that its coefficients sum to zero.  Takes and
+    returns stacks along the last axis as ``levy_integral`` does."""
     values = _require_zero_at_origin(values)
     return -quotient.radial_at_zero(values, *_spectral_coeffs(quotient, alpha))
 

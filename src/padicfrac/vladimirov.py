@@ -38,6 +38,10 @@ level repeated over its q sub-blocks, O(|G|) in all.  A single entry of a
 route needs less: ``radial_at_zero`` reads the value at the zero coset off
 the J + 1 shell sums.
 
+Every route acts along the last axis of ``values``, which must hold |G|
+entries: a (..., |G|) stack of functions costs one cascade, and each row
+of the result is byte for byte the route applied to that row alone.
+
 All routes work on a BallQuotient with lo <= s0 <= s, which is exactly the
 condition for the ball convolution to stay inside the quotient.
 """

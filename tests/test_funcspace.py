@@ -1,5 +1,6 @@
 """Ball quotients: digit tables, characters, transforms, refinement."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 from padicfrac import funcspace
+from padicfrac.measures import levy_integral, levy_integral_spectral
 from padicfrac.padic import Level, base_level, pairing_angle, project_T
-from padicfrac.tower import resolve_tower
+from padicfrac.tower import build_factorial_tower, resolve_tower
+from padicfrac.vladimirov import apply_hypersingular, apply_spectral, semigroup_apply
 from padicfrac.funcspace import (
     BallQuotient,
     fourier,
@@ -254,6 +257,70 @@ def test_shell_sums_read_strided_input(bq):
     assert wide.tobytes() == before.tobytes()
 
 
+STACKED_ROUTES = {
+    "apply_spectral": apply_spectral,
+    "apply_hypersingular": apply_hypersingular,
+    "semigroup_apply": lambda bq, v, alpha: semigroup_apply(bq, v, alpha, 0.7),
+    "levy_integral": lambda bq, v, alpha: levy_integral(bq, alpha, v),
+    "levy_integral_spectral": lambda bq, v, alpha: levy_integral_spectral(bq, alpha, v),
+}
+
+
+@pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
+@pytest.mark.parametrize("route", sorted(STACKED_ROUTES))
+def test_a_stacked_row_is_the_function_alone(bq, route):
+    # every row of a stack comes out byte for byte as the row alone: the
+    # block sums, the shell sums and the J-term dot products take each row
+    # in its own order.  lo = s0 on Q_2 (0, 4), Q_2-u2 (1, 3) and
+    # Q_2-u2-e2 (2, 4), where a single function's coarsest block sum is
+    # one dot product and a flat stack's would sum in another order at q = 4
+    run = STACKED_ROUTES[route]
+    rng = np.random.default_rng(21)
+    for alpha in (0.5, 1.0, 2.0):
+        stack = rng.standard_normal((2, 3, bq.size)) + 1j * rng.standard_normal((2, 3, bq.size))
+        stack[..., 0] = 0.0  # the jump integrals need a zero at the origin
+        got = run(bq, stack, alpha)
+        alone = [run(bq, row, alpha) for row in stack.reshape(6, bq.size)]
+        if route.startswith("levy"):
+            assert got.shape == (2, 3) and all(isinstance(x, complex) for x in alone)
+            assert got.reshape(6).tobytes() == np.array(alone).tobytes()
+        else:
+            assert got.shape == stack.shape
+            assert got.reshape(6, bq.size).tobytes() == np.array(alone).tobytes()
+        # a strided stack (every other row of a wider one) and a stack of none
+        assert run(bq, stack[:, ::2], alpha).tobytes() == got[:, ::2].tobytes()
+        assert run(bq, stack[:0], alpha).shape == got[:0].shape
+
+
+def test_stacks_refuse_a_last_axis_of_another_length():
+    bq = BallQuotient(Q2, -1, 2)
+    coeffs = np.ones(3)
+    for bad in (np.zeros((2, bq.size + 1)), np.zeros((bq.size, 2)), np.zeros(bq.size - 1)):
+        with pytest.raises(ValueError, match="along the last axis"):
+            bq.radial_apply(bad, 0, coeffs)
+        with pytest.raises(ValueError, match="along the last axis"):
+            bq.radial_at_zero(bad, 0, coeffs)
+        with pytest.raises(ValueError, match="along the last axis"):
+            bq.shell_sums(bad)
+        for route in STACKED_ROUTES.values():
+            with pytest.raises(ValueError, match="along the last axis"):
+                route(bq, bad, 1.0)
+
+
+def test_jump_integrals_refuse_a_stack_with_a_row_nonzero_at_the_origin():
+    bq = BallQuotient(Q2, -1, 2)
+    stack = np.zeros((3, bq.size))
+    stack[:, 1:] = 1.0
+    for route in (levy_integral, levy_integral_spectral):
+        assert route(bq, 1.0, stack).shape == (3,)
+        stack[1, 0] = 1e-300
+        with pytest.raises(ValueError, match="vanish on the zero coset"):
+            route(bq, 1.0, stack)
+        with pytest.raises(ValueError, match="vanish on the zero coset"):
+            route(bq, 1.0, stack[None])
+        stack[1, 0] = 0.0
+
+
 @pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
 def test_character_matrix_is_scaled_unitary(bq):
     Umat = _character_table(bq)
@@ -392,6 +459,67 @@ def test_cold_sub_table_expands_once_per_basis_position(monkeypatch):
     _sub_table(bq)
     bq.index_of_digits(-bq.digit_matrix.T)
     assert 0 < len(calls) <= bq.D == 10
+
+
+def _exact_table_grid():
+    """22 quotients over 8 levels, each level with a fresh cache: Q_2, Q_3,
+    Q_2-u2, Q_2-e2, the sextic level, level 4 of factorial:p=2,depth=4,
+    Q_3-e2 and Q_2-u2-e2; rows on both sides of each level's s0, J = 1..4."""
+    q2, q3 = Level(2), Level(3)
+    u = q2.extend_unramified(2)
+    spans = [
+        (q2, [(0, 1), (-2, 2), (-3, 4)]),
+        (q3, [(0, 2), (-1, 2), (-2, 1)]),
+        (u, [(1, 2), (-1, 3), (0, 4)]),
+        (q2.extend_eisenstein([-2, 0]), [(-1, 1), (-3, 2), (0, 3)]),
+        (u.extend_unramified(3), [(1, 2), (0, 2)]),
+        (build_factorial_tower(2, 4).level(4), [(4, 5), (3, 5), (2, 5)]),
+        (q3.extend_eisenstein([-3, 0]), [(-1, 1), (-2, 2)]),
+        (u.extend_eisenstein([u.element(2), u.element(2)]), [(2, 4), (1, 4), (0, 3)]),
+    ]
+    return [BallQuotient(lvl, lo, s) for lvl, pairs in spans for lo, s in pairs]
+
+
+def _dense_pairing(bq):
+    """The D x D oracle: one exact pairing angle per (dual basis, basis) pair."""
+    basis = bq._basis_elements(bq.lo)
+    dual_basis = bq._basis_elements(bq.level.s0 - bq.s)
+    theta = [[pairing_angle(b, g) for g in basis] for b in dual_basis]
+    kappa = math.lcm(*(ang.denominator for row in theta for ang in row))
+    return np.array([[int(ang * kappa) for ang in row] for row in theta], dtype=np.int64), kappa
+
+
+def _dense_carries(bq):
+    """The D-expansion oracle: the digits of p * b for every basis element b."""
+    lvl = bq.level
+    E = np.array([
+        lvl.digits_in_ball(lvl._smul_pay(bq.p, b.pay), bq.lo, bq.s)
+        for b in bq._basis_elements(bq.lo)
+    ])
+    return [[(int(u), int(E[t, u])) for u in np.flatnonzero(E[t])] for t in range(bq.D)]
+
+
+def test_exact_tables_come_from_their_distinct_entries(monkeypatch):
+    # the pairing table reads one angle per (row sum, mu, nu) and the carry
+    # table one expansion per monomial of row lo; both equal the tables
+    # built entry by entry
+    grid = _exact_table_grid()
+    assert len(grid) == 22 and len({bq.level for bq in grid}) == 8
+    angles, expansions = [], []
+    angle, digits = funcspace.pairing_angle, Level.digits_in_ball
+    monkeypatch.setattr(funcspace, "pairing_angle", lambda a, x: angles.append(1) or angle(a, x))
+    monkeypatch.setattr(
+        Level, "digits_in_ball", lambda self, *args: expansions.append(1) or digits(self, *args)
+    )
+    for bq in grid:
+        del angles[:], expansions[:]
+        theta, kappa = bq._pairing()
+        carries = bq._carries()
+        assert len(angles) == bq.f**2 * (2 * bq.J - 1) and len(expansions) == bq.f
+        want_theta, want_kappa = _dense_pairing(bq)
+        assert kappa == want_kappa and theta.dtype == np.int64
+        assert theta.tobytes() == want_theta.tobytes()
+        assert carries == _dense_carries(bq)
 
 
 def test_index_of_digits_refuses_int64_overflow():
