@@ -140,11 +140,20 @@ def _load_function(args, level):
                 doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise CommandError(f"cannot read function file: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise CommandError(
+                "function file must hold a JSON object with fields 'lo', 's' and 'values'"
+            )
         for field in ("lo", "s", "values"):
             if field not in doc:
                 raise CommandError(f"function file misses field {field!r}")
-        quotient = BallQuotient(level, int(doc["lo"]), int(doc["s"]))
+        for field in ("lo", "s"):
+            if type(doc[field]) is not int:  # a bool is an int too
+                raise CommandError(f"field {field!r} must be an integer")
+        quotient = BallQuotient(level, doc["lo"], doc["s"])
         values = doc["values"]
+        if not isinstance(values, list):
+            raise CommandError("field 'values' must be a list of [re, im] pairs")
         if len(values) != quotient.size:
             raise CommandError(
                 f"field 'values' has {len(values)} entries, quotient needs "
@@ -154,6 +163,9 @@ def _load_function(args, level):
             out = np.array([complex(re, im) for re, im in values])
         except (TypeError, ValueError) as exc:
             raise CommandError(f"field 'values' must hold [re, im] pairs: {exc}")
+        # JSON reads NaN, Infinity and 1e400 as floats the routes cannot use
+        if not np.isfinite(out).all():
+            raise CommandError("field 'values' must hold finite numbers")
         return quotient, out
     lo = args.lo if args.lo is not None else level.s0 - 1
     quotient = BallQuotient(level, lo, lo + args.span)
@@ -172,8 +184,21 @@ def cmd_spectrum(args):
     if args.max_value <= 0:
         raise CommandError("--max-value must be positive")
     horizon = args.horizon if args.horizon is not None else tower.depth
+    if not 1 <= horizon <= tower.depth:
+        raise CommandError(f"--horizon {horizon} outside tower depth {tower.depth}")
     cap = max(1, math.ceil(math.log(max(args.max_value, 2.0))
                            / math.log(tower.q1) / args.alpha))
+    # the largest multiplicity, (q - 1) q^(N - 1) at N = cap e on the horizon
+    # level, must render: refuse it before spectrum() visits every exponent
+    H = tower.level(horizon)
+    top = cap * H.e
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if (top - 1) * math.log10(H.q) > limit + 1 or (H.q - 1) * H.q ** (top - 1) >= 10**limit:
+        raise CommandError(
+            f"--alpha {args.alpha!r} and --max-value {args.max_value!r} reach "
+            f"multiplicities of more than {limit} decimal digits; raise --alpha "
+            "or lower --max-value"
+        )
     entries = [
         en
         for en in spectrum(tower, args.alpha, exponent_cap=cap, horizon=horizon)

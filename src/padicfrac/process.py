@@ -22,13 +22,15 @@ gets the same counts with no jump drawn and no endpoint formed.
 Jump cosets, the label's phases of the jumps, and the per-path jump counts
 of ``_path_sums`` come from one integer inverse-cdf sampler, ``_sampler``,
 whose guide table holds the drawn values themselves (a coset index, its
-phase, or a count), so a draw needs no lookup after it: a draw reads a
-16-bit chunk of a raw Philox word (a 32-bit one on laws of more than 4,096
-entries), so a word serves four draws (or two), and only the draws whose
-chunk falls in a bucket of the guide table that holds a cdf breakpoint read
-a fresh word for the rest of their 53-bit uniform.  The law is exactly that
-of inverting the cdf rounded up to multiples of 2^-53, as
-``Generator.choice`` does; the stream is the sampler's own, and the same
+phase, or a count), so a draw needs no lookup after it.  The cdf
+breakpoints alone fix that table: each value fills the run of buckets
+between its breakpoints, one ``np.repeat``, and a bucket that a breakpoint
+splits is marked for the search.  A draw reads a 16-bit chunk of a raw
+Philox word (a 32-bit one on laws of more than 4,096 entries), so a word
+serves four draws (or two), and only the draws whose chunk falls in a
+marked bucket read a fresh word for the rest of their 53-bit uniform.  The
+law is exactly that of inverting the cdf rounded up to multiples of 2^-53,
+as ``Generator.choice`` does; the stream is the sampler's own, and the same
 whichever values it hands out.  The counts are drawn on a Poisson(rate * t)
 table.  A law, its jump and phase samplers and its only jump coset are kept
 in the cache of its level under (alpha, cutoff), and its count samplers
@@ -154,26 +156,29 @@ def _check_horizon(t):
         raise ValueError("time horizon must be positive and finite")
 
 
-def _guide_table(probs):
+def _guide_table(probs, values):
     """(cdf53, m, guide): integer inverse-cdf tables of the law with
-    weights ``probs``.
+    weights ``probs``, whose guide holds ``values``, one per weight.
 
     A 53-bit uniform u53 (u = u53 2^-53, as numpy's ``choice`` makes it from
     a raw word) draws index g when cdf[g - 1] <= u < cdf[g].  Scaling by 2^53
     is exact, so cdf[g] <= u exactly when cdf53[g] <= u53 for cdf53 =
     ceil(cdf 2^53).  ``guide`` is an indexed search table (Chen & Asau 1974,
     Devroye 1986 III.2.4) on M = 2^m >= 16 len(probs) buckets keyed by the
-    top m bits of u53: bucket k holds the index of every u53 in it when no
-    cdf53 breakpoint falls inside, and -1 otherwise.
+    top m bits of u53, the only array here that is M long.  The breakpoints
+    alone fix it: with W = 2^(53 - m) values of u53 a bucket, ``values[g]``
+    fills the run of buckets ceil(cdf53[g - 1] / W) .. ceil(cdf53[g] / W) - 1
+    (cdf53[-1] read as 0), and each breakpoint b that W does not divide then
+    marks its bucket b >> (53 - m) as -1, as two entries share it.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     cdf53 = np.ceil(np.ldexp(cdf, 53)).astype(np.int64)
     m = (16 * cdf.size - 1).bit_length()
-    width = 1 << (53 - m)  # values of u53 per bucket
-    starts = np.arange(0, 1 << 53, width, dtype=np.int64)
-    guide = cdf53.searchsorted(starts, side="right")
-    guide[guide != cdf53.searchsorted(starts + (width - 1), side="right")] = -1
+    shift = 53 - m
+    ends = -(-cdf53 >> shift)  # ceil(cdf53 / W): the bucket after each value's run
+    guide = np.repeat(values, np.diff(ends, prepend=0))
+    guide[cdf53[cdf53 & ((1 << shift) - 1) != 0] >> shift] = -1
     return cdf53, m, guide
 
 
@@ -186,16 +191,15 @@ def _sampler(probs, values):
     the guide has m > 16 bits, so a word serves four draws (or two).  Each
     block of ``_BLOCK_DRAWS`` draws takes its words first and splits them
     low chunk first; the chunks left over in its last word are dropped.  A
-    chunk's top m bits pick a bucket of ``_guide_table``, and a pure bucket
-    gives its value, kept in the guide in place of its index.  A draw in a
-    -1 bucket then takes one fresh word f, in draw order: its uniform
+    chunk's top m bits pick a bucket of the M-long guide of
+    ``_guide_table``, which holds the values themselves, so a bucket that
+    one value fills gives that value with no lookup.  A draw in a -1 bucket
+    then takes one fresh word f, in draw order: its uniform
     u53 = (bucket << (53 - m)) | (f >> (11 + m)) is searched in cdf53, and
     gives the value at the index found.  The words read, and so the stream,
     do not depend on ``values``.
     """
-    cdf53, m, index = _guide_table(probs)
-    guide = values.take(index, mode="wrap")
-    guide[index < 0] = -1
+    cdf53, m, guide = _guide_table(probs, values)
     bits = 16 if m <= 16 else 32
     per_word = 64 // bits
     chunk = f"<u{bits // 8}"  # little-endian, so the split is the same on any host

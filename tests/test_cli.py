@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -79,6 +80,46 @@ def test_spectrum_single_horizon(tmp_path):
     assert [r["multiplicity"] for r in eigen] == [1, 1, 2, 4, 8]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ([], "805d058536673f356cd99fe2b85b4edd8b97327ebd2693754504e062a9ba225e"),
+        (["--alpha", "1e-2"], "7d2e62176f7776f37f12fe7c6589aafecfb13de962969024f2da917a97edd8ce"),
+    ],
+    ids=["default", "alpha 1e-2"],
+)
+def test_spectrum_rows_are_pinned(tmp_path, argv, digest):
+    # at 1e-2 the default tower's largest multiplicity has 2,890 digits,
+    # inside the int-to-str limit
+    code, _ = run(tmp_path, "spectrum", *argv, fmt="csv")
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("horizon", ["-1", "0", "4"])
+def test_spectrum_refuses_a_horizon_outside_the_tower(tmp_path, capsys, horizon):
+    # checked before the horizon level's multiplicities are bounded
+    code, doc = run(tmp_path, "spectrum", "--tower", UNRAM_TOWER, "--horizon", horizon)
+    assert code == 2 and doc is None
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {
+        "command": "spectrum", "error": f"--horizon {horizon} outside tower depth 3",
+    }
+
+
+@pytest.mark.parametrize("alpha", ["1e-3", "1e-5", "1e-300"])
+def test_spectrum_refuses_multiplicities_past_the_digit_limit(alpha):
+    # the exponent cap grows as 1 / alpha; its multiplicities are refused
+    # before spectrum() forms one per exponent
+    proc = _run_capped(["spectrum", "--alpha", alpha], 1536 << 20, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.strip().splitlines()
+    record = json.loads(line)
+    assert record["command"] == "spectrum"
+    assert "--alpha" in record["error"] and "--max-value" in record["error"]
+
+
 # ---------------------------------------------------------------------------
 # apply
 
@@ -137,6 +178,34 @@ def test_apply_rejects_wrong_value_count(tmp_path):
     fn.write_text(json.dumps({"lo": 0, "s": 2, "values": [[1.0, 0.0]] * 3}))
     code, _ = run(tmp_path, "apply", "--tower", Q2_TOWER, "--function", str(fn))
     assert code == 2
+
+
+FOUR_VALUES = "[[0, 0], [1, 0], [1, 0], [1, 0]]"
+
+
+@pytest.mark.parametrize("command", ["apply", "levy"])
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("5", "object"),
+        ('{"lo": 0, "s": 2, "values": 7}', "'values'"),
+        ('{"lo": null, "s": 2, "values": %s}' % FOUR_VALUES, "'lo'"),
+        ('{"lo": 0, "s": 2.5, "values": %s}' % FOUR_VALUES, "'s'"),
+        ('{"lo": 0, "s": 2, "values": [[0, 0], [1e400, 0], [1, 0], [1, 0]]}', "'values'"),
+        ('{"lo": 0, "s": 2, "values": [[0, 0], [NaN, 0], [1, 0], [1, 0]]}', "'values'"),
+    ],
+    ids=["not an object", "values not a list", "lo null", "s not an integer", "1e400", "NaN"],
+)
+def test_malformed_function_file_is_a_config_error(tmp_path, capsys, command, text, field):
+    # the value at the origin is 0, so levy reads the rest; a non-finite
+    # value would reach the routes as nan
+    fn = tmp_path / "fn.json"
+    fn.write_text(text)
+    code, doc = run(tmp_path, command, "--tower", Q2_TOWER, "--function", str(fn))
+    assert code == 2 and doc is None
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["command"] == command and field in record["error"]
 
 
 # ---------------------------------------------------------------------------

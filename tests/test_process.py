@@ -1,5 +1,6 @@
 import bisect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -192,7 +193,7 @@ def _decode(probs, rng, n):
     _BLOCK_DRAWS draws reads its words, split low chunk first, and then one
     fresh word per draw, in draw order, whose bucket a cdf53 breakpoint
     splits."""
-    cdf53, m, _ = process._guide_table(probs)
+    cdf53, m, _ = process._guide_table(probs, np.arange(probs.size))
     cdf53 = cdf53.tolist()
     bits = 16 if m <= 16 else 32
     per_word = 64 // bits
@@ -233,7 +234,7 @@ def test_jump_draws_pass_a_chi_square_against_the_coset_law(cutoff):
     # 32-bit chunks
     stats = pytest.importorskip("scipy.stats")
     law = build_jump_law(Q2, 1.0, cutoff_valuation=cutoff)
-    _, m, _ = process._guide_table(law.coset_probs)
+    _, m, _ = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
     assert m == cutoff + 5
     n = 1 << 20
     draws = process._jump_sampler(law)(process._rng(31, 0), n)
@@ -289,7 +290,7 @@ def _draw_each(draw, probs, u53):
     fresh word, and whether the fresh word was read.  The chunk's top m bits
     are u53's top m bits and the fresh word's top 53 - m bits the rest; every
     bit the sampler must ignore is set on every other draw."""
-    _, m, _ = process._guide_table(probs)
+    _, m, _ = process._guide_table(probs, np.arange(probs.size))
     bits = 16 if m <= 16 else 32
     ones = (1 << 64) - 1
     top = ((1 << m) - 1) << (bits - m)
@@ -310,7 +311,7 @@ def test_jump_sampler_on_cdf_ties(level, cutoff):
     # on uniforms where the cdf steps
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
     cdf = _cdf(law)
-    cdf53, m, guide = process._guide_table(law.coset_probs)
+    cdf53, m, guide = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
     u53 = _tie_uniforms(cdf53)
     got, fresh = _draw_each(process._jump_sampler(law), law.coset_probs, u53)
     assert (got == cdf.searchsorted(u53 * 2.0**-53, side="right")).all()
@@ -347,7 +348,7 @@ def test_phase_draws_are_the_phases_of_the_index_draws(level, cutoff, n):
     assert (got == phases[process._jump_sampler(law)(rng_b, n)]).all()
     assert rng_a.bit_generator.random_raw() == rng_b.bit_generator.random_raw()
     if cutoff == 1:  # Q_3: the breakpoint on a bucket edge, and fresh words read
-        cdf53, _, _ = process._guide_table(law.coset_probs)
+        cdf53, _, _ = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
         u53 = _tie_uniforms(cdf53)
         index, index_fresh = _draw_each(process._jump_sampler(law), law.coset_probs, u53)
         got, fresh = _draw_each(process._phase_sampler(law), law.coset_probs, u53)
@@ -361,7 +362,7 @@ def test_guide_buckets_are_pure(level, cutoff):
     # ends, and so of every word between them
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
     cdf = _cdf(law)
-    cdf53, m, guide = process._guide_table(law.coset_probs)
+    cdf53, m, guide = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
     assert guide.size == 1 << m >= 16 * cdf.size
     assert (cdf53 == np.ceil(cdf * 2.0**53)).all()
     width = 2 ** (53 - m)
@@ -370,6 +371,68 @@ def test_guide_buckets_are_pure(level, cutoff):
         want = cdf.searchsorted(u53 * 2.0**-53, side="right")
         assert ((guide == -1) | (guide == want)).all()
     assert (guide >= 0).mean() > 0.9
+
+
+def _searchsorted_guide(probs):
+    """(cdf53, m, index guide) by searching the cdf breakpoints at each
+    bucket's first and last u53: the index both ends draw, or -1 where they
+    differ."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf53 = np.ceil(np.ldexp(cdf, 53)).astype(np.int64)
+    m = (16 * cdf.size - 1).bit_length()
+    width = 1 << (53 - m)
+    starts = np.arange(0, 1 << 53, width, dtype=np.int64)
+    guide = cdf53.searchsorted(starts, side="right")
+    guide[guide != cdf53.searchsorted(starts + (width - 1), side="right")] = -1
+    return cdf53, m, guide
+
+
+def _oracle_tables():
+    """(name, probs, values) for jump laws with their label's phases as
+    values, Poisson count tables, weights with zeros and a one-entry law."""
+    for name, level in [("Q2", Q2), ("Q3", Q3), ("Q2-u2", U), ("Q2-e2", E)]:
+        for alpha in (0.5, 1.0, 2.0):
+            for L in range(1, 8):
+                law = build_jump_law(level, alpha, cutoff_valuation=level.s0 + L - 1)
+                yield f"{name} alpha={alpha} L={L}", law.coset_probs, process._label_phases(law)[0]
+    for lam in (0.5, 3.0, 60.0, 1e4):
+        k_lo, probs = process._poisson_table(lam)
+        yield f"poisson {lam}", probs, np.arange(k_lo, k_lo + probs.size)
+    zeros = {"start": [0, 0, 3, 1, 2], "middle": [1, 0, 0, 2, 0, 5], "end": [2, 7, 1, 0, 0]}
+    for where, weights in zeros.items():
+        probs = np.array(weights, dtype=float)
+        yield f"zeros at the {where}", probs, np.arange(probs.size)[::-1].copy()
+    yield "one entry", np.array([0.25]), np.array([7])
+
+
+def test_guide_tables_equal_the_searchsorted_builder():
+    # a value fills the buckets between its breakpoints: the guide of the
+    # indices is the bucket search's, and of any other values its remap
+    tables = list(_oracle_tables())
+    assert len(tables) == 92
+    for name, probs, values in tables:
+        want_cdf53, want_m, index = _searchsorted_guide(probs)
+        for vals in (np.arange(probs.size), values):
+            cdf53, m, guide = process._guide_table(probs, vals)
+            assert m == want_m and (cdf53 == want_cdf53).all(), name
+            want = np.where(index < 0, -1, vals.take(index))
+            assert guide.dtype == np.int64 and (guide == want).all(), name
+
+
+def test_guide_table_holds_no_second_guide_sized_array():
+    # 2^16 cosets, M = 2^20 buckets: the guide is the only M-long array
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=15)
+    probs, values = law.coset_probs, np.arange(law.coset_probs.size)
+    assert probs.size == 1 << 16
+    tracemalloc.start()
+    try:
+        _, m, guide = process._guide_table(probs, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert guide.size == 1 << m == 1 << 20
+    assert peak < 2 * guide.nbytes
 
 
 def _entries(value):
@@ -476,7 +539,7 @@ POISSON_RATES = [2.5, 2.625, 9.0, 0.01, 0.3, 1.0, 4.7, 17.25, 33.0, 60.0]
 def test_count_table_is_the_poisson_cdf(lam):
     stats = pytest.importorskip("scipy.stats")
     k_lo, probs = process._poisson_table(lam)
-    cdf53, _, _ = process._guide_table(probs)
+    cdf53, _, _ = process._guide_table(probs, np.arange(probs.size))
     ks = np.arange(k_lo, k_lo + probs.size)
     # float cumsum rounding, at most one unit per entry; at lam = 1e6
     # scipy's own incomplete gamma is off by up to 4e-11
@@ -515,7 +578,7 @@ def test_count_sampler_on_cdf_ties(lam):
     law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
     t = lam / law.rate
     k_lo, probs = process._poisson_table(law.rate * t)
-    cdf53, _, _ = process._guide_table(probs)
+    cdf53, _, _ = process._guide_table(probs, np.arange(probs.size))
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     u53 = _tie_uniforms(cdf53)
@@ -536,9 +599,9 @@ def test_samplers_are_built_once_per_law_and_horizon(monkeypatch):
     built = []
     guide_table = process._guide_table
 
-    def counted(probs):
+    def counted(probs, values):
         built.append(probs.size)
-        return guide_table(probs)
+        return guide_table(probs, values)
 
     monkeypatch.setattr(process, "_guide_table", counted)
     first = mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3)
