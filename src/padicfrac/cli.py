@@ -125,6 +125,13 @@ def _pick_level(tower, args):
     return tower.level(n), n
 
 
+def _pick_horizon(tower, args):
+    horizon = args.horizon if args.horizon is not None else tower.depth
+    if not 1 <= horizon <= tower.depth:
+        raise CommandError(f"--horizon {horizon} outside tower depth {tower.depth}")
+    return horizon
+
+
 def _check_t(args):
     if not 0.0 < args.t < math.inf:
         raise CommandError("--t must be positive and finite")
@@ -183,9 +190,7 @@ def cmd_spectrum(args):
     tower = resolve_tower(args.tower)
     if args.max_value <= 0:
         raise CommandError("--max-value must be positive")
-    horizon = args.horizon if args.horizon is not None else tower.depth
-    if not 1 <= horizon <= tower.depth:
-        raise CommandError(f"--horizon {horizon} outside tower depth {tower.depth}")
+    horizon = _pick_horizon(tower, args)
     cap = max(1, math.ceil(math.log(max(args.max_value, 2.0))
                            / math.log(tower.q1) / args.alpha))
     # the largest multiplicity, (q - 1) q^(N - 1) at N = cap e on the horizon
@@ -278,9 +283,7 @@ def cmd_apply(args):
 
 def cmd_singularity(args):
     tower = resolve_tower(args.tower)
-    horizon = args.horizon if args.horizon is not None else tower.depth
-    if not 1 <= horizon <= tower.depth:
-        raise CommandError(f"--horizon {horizon} outside tower depth {tower.depth}")
+    horizon = _pick_horizon(tower, args)
     _check_t(args)
     report = singularity_report(tower, alpha=args.alpha, t=args.t, N=args.N)[:horizon]
     # the ratio must grow across each step that grows the degree; a step
@@ -550,8 +553,7 @@ def main(argv=None):
     except (CommandError, ValueError, OSError) as exc:
         _fail(args.command, str(exc))
         return 2
-    # a float that rounds to 0 as a divisor is out of range too, as in the
-    # jump measure's kappa at a tiny --alpha
+    # a float that rounds to 0 as a divisor is out of range too
     except (OverflowError, ZeroDivisionError) as exc:
         _fail(args.command, f"a number is out of floating-point range: {exc}")
         return 2

@@ -8,11 +8,10 @@ Three measures drive everything here:
 * **the heat measures** -- the transition measures of the semigroup
   exp(-t D); their level marginals are radial, with closed-form masses.
 * **the jump measure** -- the symmetric Levy measure of the associated
-  process; radial again, with an explicit shell mass combining a power of
-  the shell radius with the finite-mass correction kappa.  It is the kernel
-  of the operator's Levy-Khintchine form, so its shell masses are written
-  once, in ``vladimirov._jump_shell_masses``, which the kernel route reads
-  too.
+  process; radial again, with an explicit shell mass in the eigenvalues
+  and the exact 1/q, as the heat masses are.  It is the kernel of the
+  operator's Levy-Khintchine form, so its shell masses are written once,
+  in ``vladimirov._jump_shell_masses``, which the kernel route reads too.
 
 A level's heat marginal is naturally expressed in the scaled coordinate
 zeta = y / m, where y is the normalized-trace projection coordinate: under
@@ -228,10 +227,10 @@ def singularity_report(tower, alpha, t, N):
 
 
 def levy_shell_mass(level, alpha, w):
-    """Jump-measure mass of the shell {v_pi = w} in projection coordinates
-    (see ``vladimirov._jump_shell_masses``), zero below the standard-ball
-    radius s0.  The total over w >= s0 diverges: small jumps accumulate,
-    only tails are finite.
+    """Jump-measure mass of the shell {v_pi = w} in projection coordinates,
+    in float range for every q (see ``vladimirov._jump_shell_masses``), zero
+    below the standard-ball radius s0.  The total over w >= s0 diverges:
+    small jumps accumulate, only tails are finite.
     """
     if w < level.s0:
         return 0.0
@@ -264,13 +263,14 @@ def levy_integral(quotient, alpha, values):
     """Integrate a quotient function vanishing at the origin against the
     jump measure.  The measure is radial, so the integral is the jump mass
     of one coset of each shell times the sum of the values over that shell,
-    a J-term sum once the shell sums are formed.
+    a (J + 1)-term sum once the shell sums are formed (the zero coset's
+    mass is 0.0).
 
     ``values`` is one function or a stack of them along its last axis,
     each vanishing at the origin: a complex for one, an array over the
     leading axes for a stack, each entry the integral of its row alone."""
     values = _require_zero_at_origin(values)
-    return _row_dots(quotient.shell_sums(values)[..., :-1], _jump_coset_masses(quotient, alpha))
+    return _row_dots(quotient.shell_sums(values), _jump_coset_masses(quotient, alpha))
 
 
 def levy_integral_spectral(quotient, alpha, values):
@@ -297,7 +297,6 @@ def levy_log_characteristic(level, alpha, lam_valuation, t=1.0, cutoff=None):
     if lam_valuation >= 0:
         return 0.0
     L = -lam_valuation
-    q = float(level.q)
     s0 = level.s0
     boundary = s0 + L - 1
     if cutoff is None:
@@ -306,5 +305,5 @@ def levy_log_characteristic(level, alpha, lam_valuation, t=1.0, cutoff=None):
     masses = _jump_shell_masses(level, alpha, range(s0, min(boundary, cutoff) + 1))
     acc = sum(masses[: boundary - s0])
     if boundary <= cutoff:
-        acc += q / (q - 1.0) * masses[-1]
+        acc += masses[-1] / (1 - 1 / level.q)
     return -float(t) * acc

@@ -131,8 +131,7 @@ def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
 
     def build():
         quotient = BallQuotient(level, level.s0, cutoff_valuation + 1)
-        # the zero coset, the only one of valuation s, is no jump
-        probs = quotient.from_shells(_jump_coset_masses(quotient, alpha) + [0.0])
+        probs = quotient.from_shells(_jump_coset_masses(quotient, alpha))
         rate = probs.sum()
         probs /= rate
         probs.flags.writeable = False  # every caller shares the kept law

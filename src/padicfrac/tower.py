@@ -97,17 +97,15 @@ class SpectrumEntry:
 # builders
 
 
-def build_qp_tower(p, depth=1, label=None):
+def build_qp_tower(p, depth=1):
     """The constant tower: every level is Q_p itself."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     base = base_level(p)
-    return TowerSpec(
-        p=p, label=label or f"qp(p={p})", levels=(base,) * depth
-    )
+    return TowerSpec(p=p, label=f"qp(p={p})", levels=(base,) * depth)
 
 
-def build_unramified_tower(p, f_list, label=None):
+def build_unramified_tower(p, f_list):
     """Tower with residue degrees ``f_list`` and no ramification.
 
     The first degree must be 1 and each degree must be a multiple of the
@@ -130,7 +128,7 @@ def build_unramified_tower(p, f_list, label=None):
         levels.append(cur)
     return TowerSpec(
         p=p,
-        label=label or f"unramified(p={p}, f={'-'.join(map(str, f_list))})",
+        label=f"unramified(p={p}, f={'-'.join(map(str, f_list))})",
         levels=tuple(levels),
     )
 
@@ -167,7 +165,7 @@ def _extend_wild(cur, p, l_from, zeta_minus_1):
     return nxt, nxt.generator()
 
 
-def build_factorial_tower(p, depth, label=None):
+def build_factorial_tower(p, depth):
     """Tower K_n = Q_p(n!-th roots of unity).
 
     Level n has residue degree f_n equal to the multiplicative order of p
@@ -196,9 +194,7 @@ def build_factorial_tower(p, depth, label=None):
             cur, zeta_minus_1 = _extend_wild(cur, p, cur_l, zeta_minus_1)
             cur_l += 1
         levels.append(cur)
-    return TowerSpec(
-        p=p, label=label or f"factorial(p={p})", levels=tuple(levels)
-    )
+    return TowerSpec(p=p, label=f"factorial(p={p})", levels=tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +305,7 @@ def dump_tower(tower):
     return {"p": tower.p, "label": tower.label, "levels": out_levels}
 
 
-def load_tower(obj, label=None):
+def load_tower(obj):
     """Rebuild a tower from the dict produced by ``dump_tower`` (or a
     compatible hand-written description)."""
     if isinstance(obj, str):
@@ -347,9 +343,7 @@ def load_tower(obj, label=None):
             else:
                 raise ValueError(f"unknown step kind {kind!r}")
         levels.append(cur)
-    return TowerSpec(
-        p=p, label=label or obj.get("label", "custom"), levels=tuple(levels)
-    )
+    return TowerSpec(p=p, label=obj.get("label", "custom"), levels=tuple(levels))
 
 
 def resolve_tower(arg):

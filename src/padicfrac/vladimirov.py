@@ -24,9 +24,9 @@ give the coefficients:
 
 Their agreement on every function is the discrete form of the classical
 identity between the multiplier and its hypersingular kernel (the Haar
-wavelet diagonalisation of Vladimirov-type operators).  The kernel combines
-a power of the norm with the additive constant kappa that accounts for the
-finite total mass of the ball.
+wavelet diagonalisation of Vladimirov-type operators).  The shell masses
+are written, like the heat masses, in the eigenvalues lambda_k and the
+exact 1/q, so no power of q is formed however large q is.
 
 Both routes reduce to at most s - s0 + 1 coefficients, which depend only
 on the quotient and alpha (and t, for the semigroup).  They are built once
@@ -80,43 +80,48 @@ def _eigenvalue(level, alpha, k):
 def _jump_shell_masses(level, alpha, valuations):
     """Jump-measure mass M_w of each shell {v_pi = w}, w in valuations, in
     projection coordinates, for w at or past the standard-ball radius s0
-    (the measure puts no mass below it):
+    (the measure puts no mass below it).  With r = 1/q and k = w - s0,
 
-        M_w = -C (1 - 1/q) [ q^((w - ec) alpha / m) + kappa q^(ec - w) ].
+        M_w = (1 - r) / (1 - r / lambda_1) [(lambda_1 - 1) lambda_k + (1 - r) r^k],
 
-    C = q^(d alpha / m) (1 - q^(alpha/m)) / (1 - q^(-1-alpha/m)) is the
-    normalizing constant (negative for alpha > 0) and kappa = (1 - 1/q) /
-    (q^(alpha/m) - 1) q^(-d (1 + alpha/m)) the finite-mass correction.  The
-    total over w >= s0 diverges: small jumps accumulate, only tails are
-    finite.
+    where lambda_k = p^(k alpha / e) is the eigenvalue of ``_eigenvalue``.
+    This is the kernel -C (1 - 1/q) [q^((w - ec) alpha / m) + kappa q^(ec - w)]
+    of the Levy-Khintchine form, with normalizing constant C = q^(d alpha / m)
+    (1 - q^(alpha/m)) / (1 - q^(-1-alpha/m)) and finite-mass correction
+    kappa = (1 - 1/q) / (q^(alpha/m) - 1) q^(-d (1 + alpha/m)), written with
+    q^(alpha/m) = lambda_1 and s0 = ec - d: C's factor 1 - q^(alpha/m)
+    cancels kappa's denominator.  So no power of q is formed, as in the heat
+    masses, and lambda_1 - 1 comes from expm1 at a small alpha.  The total
+    over w >= s0 diverges: small jumps accumulate, only tails are finite.
     """
-    # no shell, no constants: an empty range cannot overflow or divide by 0
+    # no shell, no lambda_1: an empty range cannot overflow at a large alpha
     if not valuations:
         return []
-    q = float(level.q)
-    ec = level.e * level.c
-    a_m = float(alpha) / level.m
-    C = q ** (level.d * a_m) * (1.0 - q**a_m) / (1.0 - q ** (-1.0 - a_m))
-    kappa = (1.0 - 1.0 / q) / (q**a_m - 1.0) * q ** (-level.d * (1.0 + a_m))
+    r = 1 / level.q
+    keep = 1 - r
+    lam1 = _eigenvalue(level, alpha, 1)
+    # lam1 - 1 loses digits only where lam1 < 2; past that expm1 would add
+    # the rounding of its argument, a relative error of alpha ln(p) / e ulps
+    lift = lam1 - 1 if lam1 >= 2 else math.expm1(math.log(level.p) * float(alpha) / level.e)
+    scale = keep / (1 - r / lam1)
+    s0 = level.s0
     return [
-        -C * (1.0 - 1.0 / q) * (q ** ((w - ec) * a_m) + kappa * q ** float(ec - w))
+        scale * (lift * _eigenvalue(level, alpha, w - s0) + keep * r ** (w - s0))
         for w in valuations
     ]
 
 
 def _jump_coset_masses(quotient, alpha):
-    """Jump-measure mass of one coset of each shell of valuation lo..s-1:
-    the shell mass split evenly over its (q - 1) q^(s - w - 1) cosets, and
-    0.0 on the shells below s0.  Built once per (quotient, alpha)."""
+    """Jump-measure mass of one coset of each shell, in ``shell_sizes``
+    order: each whole-shell mass split by ``per_coset``, 0.0 on the shells
+    below s0 and on the zero coset, which is no jump.  Built once per
+    (quotient, alpha)."""
 
     def build():
         lvl, s = quotient.level, quotient.s
-        q = float(lvl.q)
         start = min(max(quotient.lo, lvl.s0), s)
-        masses = [0.0] * (start - quotient.lo) + _jump_shell_masses(lvl, alpha, range(start, s))
-        return [
-            m * q ** float(w - s) / (1.0 - 1.0 / q) for w, m in zip(range(quotient.lo, s), masses)
-        ]
+        shells = _jump_shell_masses(lvl, alpha, range(start, s))
+        return quotient.per_coset([0.0] * (start - quotient.lo) + shells + [0.0])
 
     return quotient._cache(("jump_cosets", float(alpha)), build)
 
@@ -190,7 +195,7 @@ def eigenvalue_estimates(quotient, alpha):
     theirs are exactly 0.
     """
     _check_domain(quotient)
-    masses = quotient.from_shells(_jump_coset_masses(quotient, alpha) + [0.0])
+    masses = quotient.from_shells(_jump_coset_masses(quotient, alpha))
     sums = _transform(quotient, masses)
     return sums[0] - sums
 

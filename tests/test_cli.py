@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,8 @@ from padicfrac.cli import main
 from padicfrac.funcspace import MAX_DIGIT_ENTRIES, BallQuotient
 from padicfrac.measures import heat_coset_vector
 from padicfrac.tower import resolve_tower
+
+from test_measures import _reference_jump_shell_masses
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 Q2_TOWER = "qp:p=2,depth=1"
@@ -679,9 +682,6 @@ def test_gates_fail_a_nan(tmp_path, monkeypatch, capsys, argv, route, nan_route,
         ["singularity", "--tower", "qp:p=2,depth=2", "--N", "2000"],
         ["spectrum", "--tower", "qp:p=2", "--max-value", "1e308"],
         ["simulate", "--tower", "qp:p=2", "--lam-valuation", "-1100"],
-        # q^(alpha/m) - 1 rounds to 0 in the jump measure's kappa
-        ["apply", "--tower", "qp:p=2", "--alpha", "1e-17"],
-        ["levy", "--tower", "qp:p=2", "--alpha", "1e-17", "--integrate"],
     ],
     ids=" ".join,
 )
@@ -692,6 +692,30 @@ def test_numbers_out_of_float_range_are_a_config_error(tmp_path, capsys, argv):
     record = json.loads(line)
     assert record["command"] == argv[0]
     assert record["error"].startswith("a number is out of floating-point range")
+
+
+def test_tiny_alpha_runs(tmp_path):
+    # q^(alpha/m) - 1 = 2^(1e-17) - 1 rounds to 0 next to 1: the jump masses
+    # take it from expm1 and never divide by it
+    code, doc = run(tmp_path, "apply", "--tower", "qp:p=2", "--alpha", "1e-17")
+    assert code == 0
+    cfg = doc["config"]
+    assert cfg["max_pairwise_deviation"] <= cfg["tolerance"] * cfg["deviation_scale"]
+    code, doc = run(tmp_path, "levy", "--tower", "qp:p=2", "--alpha", "1e-17", "--integrate")
+    assert code == 0
+    assert doc["config"]["integral_route_gap"] <= doc["config"]["tolerance"]
+
+
+def test_jump_shells_at_a_residue_field_past_float_range(tmp_path):
+    # q = 2^1458: no power of q is formed, 1/q underflows to 0.0
+    tower = "unramified:p=2,f=1-2-6-18-54-162-486-1458"
+    code, doc = run(tmp_path, "levy", "--tower", tower)
+    assert code == 0
+    level = resolve_tower(tower).level(8)
+    ks = [row["valuation"] - level.s0 for row in doc["rows"]]
+    assert ks == [0, 1, 2]
+    for row, ref in zip(doc["rows"], _reference_jump_shell_masses(level, 1.0, ks)):
+        assert abs(Decimal(row["shell_mass"]) - ref) <= Decimal("1e-15") * ref
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

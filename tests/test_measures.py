@@ -30,6 +30,7 @@ from padicfrac.process import build_jump_law
 from padicfrac.tower import build_unramified_tower, resolve_tower
 from padicfrac.vladimirov import (
     _jump_coset_masses,
+    _jump_shell_masses,
     apply_hypersingular,
     apply_spectral,
     semigroup_apply,
@@ -325,6 +326,62 @@ def test_levy_shell_masses_unramified_quadratic():
     assert abs(levy_shell_mass(U, 1.0, 2) - 1.875) < 1e-14
 
 
+def _reference_jump_shell_masses(level, alpha, ks):
+    """Jump-measure shell masses M_w, w = s0 + k, to 50 digits in the
+    paper's form -C (1 - 1/q) [q^((w - ec) a) + kappa q^(ec - w)], a = alpha/m,
+    with C = q^(d a) (1 - q^a) / (1 - q^(-1-a)) and kappa = (1 - 1/q) /
+    (q^a - 1) q^(-d (1 + a))."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        q = Decimal(level.q)
+        a = Decimal(alpha) / level.m
+        ec, d = level.e * level.c, level.d
+        C = q ** (d * a) * (1 - q**a) / (1 - q ** (-1 - a))
+        kappa = (1 - 1 / q) / (q**a - 1) * q ** (-d * (1 + a))
+        return [
+            -C * (1 - 1 / q) * (q ** ((level.s0 + k - ec) * a) + kappa * q ** (ec - level.s0 - k))
+            for k in ks
+        ]
+
+
+JUMP_REFERENCE_LEVELS = {
+    **{f"Q{p}": base_level(p) for p in (2, 3)},
+    **{f"Q{p}-u2": base_level(p).extend_unramified(2) for p in (2, 3)},
+    **{f"Q{p}-e2": base_level(p).extend_eisenstein([-p, 0]) for p in (2, 3)},
+    "factorial2-top": resolve_tower("factorial:p=2,depth=4").level(4),
+    "factorial3-top": resolve_tower("factorial:p=3,depth=3").level(3),
+}
+
+
+@pytest.mark.parametrize("name", JUMP_REFERENCE_LEVELS)
+def test_jump_shell_masses_match_a_50_digit_reference(name):
+    level = JUMP_REFERENCE_LEVELS[name]
+    # a tiny alpha makes q^(alpha/m) - 1 cancel in kappa's denominator, so
+    # the masses are written without it; they hold to the last bits there
+    # too, and at a large alpha, where fewer shells stay in float range
+    grid = [(alpha, range(12)) for alpha in (1e-12, 1e-6, 1e-3, 0.05, 0.5, 1.0, 2.0, 3.0)]
+    grid += [(alpha, range(3)) for alpha in (10.3, 50.0, 128.0)]
+    for alpha, ks in grid:
+        got = _jump_shell_masses(level, alpha, [level.s0 + k for k in ks])
+        for x, ref in zip(got, _reference_jump_shell_masses(level, alpha, ks)):
+            assert abs(Decimal(x) - ref) <= Decimal("1e-15") * ref
+
+
+def test_an_empty_shell_range_forms_no_eigenvalue():
+    # lambda_1 is past float range at alpha = 1e6, and no shell needs it
+    for level in (Q2, W):
+        assert _jump_shell_masses(level, 1e6, range(level.s0, level.s0)) == []
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 5])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_log_characteristic_at_a_residue_field_past_float_range(L, alpha):
+    # q = 2^1458: 1/q underflows to 0.0, and the shells still sum to the norm power
+    level = resolve_tower("unramified:p=2,f=1-2-6-18-54-162-486-1458").level(8)
+    want = -(2.0 ** (L * alpha))
+    assert abs(levy_log_characteristic(level, alpha, -L) - want) <= 1e-15 * abs(want)
+
+
 def test_levy_cutoff_valuation_exact():
     assert levy_cutoff_valuation(Q2, 1) == 0
     assert levy_cutoff_valuation(Q2, Fraction(1, 2)) == 1
@@ -395,9 +452,10 @@ def test_levy_shell_masses_positive():
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_levy_cosets_split_the_shell_masses(quotient, alpha):
     # every coset of the shell of valuation w carries the shell mass times
-    # q^(w - s) / (1 - 1/q), bit for bit: the jump law the sampler inverts
-    # is built from these entries
-    vec = quotient.from_shells(_jump_coset_masses(quotient, alpha) + [0.0])
+    # q^(w - s) / (1 - 1/q), bit for bit, and the zero coset none: the jump
+    # law the sampler inverts is built from these entries
+    vec = quotient.from_shells(_jump_coset_masses(quotient, alpha))
+    assert vec[0] == 0.0
     q, vals = float(quotient.q), quotient.val_pi_vector
     for w in range(quotient.lo, quotient.s):
         mass = levy_shell_mass(quotient.level, alpha, w)

@@ -163,6 +163,17 @@ def test_kernel_and_multiplier_routes_agree(quotient, alpha):
     assert np.abs(via_multiplier - via_kernel).max() / scale < 1e-9
 
 
+def test_routes_on_a_quotient_without_jump_shells():
+    # s = s0: no shell carries jump mass, so nothing forms lambda_1, which
+    # is past float range at alpha = 1e6; every label annihilates the ball
+    q = BallQuotient(Q2, -1, 0)
+    phi = random_function(q, np.random.default_rng(4))
+    via_multiplier = apply_spectral(q, phi, 1e6)
+    via_kernel = apply_hypersingular(q, phi, 1e6)
+    assert np.abs(via_multiplier - via_kernel).max() == 0.0
+    assert (eigenvalue_estimates(q, 1e6) == 0.0).all()
+
+
 @pytest.mark.parametrize("quotient", QUOTIENTS, ids=lambda q: q.key())
 def test_matrix_symmetric_and_psd(quotient):
     basis = np.eye(quotient.size)
