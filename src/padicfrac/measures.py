@@ -120,8 +120,8 @@ def heat_density(level, alpha, t, w):
     nondecreasing in w and integrates to exactly 1.  Kept in density units
     as the oracle the ball masses are tested against.
     """
-    q = float(level.q)
-    d = level.d
+    # q stays an int: only a product q^j u past float range raises
+    q, d = level.q, level.d
     if w < -d:
         return 0.0
     k = w + d
@@ -130,11 +130,11 @@ def heat_density(level, alpha, t, w):
         u = _decay(level, alpha, t, j)
         # a decay factor of 0.0 adds nothing, and q**j may be past float range
         if u:
-            acc += (1.0 - 1.0 / q) * q**j * u
+            acc += (1 - 1 / q) * q**j * u
     u = _decay(level, alpha, t, k + 1)
     if u:
         acc -= q**k * u
-    return q ** (-d) * acc
+    return 1 / q**d * acc
 
 
 def heat_ball_mass(level, alpha, t, v0):

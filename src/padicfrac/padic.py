@@ -39,6 +39,27 @@ __all__ = [
 _INF = math.inf
 
 
+# the first twelve primes: as Miller-Rabin bases they decide primality of
+# every integer below _PRIME_LIMIT (Sorenson & Webster 2017, psi_12)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318665857834031151167461
+
+
+def _is_certified_prime(p):
+    """Whether deterministic Miller-Rabin certifies p a prime: False for
+    every p it cannot decide, p >= _PRIME_LIMIT.  With p - 1 = 2^r d, d
+    odd, a base a witnesses p composite unless a^d = 1 or a^(d 2^i) = -1
+    mod p for some i < r."""
+    if not 2 <= p < _PRIME_LIMIT or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    r = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> r
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << i, p) == p - 1 for i in range(r))
+        for a in _PRIME_BASES
+    )
+
+
 def vp(x, p):
     """p-adic valuation of a rational number; ``math.inf`` for zero."""
     x = Fraction(x)
@@ -120,6 +141,9 @@ class Level:
 
     def __init__(self, p, steps=(), parent=None):
         self.p = int(p)
+        # checked once, at the base: an extension shares its base's p
+        if parent is None and not _is_certified_prime(self.p):
+            raise ValueError(f"p = {self.p} is not a prime below {_PRIME_LIMIT:.1e}")
         self.steps = tuple(steps)
         self.parent = parent
         e = f = 1

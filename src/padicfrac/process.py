@@ -12,9 +12,10 @@ chi_b(sum of jumps) = prod chi_b(jump), so ``mc_characteristic`` draws each
 jump as its exact integer phase for the label, sums the phases along each
 path, and forms its estimate from the kappa-bin histogram of the path
 totals mod kappa: O(n) integer work and complex work on at most kappa
-residues.  Both samplers share one block loop, ``_path_sums``.  A law with
-a single jump coset g needs no jump draws: a path of N jumps sums to N
-times g's column, so its sums are read from the counts alone.
+residues.  Both samplers share one block loop, ``_path_sums``, driven by
+the law's sampler.  A law with a single jump coset needs no jump draws: a
+path of N jumps sums to N times that coset's entries, so its sums are read
+from the counts alone.
 ``sample_counts`` draws only the counts, the first draws of the stream
 ``_path_sums`` reads, so a reader of the counts alone (the Poisson test)
 gets the same counts with no jump drawn and no endpoint formed.
@@ -25,16 +26,18 @@ whose guide table holds the drawn values themselves (a coset index, its
 phase, or a count), so a draw needs no lookup after it.  The cdf
 breakpoints alone fix that table: each value fills the run of buckets
 between its breakpoints, one ``np.repeat``, and a bucket that a breakpoint
-splits is marked for the search.  A draw reads a 16-bit chunk of a raw
-Philox word (a 32-bit one on laws of more than 4,096 entries), so a word
-serves four draws (or two), and only the draws whose chunk falls in a
-marked bucket read a fresh word for the rest of their 53-bit uniform.  The
-law is exactly that of inverting the cdf rounded up to multiples of 2^-53,
-as ``Generator.choice`` does; the stream is the sampler's own, and the same
-whichever values it hands out.  The counts are drawn on a Poisson(rate * t)
-table.  A law, its jump and phase samplers and its only jump coset are kept
-in the cache of its level under (alpha, cutoff), and its count samplers
-under (alpha, cutoff, t): each is built once.
+splits is marked for the search.  A guide has at most 2^16 buckets, so a
+draw reads a 16-bit chunk of a raw Philox word and a word serves four
+draws; only the draws whose chunk falls in a marked bucket read a fresh
+word for the rest of their 53-bit uniform.  The law is exactly that of
+inverting the cdf rounded up to multiples of 2^-53, as ``Generator.choice``
+does; the stream is the sampler's own, and the same whichever values it
+hands out.  The counts are drawn on a Poisson(rate * t) table.  A law and
+its jump and phase samplers are kept in the cache of its level under
+(alpha, cutoff), and its count samplers under (alpha, cutoff, t): each is
+built once.  The label pi^(-L) is the first basis element of the dual
+quotient, so its phases are the first row of the pairing table spread over
+the cosets by ``BallQuotient.character_phases``.
 
 The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1,
@@ -78,7 +81,7 @@ __all__ = [
 # draws made and jumps reduced per block; a block's 64 KiB temporaries stay
 # under malloc's mmap threshold, so the heap reuses them instead of mapping
 # and page-faulting fresh pages for every block; a block of draws reads a
-# quarter (or half) as many raw words
+# quarter as many raw words
 _BLOCK_DRAWS = 1 << 13
 
 
@@ -90,10 +93,9 @@ class JumpLaw:
     shell splits into whole cosets; ``coset_probs[g]`` is the probability
     that a single jump lands in coset g (zero for the zero coset), and
     ``rate`` is the total jump intensity.  The samplers built on the law
-    (``_jump_sampler``, ``_phase_sampler``, ``_count_sampler``) and its
-    only jump coset, when it has one (``_single_coset``), are kept in its
-    level's cache, keyed by ``(alpha, cutoff)`` as the law itself is, and
-    the count samplers by the horizon t too.
+    (``_jump_sampler``, ``_phase_sampler``, ``_count_sampler``) are kept in
+    its level's cache, keyed by ``(alpha, cutoff)`` as the law itself is,
+    and the count samplers by the horizon t too.
     """
 
     alpha: float
@@ -163,17 +165,18 @@ def _guide_table(probs, values):
     a raw word) draws index g when cdf[g - 1] <= u < cdf[g].  Scaling by 2^53
     is exact, so cdf[g] <= u exactly when cdf53[g] <= u53 for cdf53 =
     ceil(cdf 2^53).  ``guide`` is an indexed search table (Chen & Asau 1974,
-    Devroye 1986 III.2.4) on M = 2^m >= 16 len(probs) buckets keyed by the
-    top m bits of u53, the only array here that is M long.  The breakpoints
-    alone fix it: with W = 2^(53 - m) values of u53 a bucket, ``values[g]``
-    fills the run of buckets ceil(cdf53[g - 1] / W) .. ceil(cdf53[g] / W) - 1
-    (cdf53[-1] read as 0), and each breakpoint b that W does not divide then
-    marks its bucket b >> (53 - m) as -1, as two entries share it.
+    Devroye 1986 III.2.4) on M = 2^m = min(2^16, the least power of two
+    >= 16 len(probs)) buckets keyed by the top m bits of u53, the only array
+    here that is M long.  The breakpoints alone fix it: with W = 2^(53 - m)
+    values of u53 a bucket, ``values[g]`` fills the run of buckets
+    ceil(cdf53[g - 1] / W) .. ceil(cdf53[g] / W) - 1 (cdf53[-1] read as 0),
+    and each breakpoint b that W does not divide then marks its bucket
+    b >> (53 - m) as -1, as two entries share it.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     cdf53 = np.ceil(np.ldexp(cdf, 53)).astype(np.int64)
-    m = (16 * cdf.size - 1).bit_length()
+    m = min((16 * cdf.size - 1).bit_length(), 16)
     shift = 53 - m
     ends = -(-cdf53 >> shift)  # ceil(cdf53 / W): the bucket after each value's run
     guide = np.repeat(values, np.diff(ends, prepend=0))
@@ -184,13 +187,13 @@ def _guide_table(probs, values):
 def _sampler(probs, values):
     """draw(rng, n): n draws of ``values``, value g with weight ``probs[g]``,
     exactly P(g) = (cdf53[g] - cdf53[g-1]) 2^-53 each; ``values`` are
-    nonnegative int64s, one per weight.
+    nonnegative int64s, one per weight.  ``draw.only`` is the value of the
+    one nonzero weight, when there is just one, and None otherwise.
 
-    A draw reads one 16-bit chunk of a raw word, or one 32-bit chunk when
-    the guide has m > 16 bits, so a word serves four draws (or two).  Each
-    block of ``_BLOCK_DRAWS`` draws takes its words first and splits them
-    low chunk first; the chunks left over in its last word are dropped.  A
-    chunk's top m bits pick a bucket of the M-long guide of
+    A draw reads one 16-bit chunk of a raw word, so a word serves four
+    draws.  Each block of ``_BLOCK_DRAWS`` draws takes its words first and
+    splits them low chunk first; the chunks left over in its last word are
+    dropped.  A chunk's top m <= 16 bits pick a bucket of the M-long guide of
     ``_guide_table``, which holds the values themselves, so a bucket that
     one value fills gives that value with no lookup.  A draw in a -1 bucket
     then takes one fresh word f, in draw order: its uniform
@@ -199,17 +202,14 @@ def _sampler(probs, values):
     do not depend on ``values``.
     """
     cdf53, m, guide = _guide_table(probs, values)
-    bits = 16 if m <= 16 else 32
-    per_word = 64 // bits
-    chunk = f"<u{bits // 8}"  # little-endian, so the split is the same on any host
 
     def draw(rng, n):
         raw = rng.bit_generator.random_raw
         out = np.empty(n, dtype=np.int64)
         for a in range(0, n, _BLOCK_DRAWS):
             k = min(_BLOCK_DRAWS, n - a)
-            w = raw(-(-k // per_word))
-            bucket = w.astype("<u8", copy=False).view(chunk)[:k] >> (bits - m)
+            # little-endian, so the split is the same on any host
+            bucket = raw(-(-k // 4)).astype("<u8", copy=False).view("<u2")[:k] >> (16 - m)
             g = guide.take(bucket)
             tied = np.flatnonzero(g < 0)
             u53 = (bucket[tied].astype(np.uint64) << (53 - m)) | (raw(tied.size) >> (11 + m))
@@ -217,50 +217,28 @@ def _sampler(probs, values):
             out[a : a + k] = g
         return out
 
+    draw.only = int(values[probs.nonzero()[0][0]]) if np.count_nonzero(probs) == 1 else None
     return draw
 
 
 def _jump_sampler(law):
     """The law's sampler of jump coset indices, built once."""
-    probs = law.coset_probs
-    return law.level._memo(
-        ("jump_sampler", law.alpha, law.cutoff), lambda: _sampler(probs, np.arange(probs.size))
-    )
-
-
-def _label_phases(law):
-    """(phases, kappa): the phases on the law's quotient of the label
-    pi^(-L) whose boundary shell s0 + L - 1 is the law's cutoff, the label
-    ``mc_characteristic`` cuts the law for.  Found once per cutoff, which
-    fixes the label and the quotient."""
-    level, quotient = law.level, law.quotient
-    L = law.cutoff - level.s0 + 1
-    return level._memo(
-        ("label", law.cutoff),
-        lambda: quotient.character_phases(
-            quotient.dual().index_of_element(level.uniformizer_pow(-L))
-        ),
-    )
+    key = ("jump_sampler", law.alpha, law.cutoff)
+    return law.level._memo(key, lambda: _sampler(law.coset_probs, np.arange(law.quotient.size)))
 
 
 def _phase_sampler(law):
-    """The law's sampler of its label's phases (``_label_phases``): it
-    draws phases[g] where ``_jump_sampler`` draws g, from the same words.
-    Built once, under the law's key."""
+    """The law's sampler of the phases of its label pi^(-L), whose boundary
+    shell s0 + L - 1 is the law's cutoff, the label ``mc_characteristic``
+    cuts the law for: it draws phases[g] where ``_jump_sampler`` draws g,
+    from the same words.  The label is the dual quotient's first basis
+    element, digits (1, 0, ..., 0), so its dual index is |G| / p.  Built
+    once, under the law's key."""
+    q = law.quotient
     return law.level._memo(
         ("phase_sampler", law.alpha, law.cutoff),
-        lambda: _sampler(law.coset_probs, _label_phases(law)[0]),
+        lambda: _sampler(law.coset_probs, q.character_phases(q.size // q.p)[0]),
     )
-
-
-def _single_coset(law):
-    """The law's only jump coset, or None when it has several; found once."""
-
-    def build():
-        (cosets,) = np.nonzero(law.coset_probs)
-        return int(cosets[0]) if cosets.size == 1 else None
-
-    return law.level._memo(("single_coset", law.alpha, law.cutoff), build)
 
 
 def _poisson_table(lam):
@@ -269,8 +247,8 @@ def _poisson_table(lam):
     Bennett's bounds P(N >= lam + x) <= exp(-x^2 / (2 (lam + x/3))) and
     P(N <= lam - x) <= exp(-x^2 / (2 lam)), so the table has O(sqrt lam)
     entries.  The log-probabilities are summed outward from the mode, so no
-    entry underflows however large lam is.  Its guide table, 16 entries per
-    count, is held to the digit-matrix budget."""
+    entry underflows however large lam is.  The table is held to 1/16 of
+    the digit-matrix budget; its guide has at most 2^16 buckets."""
     c = 53 * math.log(2.0)
     below = math.sqrt(2.0 * c * lam)
     above = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * lam)
@@ -304,46 +282,47 @@ def _check_paths(n_paths, per_path):
         raise ValueError("n_paths too large: its per-path arrays exceed the size budget")
 
 
-def _path_sums(law, t, n_paths, seed, stream, columns, summands):
+def _path_sums(law, t, n_paths, seed, stream, sampler_of, rows):
     """(sums, counts) for n_paths paths of the law on [0, t]: counts are
-    the Poisson(rate * t) jump counts and sums[:, i] the sum of
-    columns[:, g] over path i's jumps g.  Both come from the law's cached
-    samplers on one stream: first the n_paths counts, then the jumps in
-    path order, in blocks of ``_BLOCK_DRAWS`` jumps however the paths fall.
-    ``summands(rng, k)`` draws the next k jumps and gives their entries in
-    each row of ``columns``, row by row.  A block's prefix sums are read at
-    every path end it holds, and a path's sum is the difference between its
-    end and the previous path's, which may lie in an earlier block.  A law
-    with a single jump coset g draws no jumps: sums[:, i] is counts[i]
-    times columns[:, g].
+    the Poisson(rate * t) jump counts and sums[r, i] the sum of row r of
+    the values path i's jumps draw.  Both come from one stream: first the
+    n_paths counts from the law's count sampler, then the jumps in path
+    order from ``sampler_of(law)``, in blocks of ``_BLOCK_DRAWS`` jumps
+    however the paths fall.  ``rows(values)`` gives one array of entries
+    per summand row for a block of drawn values.  A block's prefix sums are
+    read at every path end it holds, and a path's sum is the difference
+    between its end and the previous path's, which may lie in an earlier
+    block.  A sampler whose law has a single value (``draw.only``) draws no
+    jumps: sums[:, i] is counts[i] times that value's rows.
 
-    The per-path arrays peak at no more than 2 len(columns) + 5 int64
-    entries a path: the counts, their ends, the sums and the path ends of a
-    block here, then what the callers add, a copy of the sums, the indices
-    and a carry row in ``index_of_digits``, or the histogram fold of
+    The per-path arrays peak at no more than 2 R + 5 int64 entries a path,
+    R rows: the counts, their ends, the sums and the path ends of a block
+    here, then what the callers add, a copy of the sums, the indices and a
+    carry row in ``index_of_digits``, or the histogram fold of
     ``mc_characteristic`` (its totals mod kappa, or a bincount at most
     n_paths + kappa long).  An n_paths whose peak exceeds the entry budget
-    is refused before any draw."""
-    _check_paths(n_paths, 2 * len(columns) + 5)
+    is refused before any draw or table is built."""
+    n_rows = len(rows(np.empty(0, dtype=np.int64)))
+    _check_paths(n_paths, 2 * n_rows + 5)
     rng = _rng(seed, stream)
     counts = _count_sampler(law, t)(rng, n_paths)
-    g = _single_coset(law)
-    if g is not None:
-        return columns[:, g : g + 1] * counts, counts
+    draw = sampler_of(law)
+    if draw.only is not None:
+        return np.array(rows(np.array([draw.only]))) * counts, counts
     ends = np.cumsum(counts)
     total = int(counts.sum())
     # acc[1 + j] sums a row through jump j of the block, and last[r] is the
     # latest path end on that row, carried from block to block; int64
     # wraparound in them cancels in the differences
-    sums = np.zeros((len(columns), n_paths), dtype=np.int64)
+    sums = np.zeros((n_rows, n_paths), dtype=np.int64)
     acc = np.zeros(min(_BLOCK_DRAWS, total) + 1, dtype=np.int64)
-    last = np.zeros((len(columns), 1), dtype=np.int64)
+    last = np.zeros((n_rows, 1), dtype=np.int64)
     i0 = 0
     for a in range(0, total, _BLOCK_DRAWS):
         k = min(_BLOCK_DRAWS, total - a)
         i1 = int(ends.searchsorted(a + k, side="right"))
         end = ends[i0:i1] - a
-        for row, entries, prev in zip(sums, summands(rng, k), last):
+        for row, entries, prev in zip(sums, rows(draw(rng, k)), last):
             np.cumsum(entries, out=acc[1 : k + 1])
             at = np.concatenate([prev, acc[end]])
             np.subtract(at[1:], at[:-1], out=row[i0:i1])
@@ -360,15 +339,12 @@ def sample_endpoints(law, t, n_paths, seed, stream=0):
     group sums of the jumps, one digit-sum normalisation per path.
     """
     _check_horizon(t)
-    quotient = law.quotient
-    columns = np.ascontiguousarray(quotient.digit_matrix.T)
-
-    def digits(rng, k):
-        jumps = _jump_sampler(law)(rng, k)
-        return (column.take(jumps) for column in columns)
-
-    sums, counts = _path_sums(law, t, n_paths, seed, stream, columns, digits)
-    return quotient.index_of_digits(sums), counts
+    columns = np.ascontiguousarray(law.quotient.digit_matrix.T)
+    # one take per digit column is faster than a fancy-indexed columns[:, g]
+    sums, counts = _path_sums(
+        law, t, n_paths, seed, stream, _jump_sampler, lambda g: [c.take(g) for c in columns]
+    )
+    return law.quotient.index_of_digits(sums), counts
 
 
 def sample_counts(law, t, n_paths, seed, stream=0):
@@ -397,9 +373,8 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     a path's own total stays exact, as kappa divides |G| <= 2^24.  The
     estimate and its standard error come from the kappa-bin histogram of
     those residues (``_histogram_estimate``).  The law and its phase
-    sampler are kept in the level's cache, keyed by (alpha, cutoff), and
-    the label's phases (``_label_phases``) by the cutoff, which grows with
-    L, so it fixes the label.
+    sampler are kept in the level's cache, keyed by (alpha, cutoff); the
+    cutoff grows with L, so it fixes the label.
     """
     lam_valuation = int(lam_valuation)
     if lam_valuation >= 0:
@@ -408,13 +383,8 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     if n_paths < 2:
         raise ValueError("a standard error needs at least two paths")
     law = build_jump_law(level, alpha, cutoff_valuation=level.s0 - lam_valuation - 1)
-    phases, kappa = _label_phases(law)
-
-    def jump_phases(rng, k):
-        return (_phase_sampler(law)(rng, k),)
-
-    (total,), _ = _path_sums(law, t, n_paths, seed, stream, phases[None, :], jump_phases)
-    return _histogram_estimate(total, kappa)
+    (total,), _ = _path_sums(law, t, n_paths, seed, stream, _phase_sampler, lambda v: [v])
+    return _histogram_estimate(total, law.quotient._pairing()[1])
 
 
 def _histogram_estimate(total, kappa):

@@ -93,6 +93,7 @@ def _jump_shell_masses(level, alpha, valuations):
     cancels kappa's denominator.  So no power of q is formed, as in the heat
     masses, and lambda_1 - 1 comes from expm1 at a small alpha.  The total
     over w >= s0 diverges: small jumps accumulate, only tails are finite.
+    A mass past float range raises OverflowError, as ``_eigenvalue`` does.
     """
     # no shell, no lambda_1: an empty range cannot overflow at a large alpha
     if not valuations:
@@ -105,10 +106,14 @@ def _jump_shell_masses(level, alpha, valuations):
     lift = lam1 - 1 if lam1 >= 2 else math.expm1(math.log(level.p) * float(alpha) / level.e)
     scale = keep / (1 - r / lam1)
     s0 = level.s0
-    return [
+    masses = [
         scale * (lift * _eigenvalue(level, alpha, w - s0) + keep * r ** (w - s0))
         for w in valuations
     ]
+    # lift * lambda_k overflows to inf where lambda_k alone stays in range
+    if not all(map(math.isfinite, masses)):
+        raise OverflowError(f"a jump shell mass at alpha = {alpha} is past float range")
+    return masses
 
 
 def _jump_coset_masses(quotient, alpha):

@@ -682,6 +682,9 @@ def test_gates_fail_a_nan(tmp_path, monkeypatch, capsys, argv, route, nan_route,
         ["singularity", "--tower", "qp:p=2,depth=2", "--N", "2000"],
         ["spectrum", "--tower", "qp:p=2", "--max-value", "1e308"],
         ["simulate", "--tower", "qp:p=2", "--lam-valuation", "-1100"],
+        # lambda_1 stays in range, but a jump shell mass is past it
+        ["levy", "--tower", "qp:p=2", "--alpha", "600", "--cutoff", "1"],
+        ["apply", "--tower", "qp:p=2", "--alpha", "1e3"],
     ],
     ids=" ".join,
 )
@@ -692,6 +695,39 @@ def test_numbers_out_of_float_range_are_a_config_error(tmp_path, capsys, argv):
     record = json.loads(line)
     assert record["command"] == argv[0]
     assert record["error"].startswith("a number is out of floating-point range")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heat", "--tower", "qp:p=1", "--span", "2"],
+        ["spectrum", "--tower", "qp:p=0"],
+        ["heat", "--tower", "qp:p=4"],
+        ["simulate", "--tower", "qp:p=6"],
+        ["heat", "--tower", "unramified:p=6,f=1-2"],
+        ["heat", "--tower", "nine.json"],
+    ],
+    ids=" ".join,
+)
+def test_a_p_that_is_no_prime_is_a_config_error(tmp_path, argv):
+    # p = 1 once hung in the valuation loop, and p = 4 or 6 printed the
+    # masses of no field
+    (tmp_path / "nine.json").write_text(json.dumps(
+        {"p": 9, "label": "custom", "levels": [[], [{"kind": "unramified", "degree": 2}]]}
+    ))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    proc = _run_capped(argv, 1536 << 20, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.strip().splitlines()
+    record = json.loads(line)
+    assert record["command"] == argv[0] and record["error"].startswith("p = ")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_small_primes_run(tmp_path, p):
+    code, doc = run(tmp_path, "heat", "--tower", f"qp:p={p}")
+    assert code == 0 and doc["rows"]
 
 
 def test_tiny_alpha_runs(tmp_path):

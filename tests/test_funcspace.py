@@ -390,6 +390,31 @@ SMALL_QUOTIENTS = [
 ]
 
 
+@pytest.mark.parametrize(
+    "bq",
+    QUOTIENTS
+    + SMALL_QUOTIENTS
+    + [BallQuotient(Q2, -5, 5), BallQuotient(E3, -2, 3), BallQuotient(W, 2, 7)],
+    ids=repr,
+)
+def test_character_phases_are_the_digit_matrix_product(bq, monkeypatch):
+    # the whole |G| x |G| phase table as one product of digit matrices, row
+    # b the phases of label b; each row is built with no digit matrix read
+    dig = bq.digit_matrix
+    theta_int, kappa = bq._pairing()
+    table = (dig @ theta_int @ dig.T) % kappa
+    assert bq.size <= 1024
+    monkeypatch.setattr(BallQuotient, "digit_matrix", property(_no_digits))
+    for b in range(bq.size):
+        phases, got_kappa = bq.character_phases(b)
+        assert got_kappa == kappa and phases.dtype == np.int64
+        assert (phases == table[b]).all()
+
+
+def _no_digits(bq):
+    raise AssertionError("character_phases must not read the digit matrix")
+
+
 def _in_coset(bq, x, rep):
     """Exact membership of x in the coset of rep: x - rep is zero or lies in
     pi^s O (val_pi is inf on zero)."""

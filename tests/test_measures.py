@@ -234,6 +234,16 @@ def test_heat_shells_stay_in_float_range_past_it(level):
     assert heat_density(level, 1.0, 1.0, 3000) == heat_density(level, 1.0, 1.0, 200)
 
 
+def test_heat_density_at_a_residue_field_past_float_range():
+    # q = 2^1458 stays an int: at w = 0 no power of q is a float, and the
+    # density is 1 - exp(-lambda_1 t); at w = 1 it is truly past float range
+    level = resolve_tower("unramified:p=2,f=1-2-6-18-54-162-486-1458").level(8)
+    assert level.d == 0
+    assert heat_density(level, 1.0, 1.0, 0) == 1 - math.exp(-2.0)
+    with pytest.raises(OverflowError):
+        heat_density(level, 1.0, 1.0, 1)
+
+
 def _reference_shell_masses(level, lo, s, alpha, t):
     """Whole-shell heat masses to 50 digits, in density units: the ball mass
     q^-k A_k with A_k = 1 + (1 - 1/q) sum_{j<=k} q^j u_j, exact powers of q."""

@@ -380,3 +380,25 @@ def test_mixed_level_operations_embed():
     assert (s - z - W.element(y)).is_zero()
     with pytest.raises(ValueError):
         E.one() + U.one()          # incomparable levels
+
+
+def test_a_base_level_needs_a_certified_prime():
+    # every p below 3,000 against trial division, then strong pseudoprimes
+    # to the first bases, a large prime, and a prime past the certified range
+    def is_prime(n):
+        return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+    for p in range(-2, 3000):
+        if is_prime(p):
+            assert Level(p).p == p
+        else:
+            with pytest.raises(ValueError, match=f"p = {p} is not a prime"):
+                Level(p)
+    for n in (2047, 1373653, 25326001, 3215031751, 3825123056546413051):
+        with pytest.raises(ValueError):
+            Level(n)
+    assert Level(2**61 - 1).p == 2**61 - 1
+    with pytest.raises(ValueError):
+        Level(2**89 - 1)  # prime, but past 3.2e23
+    # an extension shares its base's p
+    assert Level(3).extend_unramified(2).p == 3

@@ -155,6 +155,7 @@ def test_sample_endpoints_matches_per_path_walk(monkeypatch, level, cutoff, t, n
             asked.append(n)
             return draw(rng, n)
 
+        counted_draw.only = draw.only
         return counted_draw
 
     monkeypatch.setattr(process, "_jump_sampler", counted)
@@ -195,16 +196,14 @@ def _decode(probs, rng, n):
     splits."""
     cdf53, m, _ = process._guide_table(probs, np.arange(probs.size))
     cdf53 = cdf53.tolist()
-    bits = 16 if m <= 16 else 32
-    per_word = 64 // bits
     width = 1 << (53 - m)
     out = []
     for a in range(0, n, process._BLOCK_DRAWS):
         k = min(process._BLOCK_DRAWS, n - a)
-        words = rng.bit_generator.random_raw(-(-k // per_word)).tolist()
-        chunks = [w >> (bits * j) & ((1 << bits) - 1) for w in words for j in range(per_word)]
+        words = rng.bit_generator.random_raw(-(-k // 4)).tolist()
+        chunks = [w >> (16 * j) & 0xFFFF for w in words for j in range(4)]
         for chunk in chunks[:k]:
-            lo = (chunk >> (bits - m)) * width
+            lo = (chunk >> (16 - m)) * width
             g = bisect.bisect_right(cdf53, lo)
             if g != bisect.bisect_right(cdf53, lo + width - 1):
                 fresh = int(rng.bit_generator.random_raw())
@@ -214,12 +213,16 @@ def _decode(probs, rng, n):
 
 
 @pytest.mark.parametrize(
-    "level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1), (Q2, 12)]
+    "level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1), (Q2, 12), (Q2, 15)]
 )
 @pytest.mark.parametrize("n", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
 def test_jump_sampler_matches_the_chunk_decoder(level, cutoff, n):
-    # 16-bit chunks on the first five laws, 32-bit ones on the 8,192 cosets
+    # 16-bit chunks on every law; the 8,192 and 2^16 cosets of the last two
+    # get the capped guide of m = 16 bits, the whole chunk
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    _, m, _ = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
+    assert m == min((16 * law.coset_probs.size - 1).bit_length(), 16)
+    assert (m == 16) == (cutoff >= 11)
     rng_a, rng_b = process._rng(4, 1), process._rng(4, 1)
     got = process._jump_sampler(law)(rng_a, n)
     assert got.dtype == np.int64 and got.shape == (n,)
@@ -230,12 +233,12 @@ def test_jump_sampler_matches_the_chunk_decoder(level, cutoff, n):
 
 @pytest.mark.parametrize("cutoff", [11, 12])
 def test_jump_draws_pass_a_chi_square_against_the_coset_law(cutoff):
-    # 4,096 cosets on 16-bit chunks (m = 16, the whole chunk), and 8,192 on
-    # 32-bit chunks
+    # 4,096 and 8,192 cosets, both on 2^16 buckets (m = 16, the whole chunk):
+    # 16 buckets a coset, then 8
     stats = pytest.importorskip("scipy.stats")
     law = build_jump_law(Q2, 1.0, cutoff_valuation=cutoff)
     _, m, _ = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
-    assert m == cutoff + 5
+    assert m == 16
     n = 1 << 20
     draws = process._jump_sampler(law)(process._rng(31, 0), n)
     assert draws.min() > 0  # the zero coset is no jump
@@ -291,13 +294,12 @@ def _draw_each(draw, probs, u53):
     are u53's top m bits and the fresh word's top 53 - m bits the rest; every
     bit the sampler must ignore is set on every other draw."""
     _, m, _ = process._guide_table(probs, np.arange(probs.size))
-    bits = 16 if m <= 16 else 32
     ones = (1 << 64) - 1
-    top = ((1 << m) - 1) << (bits - m)
+    top = ((1 << m) - 1) << (16 - m)
     draws, fresh = [], []
     for k, u in enumerate(u53.tolist()):
         noise = ones if k % 2 else 0
-        word = u >> (53 - m) << (bits - m) | noise & ~top
+        word = u >> (53 - m) << (16 - m) | noise & ~top
         rest = (u << (11 + m)) & ones | noise & ((1 << (11 + m)) - 1)
         stub = _FixedWords(np.array([word, rest], dtype=np.uint64))
         draws.append(int(draw(stub, 1)[0]))
@@ -336,12 +338,11 @@ def _label_phases(law):
 @pytest.mark.parametrize("n", [0, 1, 4 * process._BLOCK_DRAWS + 1])
 def test_phase_draws_are_the_phases_of_the_index_draws(level, cutoff, n):
     # the phase sampler reads the words the index sampler reads and maps
-    # each draw through the label's phases: 16-bit chunks on the first five
-    # laws, 32-bit ones on the 8,192 cosets, over more than four blocks
+    # each draw through the phases of the label found by field arithmetic:
+    # on the first five laws and the capped guide of the 8,192 cosets, over
+    # more than four blocks
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
     phases, kappa = _label_phases(law)
-    kept_phases, kept_kappa = process._label_phases(law)
-    assert (kept_phases == phases).all() and kept_kappa == kappa
     rng_a, rng_b = process._rng(6, 2), process._rng(6, 2)
     got = process._phase_sampler(law)(rng_a, n)
     assert got.dtype == np.int64 and got.shape == (n,)
@@ -380,7 +381,7 @@ def _searchsorted_guide(probs):
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     cdf53 = np.ceil(np.ldexp(cdf, 53)).astype(np.int64)
-    m = (16 * cdf.size - 1).bit_length()
+    m = min((16 * cdf.size - 1).bit_length(), 16)
     width = 1 << (53 - m)
     starts = np.arange(0, 1 << 53, width, dtype=np.int64)
     guide = cdf53.searchsorted(starts, side="right")
@@ -388,14 +389,20 @@ def _searchsorted_guide(probs):
     return cdf53, m, guide
 
 
-def _oracle_tables():
-    """(name, probs, values) for jump laws with their label's phases as
-    values, Poisson count tables, weights with zeros and a one-entry law."""
+def _oracle_laws():
+    """(name, law) for 84 jump laws, each cut at its label's boundary shell."""
     for name, level in [("Q2", Q2), ("Q3", Q3), ("Q2-u2", U), ("Q2-e2", E)]:
         for alpha in (0.5, 1.0, 2.0):
             for L in range(1, 8):
                 law = build_jump_law(level, alpha, cutoff_valuation=level.s0 + L - 1)
-                yield f"{name} alpha={alpha} L={L}", law.coset_probs, process._label_phases(law)[0]
+                yield f"{name} alpha={alpha} L={L}", law
+
+
+def _oracle_tables():
+    """(name, probs, values) for jump laws with their label's phases as
+    values, Poisson count tables, weights with zeros and a one-entry law."""
+    for name, law in _oracle_laws():
+        yield name, law.coset_probs, _label_phases(law)[0]
     for lam in (0.5, 3.0, 60.0, 1e4):
         k_lo, probs = process._poisson_table(lam)
         yield f"poisson {lam}", probs, np.arange(k_lo, k_lo + probs.size)
@@ -420,18 +427,30 @@ def test_guide_tables_equal_the_searchsorted_builder():
             assert guide.dtype == np.int64 and (guide == want).all(), name
 
 
+def test_label_is_the_first_dual_basis_element():
+    # pi^(-L) has digits (1, 0, ..., 0) on the dual quotient, so its index
+    # is |G| / p, the label the phase sampler reads without field arithmetic
+    laws = list(_oracle_laws())
+    assert len(laws) == 84
+    for name, law in laws:
+        quotient, level = law.quotient, law.level
+        L = law.cutoff - level.s0 + 1
+        b = quotient.dual().index_of_element(level.uniformizer_pow(-L))
+        assert b == quotient.size // quotient.p, name
+
+
 def test_guide_table_holds_no_second_guide_sized_array():
-    # 2^16 cosets, M = 2^20 buckets: the guide is the only M-long array
-    law = build_jump_law(Q2, 1.0, cutoff_valuation=15)
+    # 4,096 cosets, M = 16 |G| = 2^16 buckets: the guide is the only M-long array
+    law = build_jump_law(Q2, 1.0, cutoff_valuation=11)
     probs, values = law.coset_probs, np.arange(law.coset_probs.size)
-    assert probs.size == 1 << 16
+    assert probs.size == 1 << 12
     tracemalloc.start()
     try:
         _, m, guide = process._guide_table(probs, values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert guide.size == 1 << m == 1 << 20
+    assert guide.size == 1 << m == 1 << 16
     assert peak < 2 * guide.nbytes
 
 
@@ -957,7 +976,9 @@ def test_mc_characteristic_runs_past_the_table_caps():
     assert 0 < stderr and abs(estimate.real - target) <= 3 * stderr
     assert abs(estimate.imag) <= 3 * stderr
     names = {key[1] for key in level._cache if isinstance(key, tuple)}
-    assert not names & {"U", "sub", "neg"}
+    assert not names & {"U", "sub", "neg", "digits"}
+    # the label's phases are drawn from the phase sampler's guide alone
+    assert not any(key[0] == "label" for key in level._cache)
 
 
 def test_mc_characteristic_builds_its_law_once(monkeypatch):
@@ -1007,13 +1028,26 @@ def test_mc_characteristic_stream_is_pinned(p, alpha, lam_valuation, stream, pin
 
 def test_one_coset_law_draws_no_jumps(monkeypatch):
     # Q_2 at L = 1: the jump law's one coset, so a path's phase sum is its
-    # count times that coset's phase, read with no jump sampler
-    def no_jumps(law, *args):
-        raise AssertionError("a one-coset law must draw no jumps")
+    # count times that coset's phase, read with no jump drawn
+    def no_draws(sampler_of):
+        def sampler(law):
+            draw = sampler_of(law)
 
-    monkeypatch.setattr(process, "_jump_sampler", no_jumps)
-    monkeypatch.setattr(process, "_phase_sampler", no_jumps)
-    got = mc_characteristic(Level(2), 2.0, -1, 1.0, 10_000, 1, 3)
+            def no_jumps(rng, n):
+                raise AssertionError("a one-coset law must draw no jumps")
+
+            no_jumps.only = draw.only
+            return no_jumps
+
+        return sampler
+
+    for name in ("_jump_sampler", "_phase_sampler"):
+        monkeypatch.setattr(process, name, no_draws(getattr(process, name)))
+    level = Level(2)
+    law = build_jump_law(level, 2.0, cutoff_valuation=0)
+    states, counts = sample_endpoints(law, 1.0, 1000, seed=1)
+    assert (states == counts % 2).all() and counts.any()
+    got = mc_characteristic(level, 2.0, -1, 1.0, 10_000, 1, 3)
     assert repr(got) == "((0.0036000000000000003+6.101190353352114e-17j), 0.010000435234052918)"
 
 
