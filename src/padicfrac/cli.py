@@ -56,8 +56,6 @@ def _fmt(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (int, Fraction)):
-        return str(value)
     if value is None:
         return ""
     return str(value)
@@ -118,18 +116,13 @@ def _add_common(sub, tower=True):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _pick_level(tower, args):
-    n = args.level if args.level is not None else tower.depth
+def _pick_level(tower, args, flag):
+    """(level, n) for the --level (or --horizon) n, the top level by default."""
+    n = getattr(args, flag)
+    n = tower.depth if n is None else n
     if not 1 <= n <= tower.depth:
-        raise CommandError(f"--level {n} outside tower depth {tower.depth}")
+        raise CommandError(f"--{flag} {n} outside tower depth {tower.depth}")
     return tower.level(n), n
-
-
-def _pick_horizon(tower, args):
-    horizon = args.horizon if args.horizon is not None else tower.depth
-    if not 1 <= horizon <= tower.depth:
-        raise CommandError(f"--horizon {horizon} outside tower depth {tower.depth}")
-    return horizon
 
 
 def _check_t(args):
@@ -190,7 +183,7 @@ def cmd_spectrum(args):
     tower = resolve_tower(args.tower)
     if args.max_value <= 0:
         raise CommandError("--max-value must be positive")
-    horizon = _pick_horizon(tower, args)
+    _, horizon = _pick_level(tower, args, "horizon")
     cap = max(1, math.ceil(math.log(max(args.max_value, 2.0))
                            / math.log(tower.q1) / args.alpha))
     # the largest multiplicity, (q - 1) q^(N - 1) at N = cap e on the horizon
@@ -240,7 +233,7 @@ def cmd_spectrum(args):
 
 def cmd_apply(args):
     tower = resolve_tower(args.tower)
-    level, n = _pick_level(tower, args)
+    level, n = _pick_level(tower, args, "level")
     quotient, values = _load_function(args, level)
     routes = {
         "hypersingular": apply_hypersingular(quotient, values, args.alpha),
@@ -283,7 +276,7 @@ def cmd_apply(args):
 
 def cmd_singularity(args):
     tower = resolve_tower(args.tower)
-    horizon = _pick_horizon(tower, args)
+    _, horizon = _pick_level(tower, args, "horizon")
     _check_t(args)
     report = singularity_report(tower, alpha=args.alpha, t=args.t, N=args.N)[:horizon]
     # the ratio must grow across each step that grows the degree; a step
@@ -314,7 +307,7 @@ def cmd_singularity(args):
 
 def cmd_levy(args):
     tower = resolve_tower(args.tower)
-    level, n = _pick_level(tower, args)
+    level, n = _pick_level(tower, args, "level")
     cutoff = args.cutoff if args.cutoff is not None else level.s0 + 2
     if cutoff < level.s0:
         raise CommandError(f"--cutoff {cutoff} lies below the first shell {level.s0}")
@@ -355,7 +348,7 @@ def cmd_levy(args):
 
 def cmd_heat(args):
     tower = resolve_tower(args.tower)
-    level, n = _pick_level(tower, args)
+    level, n = _pick_level(tower, args, "level")
     if args.N < 0:
         raise CommandError("--N must be nonnegative")
     _check_t(args)
@@ -386,7 +379,7 @@ def cmd_heat(args):
 
 def cmd_simulate(args):
     tower = resolve_tower(args.tower)
-    level, n = _pick_level(tower, args)
+    level, n = _pick_level(tower, args, "level")
     _check_t(args)
     expected = expected_characteristic(level, args.alpha, args.lam_valuation, args.t)
     if args.lam_valuation >= 0:

@@ -314,22 +314,6 @@ class BallQuotient:
 
         return self._cache("pairing", build)
 
-    def character_phases(self, b):
-        """(phases, kappa) with chi_b(g) = exp(2 pi i phases[g] / kappa) for
-        dual label b (an index): one row of the character table as exact
-        integers.  The phase of g is linear in its digits, dig(g) @ w mod
-        kappa for w = dig(b) @ theta_int, so the row is built one digit
-        position at a time, most significant first, in O(|G|) with no
-        digit matrix."""
-        self.check_enumerable()
-        theta_int, kappa = self._pairing()
-        p, D = self.p, self.D
-        w = np.array([b // p ** (D - 1 - t) % p for t in range(D)], dtype=np.int64) @ theta_int
-        phases = np.zeros(1, dtype=np.int64)
-        for w_t in (w % kappa).tolist():
-            phases = (phases[:, None] + w_t * np.arange(p)).ravel() % kappa
-        return phases, kappa
-
     # -- group law -------------------------------------------------------------
 
     def _carries(self):

@@ -6,47 +6,59 @@ exponential inter-arrival times, jump values drawn shell by shell from the
 truncated measure.  Everything a character can see of the running sum lives
 in a finite ball quotient, so paths are simulated exactly as coset indices.
 The digit system is linear, so ``sample_endpoints`` finds a path's endpoint
-as the carry normalisation of the summed digit vectors of its jumps.  The
-characteristic function needs no states: a character is a homomorphism,
-chi_b(sum of jumps) = prod chi_b(jump), so ``mc_characteristic`` draws each
-jump as its exact integer phase for the label, sums the phases along each
-path, and forms its estimate from the kappa-bin histogram of the path
-totals mod kappa: O(n) integer work and complex work on at most kappa
-residues.  Both samplers share one block loop, ``_path_sums``, driven by
-the law's sampler.  A law with a single jump coset needs no jump draws: a
-path of N jumps sums to N times that coset's entries, so its sums are read
-from the counts alone.
+as the carry normalisation of the summed digit vectors of its jumps.
+
+The characteristic function needs no states and no quotient.  A character
+is a homomorphism, chi_b(sum of jumps) = prod chi_b(jump), so
+``mc_characteristic`` needs only the law of one jump's phase for its label
+b of valuation -L, and that law has a closed form.  pi^(-d) O is the
+inverse different, so the trace maps pi^j O onto p^floor((j + d) / e) Z_p,
+and the averaged trace T = Tr / m, with v_p(m) = c, maps it onto
+p^floor((j - s0) / e) Z_p, s0 = e c - d.  A surjective homomorphism of
+compact groups pushes Haar measure forward to Haar measure, so b x, x a
+uniform point of pi^(s0 + k) O, has a phase uniform on the subgroup H_k of
+order p^ceil((L - k) / e) of Z / kappa, kappa = p^ceil(L / e).  A shell is its
+ball less the next one, so a uniform point of the shell of valuation
+s0 + k has the phase law (q U_k - U_{k+1}) / (q - 1), U_k uniform on H_k.
+``_residue_law`` mixes the L shell laws s0 .. s0 + L - 1 by their jump
+masses into one kappa-entry law with exact rational weights, and
+``mc_characteristic`` draws each jump as its phase from it, sums the
+phases along each path, and forms its estimate from the kappa-bin
+histogram of the path totals mod kappa: O(n) integer work and complex
+work on at most kappa residues.  Both samplers share one block loop,
+``_path_sums``, driven by the law's sampler.  A law with a single value
+needs no jump draws: a path of N jumps sums to N times that value, so its
+sums are read from the counts alone.
 ``sample_counts`` draws only the counts, the first draws of the stream
 ``_path_sums`` reads, so a reader of the counts alone (the Poisson test)
 gets the same counts with no jump drawn and no endpoint formed.
 
-Jump cosets, the label's phases of the jumps, and the per-path jump counts
-of ``_path_sums`` come from one integer inverse-cdf sampler, ``_sampler``,
-whose guide table holds the drawn values themselves (a coset index, its
-phase, or a count), so a draw needs no lookup after it.  The cdf
-breakpoints alone fix that table: each value fills the run of buckets
-between its breakpoints, one ``np.repeat``, and a bucket that a breakpoint
-splits is marked for the search.  A guide has at most 2^16 buckets, so a
-draw reads a 16-bit chunk of a raw Philox word and a word serves four
-draws; only the draws whose chunk falls in a marked bucket read a fresh
-word for the rest of their 53-bit uniform.  The law is exactly that of
-inverting the cdf rounded up to multiples of 2^-53, as ``Generator.choice``
-does; the stream is the sampler's own, and the same whichever values it
-hands out.  The counts are drawn on a Poisson(rate * t) table.  A law and
-its jump and phase samplers are kept in the cache of its level under
-(alpha, cutoff), and its count samplers under (alpha, cutoff, t): each is
-built once.  The label pi^(-L) is the first basis element of the dual
-quotient, so its phases are the first row of the pairing table spread over
-the cosets by ``BallQuotient.character_phases``.
+Jump cosets, jump phases and the per-path jump counts come from one
+integer inverse-cdf sampler, ``_sampler``, whose guide table holds the
+drawn values themselves (a coset index, a phase, or a count), so a draw
+needs no lookup after it.  The cdf breakpoints alone fix that table: each
+value fills the run of buckets between its breakpoints, one ``np.repeat``,
+and a bucket that a breakpoint splits is marked for the search.  A guide
+has at most 2^16 buckets, so a draw reads a 16-bit chunk of a raw Philox
+word and a word serves four draws; only the draws whose chunk falls in a
+marked bucket read a fresh word for the rest of their 53-bit uniform.  The
+law is exactly that of inverting the cdf rounded up to multiples of 2^-53,
+as ``Generator.choice`` does; the stream is the sampler's own, and the
+same whichever values it hands out.  The counts are drawn on a
+Poisson(rate * t) table.  A coset law and its jump sampler are kept in the
+cache of its level under (alpha, cutoff), a phase law under (alpha, L),
+and a count sampler under the Poisson mean rate * t it draws from: each is
+built once, and two laws whose rates differ in the last bits never share
+a count table.
 
 The truncation is also exact in law for characteristic-function purposes:
-a label of valuation -L pairs trivially with every shell past s0 + L - 1,
-so once the cutoff covers that shell the truncated process has exactly the
-characteristic function exp(-t ||label||^alpha) of the full one.
-``mc_characteristic`` keeps only the shells the label can see, s0 through
-that boundary shell: the jumps past it are an independent Poisson process
-of phase 0 (Kingman 1993, 5.1), so dropping them leaves every path's phase
-sum unchanged in law.
+a label of valuation -L pairs trivially with every shell past s0 + L - 1
+(its phase subgroup H_L is trivial), so once the cutoff covers that shell
+the truncated process has exactly the characteristic function
+exp(-t ||label||^alpha) of the full one.  ``mc_characteristic`` keeps only
+the shells the label can see, s0 through that boundary shell: the jumps
+past it are an independent Poisson process of phase 0 (Kingman 1993, 5.1),
+so dropping them leaves every path's phase sum unchanged in law.
 
 The jump counts of a path are Poisson(rate * t); ``poisson_gof_pvalue``
 tests them with a chi-square statistic, its Poisson and chi-square laws
@@ -57,13 +69,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from numpy.random import Generator, Philox  # numpy loads numpy.random lazily: pay it at import
 
 from .funcspace import MAX_DIGIT_ENTRIES, BallQuotient
 from .measures import levy_cutoff_valuation
-from .vladimirov import _eigenvalue, _jump_coset_masses
+from .vladimirov import _eigenvalue, _jump_coset_masses, _jump_shell_masses
 
 __all__ = [
     "JumpLaw",
@@ -92,10 +105,10 @@ class JumpLaw:
     ``quotient`` resolves the group down to pi^(cutoff+1), so every kept
     shell splits into whole cosets; ``coset_probs[g]`` is the probability
     that a single jump lands in coset g (zero for the zero coset), and
-    ``rate`` is the total jump intensity.  The samplers built on the law
-    (``_jump_sampler``, ``_phase_sampler``, ``_count_sampler``) are kept in
-    its level's cache, keyed by ``(alpha, cutoff)`` as the law itself is,
-    and the count samplers by the horizon t too.
+    ``rate`` is the total jump intensity.  Its jump sampler
+    (``_jump_sampler``) is kept in its level's cache, keyed by
+    ``(alpha, cutoff)`` as the law itself is, and its count samplers by
+    their Poisson mean rate * t.
     """
 
     alpha: float
@@ -118,8 +131,7 @@ def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
     the outermost shell.  The law is built once per (alpha, cutoff) and
     kept in the level's cache.
     """
-    if not 0 < alpha < math.inf:
-        raise ValueError("the operator exponent must be positive and finite")
+    _check_positive(alpha, "the operator exponent")
     if (cutoff_valuation is None) == (delta is None):
         raise ValueError("give exactly one of cutoff_valuation and delta")
     if delta is not None:
@@ -137,13 +149,7 @@ def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
         rate = probs.sum()
         probs /= rate
         probs.flags.writeable = False  # every caller shares the kept law
-        return JumpLaw(
-            alpha=float(alpha),
-            cutoff=cutoff_valuation,
-            quotient=quotient,
-            rate=float(rate),
-            coset_probs=probs,
-        )
+        return JumpLaw(float(alpha), cutoff_valuation, quotient, float(rate), probs)
 
     return level._memo(("jump_law", float(alpha), cutoff_valuation), build)
 
@@ -152,9 +158,9 @@ def _rng(seed, stream):
     return Generator(Philox(key=[int(seed), int(stream)]))
 
 
-def _check_horizon(t):
-    if not 0.0 < t < math.inf:
-        raise ValueError("time horizon must be positive and finite")
+def _check_positive(value, name):
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def _guide_table(probs, values):
@@ -227,23 +233,38 @@ def _jump_sampler(law):
     return law.level._memo(key, lambda: _sampler(law.coset_probs, np.arange(law.quotient.size)))
 
 
-def _phase_sampler(law):
-    """The law's sampler of the phases of its label pi^(-L), whose boundary
-    shell s0 + L - 1 is the law's cutoff, the label ``mc_characteristic``
-    cuts the law for: it draws phases[g] where ``_jump_sampler`` draws g,
-    from the same words.  The label is the dual quotient's first basis
-    element, digits (1, 0, ..., 0), so its dual index is |G| / p.  Built
-    once, under the law's key."""
-    q = law.quotient
-    return law.level._memo(
-        ("phase_sampler", law.alpha, law.cutoff),
-        lambda: _sampler(law.coset_probs, q.character_phases(q.size // q.p)[0]),
-    )
+def _residue_law(level, alpha, L, kappa):
+    """(rate, draw): the total rate of the jump shells s0 .. s0 + L - 1
+    and a sampler of one jump's phase for a label of valuation -L, an
+    integer mod kappa = p^n, n = ceil(L / e).  Built once per (alpha, L).
+
+    The phases of the ball pi^(s0 + k) O are uniform on H_k, the multiples
+    of p^a_k, a_k = n + floor((k - L) / e), so its shell's phase law
+    (q U_k - U_{k+1}) / (q - 1) (see the module docstring) gives a residue
+    of p-valuation i (i = n for 0) the exact weight
+    (q p^a_k [i >= a_k] - p^a_{k+1} [i >= a_{k+1}]) / ((q - 1) kappa).
+    None is negative, as a_{k+1} <= a_k + 1 and p <= q, so a residue's
+    probability, the fsum of the shell masses times their weights, suffers
+    no cancellation, and is exactly 0 where every weight is."""
+
+    def build():
+        p, q, n = level.p, level.q, -(-L // level.e)
+        masses = _jump_shell_masses(level, alpha, range(level.s0, level.s0 + L))
+        a = [n + (k - L) // level.e for k in range(L + 1)]
+        probs = np.empty(kappa)
+        for i in range(n + 1):  # the multiples of p^i; those of p^(i+1) are overwritten next
+            probs[:: p**i] = math.fsum(
+                m * float(Fraction(q * p**lo * (i >= lo) - p**hi * (i >= hi), (q - 1) * kappa))
+                for m, lo, hi in zip(masses, a, a[1:])
+            )
+        return math.fsum(masses), _sampler(probs, np.arange(kappa))
+
+    return level._memo(("residue_law", float(alpha), L), build)
 
 
 def _poisson_table(lam):
-    """(k_lo, probs): the Poisson(lam) law on the counts k_lo..k_hi, scaled
-    to 1 at the mode.  Each tail left out holds < 2^-53 of the mass by
+    """(probs, counts): the Poisson(lam) law on the counts k_lo..k_hi,
+    scaled to 1 at the mode.  Each tail left out holds < 2^-53 of the mass by
     Bennett's bounds P(N >= lam + x) <= exp(-x^2 / (2 (lam + x/3))) and
     P(N <= lam - x) <= exp(-x^2 / (2 lam)), so the table has O(sqrt lam)
     entries.  The log-probabilities are summed outward from the mode, so no
@@ -262,19 +283,14 @@ def _poisson_table(lam):
     # log p(k) - log p(k - 1) = log(lam / k), summed away from the mode
     np.cumsum(np.log(lam / ks[mode + 1 :]), out=logs[mode + 1 :])
     np.cumsum(np.log(ks[1 : mode + 1][::-1] / lam), out=logs[:mode][::-1])
-    return k_lo, np.exp(logs)
+    return np.exp(logs), ks.astype(np.int64)
 
 
-def _count_sampler(law, t):
-    """The law's sampler of Poisson(rate * t) jump counts, built once per
-    horizon: ``_sampler`` on the table of ``_poisson_table``, whose values
-    are the counts k_lo, k_lo + 1, ..."""
-
-    def build():
-        k_lo, probs = _poisson_table(law.rate * t)
-        return _sampler(probs, np.arange(k_lo, k_lo + probs.size))
-
-    return law.level._memo(("count_sampler", law.alpha, law.cutoff, t), build)
+def _count_sampler(level, lam):
+    """The sampler of Poisson(lam) jump counts, lam = rate * t, built once
+    per mean and kept in the level's cache under lam itself: ``_sampler``
+    on the table of ``_poisson_table``, whose values are the counts."""
+    return level._memo(("count_sampler", lam), lambda: _sampler(*_poisson_table(lam)))
 
 
 def _check_paths(n_paths, per_path):
@@ -282,18 +298,25 @@ def _check_paths(n_paths, per_path):
         raise ValueError("n_paths too large: its per-path arrays exceed the size budget")
 
 
-def _path_sums(law, t, n_paths, seed, stream, sampler_of, rows):
-    """(sums, counts) for n_paths paths of the law on [0, t]: counts are
-    the Poisson(rate * t) jump counts and sums[r, i] the sum of row r of
-    the values path i's jumps draw.  Both come from one stream: first the
-    n_paths counts from the law's count sampler, then the jumps in path
-    order from ``sampler_of(law)``, in blocks of ``_BLOCK_DRAWS`` jumps
-    however the paths fall.  ``rows(values)`` gives one array of entries
-    per summand row for a block of drawn values.  A block's prefix sums are
-    read at every path end it holds, and a path's sum is the difference
-    between its end and the previous path's, which may lie in an earlier
-    block.  A sampler whose law has a single value (``draw.only``) draws no
-    jumps: sums[:, i] is counts[i] times that value's rows.
+def _path_sums(level, law_of, t, n_paths, seed, stream, rows):
+    """(sums, counts) for n_paths paths on [0, t] of the law that
+    ``law_of()`` builds or finds in the cache of ``level`` as (rate, draw):
+    counts are the Poisson(rate * t) jump counts and sums[r, i] the sum of
+    row r of the values path i's jumps draw.  Both come from one stream:
+    first the n_paths counts from the count sampler of the mean rate * t,
+    then the jumps in path order from ``draw``, in blocks of
+    ``_BLOCK_DRAWS`` jumps however the paths fall.  The two readers draw
+    different values: ``sample_endpoints`` a coset index per jump, summed
+    as digit rows, and ``mc_characteristic`` a phase per jump from the
+    closed-form phase law of ``_residue_law``, one row, whose path sum mod
+    kappa has the law of the endpoint's phase, as the character is a
+    homomorphism and a jump's phase law is the Haar push-forward of its
+    shell.  ``rows(values)`` gives one array of entries per summand row for a block
+    of drawn values.  A block's prefix sums are read at every path end it
+    holds, and a path's sum is the difference between its end and the
+    previous path's, which may lie in an earlier block.  A sampler whose
+    law has a single value (``draw.only``) draws no jumps: sums[:, i] is
+    counts[i] times that value's rows.
 
     The per-path arrays peak at no more than 2 R + 5 int64 entries a path,
     R rows: the counts, their ends, the sums and the path ends of a block
@@ -304,9 +327,9 @@ def _path_sums(law, t, n_paths, seed, stream, sampler_of, rows):
     is refused before any draw or table is built."""
     n_rows = len(rows(np.empty(0, dtype=np.int64)))
     _check_paths(n_paths, 2 * n_rows + 5)
+    rate, draw = law_of()
     rng = _rng(seed, stream)
-    counts = _count_sampler(law, t)(rng, n_paths)
-    draw = sampler_of(law)
+    counts = _count_sampler(level, rate * t)(rng, n_paths)
     if draw.only is not None:
         return np.array(rows(np.array([draw.only]))) * counts, counts
     ends = np.cumsum(counts)
@@ -338,12 +361,11 @@ def sample_endpoints(law, t, n_paths, seed, stream=0):
     jump count.  Jump counts are Poisson(rate * t); endpoints are the
     group sums of the jumps, one digit-sum normalisation per path.
     """
-    _check_horizon(t)
+    _check_positive(t, "time horizon")
     columns = np.ascontiguousarray(law.quotient.digit_matrix.T)
     # one take per digit column is faster than a fancy-indexed columns[:, g]
-    sums, counts = _path_sums(
-        law, t, n_paths, seed, stream, _jump_sampler, lambda g: [c.take(g) for c in columns]
-    )
+    sums, counts = _path_sums(law.level, lambda: (law.rate, _jump_sampler(law)), t, n_paths,
+                              seed, stream, lambda g: [c.take(g) for c in columns])
     return law.quotient.index_of_digits(sums), counts
 
 
@@ -354,37 +376,44 @@ def sample_counts(law, t, n_paths, seed, stream=0):
     stream; no jump is drawn and no endpoint formed.  The per-path arrays
     are the counts and a reader's copy of them (``poisson_gof_pvalue``
     clips one), held to the entry budget before any draw."""
-    _check_horizon(t)
+    _check_positive(t, "time horizon")
     _check_paths(n_paths, 2)
-    return _count_sampler(law, t)(_rng(seed, stream), n_paths)
+    return _count_sampler(law.level, law.rate * t)(_rng(seed, stream), n_paths)
 
 
 def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     """Monte Carlo estimate of the characteristic function at a label of
-    the given pi-valuation.
+    the given pi-valuation -L.
 
-    The cutoff is the boundary shell s0 + L - 1, the last one the label
-    pairs nontrivially with, so the truncation is exact in law and the
-    estimate targets exp(-t ||label||^alpha) with no truncation bias.
-    Returns (estimate, stderr).  The counts and jump draws are those of
-    ``sample_endpoints`` through the shared ``_path_sums``, but each jump
-    is drawn as its integer phase for the label (``_phase_sampler``), and
-    a path's value chi_b(endpoint) is read from its phase total mod kappa:
-    a path's own total stays exact, as kappa divides |G| <= 2^24.  The
-    estimate and its standard error come from the kappa-bin histogram of
-    those residues (``_histogram_estimate``).  The law and its phase
-    sampler are kept in the level's cache, keyed by (alpha, cutoff); the
-    cutoff grows with L, so it fixes the label.
+    The jumps are those of the shells s0 .. s0 + L - 1, out to the boundary
+    shell, the last one the label pairs nontrivially with, so the
+    truncation is exact in law and the estimate targets
+    exp(-t ||label||^alpha) with no truncation bias.  Returns (estimate,
+    stderr).  Each jump is drawn as its phase for the label, an integer
+    mod kappa = p^ceil(L / e), from the closed-form law of ``_residue_law``:
+    the Haar push-forward of each shell through the pairing, which the
+    different fixes.  So no quotient, no pairing table and no per-coset
+    array is formed.  The counts and the phases come from the shared
+    ``_path_sums``, and the estimate and its standard error from the
+    kappa-bin histogram of the path totals (``_histogram_estimate``).  The
+    law is kept in the level's cache under (alpha, L), and is charged 16
+    entries per residue against the size budget before anything is built.
     """
-    lam_valuation = int(lam_valuation)
-    if lam_valuation >= 0:
+    L = -int(lam_valuation)
+    if L <= 0:
         raise ValueError("label must lie outside the unit ball")
-    _check_horizon(t)
+    _check_positive(alpha, "the operator exponent")
+    _check_positive(t, "time horizon")
     if n_paths < 2:
         raise ValueError("a standard error needs at least two paths")
-    law = build_jump_law(level, alpha, cutoff_valuation=level.s0 - lam_valuation - 1)
-    (total,), _ = _path_sums(law, t, n_paths, seed, stream, _phase_sampler, lambda v: [v])
-    return _histogram_estimate(total, law.quotient._pairing()[1])
+    # p^ceil(L / e), its exponent capped where every p >= 2 is refused
+    # anyway, so a deep label forms no huge power before it is refused
+    kappa = level.p ** min(-(-L // level.e), MAX_DIGIT_ENTRIES.bit_length())
+    if 16 * kappa > MAX_DIGIT_ENTRIES:
+        raise ValueError("label too deep: its phase table exceeds the size budget")
+    (total,), _ = _path_sums(level, lambda: _residue_law(level, alpha, L, kappa), t, n_paths,
+                             seed, stream, lambda v: [v])
+    return _histogram_estimate(total, kappa)
 
 
 def _histogram_estimate(total, kappa):

@@ -268,12 +268,11 @@ def _encode_coeff(parent, pay):
 def _decode_coeff(parent, obj):
     if isinstance(obj, str):
         return parent._scalar_pay(Fraction(obj))
-    coords = [Fraction(s) for s in obj]
-    if len(coords) != parent.m:
+    if not isinstance(obj, list) or len(obj) != parent.m or not all(isinstance(s, str) for s in obj):
         raise ValueError(
-            f"coefficient has {len(coords)} coordinates, parent degree is {parent.m}"
+            f"a poly coefficient must be a rational string or a list of {parent.m} of them: {obj!r}"
         )
-    return parent._unflat(coords)
+    return parent._unflat([Fraction(s) for s in obj])
 
 
 def dump_tower(tower):
@@ -311,29 +310,37 @@ def load_tower(obj):
     if isinstance(obj, str):
         with open(obj) as fh:
             obj = json.load(fh)
-    p = int(obj["p"])
-    cur = base_level(p)
+    for name, kind, what in (("p", int, "an integer"), ("levels", list, "a list of levels")):
+        # a bool or a float is no integer: "p": 2.5 must not run as p = 2
+        if not isinstance(obj, dict) or type(obj.get(name)) is not kind:
+            raise ValueError(f"a tower file must be a JSON object whose field {name!r} is {what}")
+    cur = base_level(obj["p"])
     levels = []
     for steps_json in obj["levels"]:
+        if not isinstance(steps_json, list) or not all(isinstance(st, dict) for st in steps_json):
+            raise ValueError(f"each level in field 'levels' must list its steps: {steps_json!r}")
         for st in steps_json:
             kind = st.get("kind")
             degree = st.get("degree")
             poly = st.get("poly")
             coeffs = None
             if poly is not None:
-                powers = [int(k) for _, k in poly]
+                pairs = isinstance(poly, list) and all(isinstance(t, list) and len(t) == 2 for t in poly)
+                if not pairs or not all(type(k) is int for _, k in poly):
+                    raise ValueError(f"field 'poly' must list [coefficient, integer power] pairs: {poly!r}")
+                powers = [k for _, k in poly]
                 degree = degree if degree is not None else max(powers)
-                slots = [cur._zero_pay() for _ in range(degree)]
+                if type(degree) is not int or min(powers) < 0 or max(powers) > degree:
+                    raise ValueError(f"poly powers {powers} must lie in 0..{degree}, an integer degree")
+                coeffs = [cur._zero_pay() for _ in range(degree)]
                 for cstr, k in poly:
-                    k = int(k)
                     if k == degree:
                         if Fraction(cstr if isinstance(cstr, str) else "0") != 1:
                             raise ValueError("polynomial must be monic")
                         continue
-                    slots[k] = _decode_coeff(cur, cstr)
-                coeffs = slots
-            if degree is None:
-                raise ValueError("step needs a degree or a polynomial")
+                    coeffs[k] = _decode_coeff(cur, cstr)
+            if type(degree) is not int:
+                raise ValueError(f"a step needs an integer degree or a polynomial: {st!r}")
             if kind == "unramified":
                 cur = cur.extend_unramified(degree, coeffs=coeffs)
             elif kind == "eisenstein":
@@ -343,7 +350,7 @@ def load_tower(obj):
             else:
                 raise ValueError(f"unknown step kind {kind!r}")
         levels.append(cur)
-    return TowerSpec(p=p, label=obj.get("label", "custom"), levels=tuple(levels))
+    return TowerSpec(p=obj["p"], label=obj.get("label", "custom"), levels=tuple(levels))
 
 
 def resolve_tower(arg):
@@ -365,6 +372,9 @@ def resolve_tower(arg):
             if not _:
                 raise ValueError(f"malformed preset argument {piece!r}")
             params[k.strip()] = v.strip()
+        for name in {"qp": ["p"], "unramified": ["p", "f"]}.get(head, ["p", "depth"]):
+            if name not in params:
+                raise ValueError(f"preset {head!r} needs the argument {name}=")
         p = int(params.pop("p"))
         if head == "qp":
             t = build_qp_tower(p, int(params.pop("depth", 1)))

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .funcspace import _transform
 
 __all__ = [
@@ -120,13 +122,16 @@ def _jump_coset_masses(quotient, alpha):
     """Jump-measure mass of one coset of each shell, in ``shell_sizes``
     order: each whole-shell mass split by ``per_coset``, 0.0 on the shells
     below s0 and on the zero coset, which is no jump.  Built once per
-    (quotient, alpha)."""
+    (quotient, alpha), as a read-only float64 array that every reader
+    shares."""
 
     def build():
         lvl, s = quotient.level, quotient.s
         start = min(max(quotient.lo, lvl.s0), s)
         shells = _jump_shell_masses(lvl, alpha, range(start, s))
-        return quotient.per_coset([0.0] * (start - quotient.lo) + shells + [0.0])
+        masses = np.array(quotient.per_coset([0.0] * (start - quotient.lo) + shells + [0.0]))
+        masses.flags.writeable = False
+        return masses
 
     return quotient._cache(("jump_cosets", float(alpha)), build)
 

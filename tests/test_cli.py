@@ -526,15 +526,29 @@ def _run_capped(argv, limit, timeout):
     )
 
 
-def test_default_simulate_fails_fast_within_a_memory_limit():
-    # the default tower's top level gives a 2^24-coset jump quotient; its
-    # digit matrix must be refused before it is allocated
-    proc = _run_capped(["simulate"], 1 << 30, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert json.loads(proc.stderr.strip().splitlines()[-1]) == {
-        "command": "simulate", "error": "quotient too large to enumerate",
-    }
+def test_default_simulate_runs_within_a_memory_limit():
+    # the default tower's top level (q = 2^24) once needed a 2^24-coset jump
+    # quotient; the phase law of the label needs kappa = 2 residues
+    proc = _run_capped(["simulate", "--format", "json"], 1 << 30, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["config"]["level"] == 4 and doc["rows"][0]["z_score"] <= 4.0
+
+
+@pytest.mark.parametrize("lam_valuation, code", [(-20, 0), (-21, 2)])
+def test_the_phase_table_is_held_to_the_entry_budget(lam_valuation, code):
+    # kappa = 2^20 residues at 16 entries each fill the budget; 2^21 are
+    # refused before any table or draw
+    argv = ["simulate", "--tower", "qp:p=2", "--lam-valuation", str(lam_valuation),
+            "--t", "1e-5", "--format", "json"]
+    proc = _run_capped(argv, 1536 << 20, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr.strip().splitlines()[-1]) == {
+            "command": "simulate",
+            "error": "label too deep: its phase table exceeds the size budget",
+        }
 
 
 def test_deep_label_simulates_within_a_memory_limit():
@@ -722,6 +736,58 @@ def test_a_p_that_is_no_prime_is_a_config_error(tmp_path, argv):
     (line,) = proc.stderr.strip().splitlines()
     record = json.loads(line)
     assert record["command"] == argv[0] and record["error"].startswith("p = ")
+
+
+MALFORMED_TOWER_FILES = {
+    "no-p.json": {"label": "custom", "levels": [[]]},
+    "no-levels.json": {"p": 2, "label": "custom"},
+    "list.json": [2, [[]]],
+    "level-not-a-list.json": {"p": 2, "levels": [[], 5]},
+    "step-not-an-object.json": {"p": 2, "levels": [[], [5]]},
+    "power-above-degree.json": {"p": 2, "levels": [[], [
+        {"kind": "unramified", "degree": 2, "poly": [["1", 2], ["1", 5], ["1", 0]]}]]},
+    "number-coefficient.json": {"p": 2, "levels": [[], [
+        {"kind": "eisenstein", "poly": [["1", 2], [2, 0]]}]]},
+    "float-p.json": {"p": 2.5, "levels": [[]]},
+    "float-degree.json": {"p": 2, "levels": [[], [{"kind": "unramified", "degree": 2.5}]]},
+    "poly-not-a-list.json": {"p": 2, "levels": [[], [{"kind": "eisenstein", "poly": 5}]]},
+    "float-power.json": {"p": 2, "levels": [[], [
+        {"kind": "eisenstein", "poly": [["-2", 0], ["1", 2.5]]}]]},
+}
+
+
+@pytest.mark.parametrize(
+    "tower, field",
+    [
+        ("qp:depth=2", "p="),
+        ("unramified:p=2", "f="),
+        ("factorial:p=2", "depth="),
+        ("no-p.json", "'p'"),
+        ("no-levels.json", "'levels'"),
+        ("list.json", "'p'"),
+        ("level-not-a-list.json", "'levels'"),
+        ("step-not-an-object.json", "'levels'"),
+        ("power-above-degree.json", "poly powers"),
+        ("number-coefficient.json", "coefficient"),
+        ("float-p.json", "'p'"),
+        ("float-degree.json", "integer degree"),
+        ("poly-not-a-list.json", "'poly'"),
+        ("float-power.json", "'poly'"),
+    ],
+)
+def test_a_malformed_tower_is_a_config_error(tmp_path, capsys, tower, field):
+    # each once ended in a traceback with the exit status of a failed
+    # assertion, or ("p": 2.5, "degree": 2.5, power 2.5) ran as if it were
+    # an integer
+    if tower in MALFORMED_TOWER_FILES:
+        path = tmp_path / tower
+        path.write_text(json.dumps(MALFORMED_TOWER_FILES[tower]))
+        tower = str(path)
+    code, doc = run(tmp_path, "heat", "--tower", tower)
+    assert code == 2 and doc is None
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert record["command"] == "heat" and field in record["error"]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

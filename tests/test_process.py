@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from padicfrac import base_level, process
+from padicfrac import base_level, funcspace, padic, process
+from padicfrac.cli import DEFAULT_TOWER
 from padicfrac.funcspace import BallQuotient
 from padicfrac.padic import Level
 from padicfrac.measures import levy_log_characteristic, levy_shell_mass
@@ -23,11 +24,20 @@ from padicfrac.process import (
 )
 from padicfrac.tower import resolve_tower
 
+from test_funcspace import _character_phases
+
 Q2 = base_level(2)
 U = Q2.extend_unramified(2)
 E = Q2.extend_eisenstein([-2, 0])
 W = resolve_tower("factorial:p=2,depth=4").level(4)
 Q3 = base_level(3)
+Q5 = base_level(5)
+Q7 = base_level(7)
+E5 = Q5.extend_eisenstein([-5, 0])
+U7 = Q7.extend_unramified(2)
+UE5 = Q5.extend_unramified(2).extend_eisenstein([-5, 0])
+# the levels no test built before the phase law had a closed form
+ODD_LEVELS = {"Q_5": Q5, "Q_7": Q7, "Q_5-e2": E5, "Q_7-u2": U7, "Q_5-u2-e2": UE5}
 
 
 def _add_table(quotient):
@@ -171,7 +181,7 @@ def test_sample_endpoints_matches_per_path_walk(monkeypatch, level, cutoff, t, n
     monkeypatch.undo()
     # the same draws in the same order, folded path by path
     rng = process._rng(9, 2)
-    expect_counts = process._count_sampler(law, t)(rng, n_paths)
+    expect_counts = process._count_sampler(law.level, law.rate * t)(rng, n_paths)
     jumps = process._jump_sampler(law)(rng, int(expect_counts.sum()))
     add = _add_table(law.quotient)
     expect = []
@@ -325,36 +335,11 @@ def test_jump_sampler_on_cdf_ties(level, cutoff):
 
 def _label_phases(law):
     """(phases, kappa) of the label pi^(-L) whose boundary shell is the
-    law's cutoff, the label ``mc_characteristic`` cuts the law for."""
+    law's cutoff, found by field arithmetic, on every coset of the law."""
     level = law.level
     L = law.cutoff - level.s0 + 1
     b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
-    return law.quotient.character_phases(b)
-
-
-@pytest.mark.parametrize(
-    "level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1), (Q2, 12)]
-)
-@pytest.mark.parametrize("n", [0, 1, 4 * process._BLOCK_DRAWS + 1])
-def test_phase_draws_are_the_phases_of_the_index_draws(level, cutoff, n):
-    # the phase sampler reads the words the index sampler reads and maps
-    # each draw through the phases of the label found by field arithmetic:
-    # on the first five laws and the capped guide of the 8,192 cosets, over
-    # more than four blocks
-    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
-    phases, kappa = _label_phases(law)
-    rng_a, rng_b = process._rng(6, 2), process._rng(6, 2)
-    got = process._phase_sampler(law)(rng_a, n)
-    assert got.dtype == np.int64 and got.shape == (n,)
-    assert (got == phases[process._jump_sampler(law)(rng_b, n)]).all()
-    assert rng_a.bit_generator.random_raw() == rng_b.bit_generator.random_raw()
-    if cutoff == 1:  # Q_3: the breakpoint on a bucket edge, and fresh words read
-        cdf53, _, _ = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
-        u53 = _tie_uniforms(cdf53)
-        index, index_fresh = _draw_each(process._jump_sampler(law), law.coset_probs, u53)
-        got, fresh = _draw_each(process._phase_sampler(law), law.coset_probs, u53)
-        assert (got == phases[index]).all() and (fresh == index_fresh).all()
-        assert fresh.any()
+    return _character_phases(law.quotient, b)
 
 
 @pytest.mark.parametrize("level, cutoff", [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1)])
@@ -404,8 +389,8 @@ def _oracle_tables():
     for name, law in _oracle_laws():
         yield name, law.coset_probs, _label_phases(law)[0]
     for lam in (0.5, 3.0, 60.0, 1e4):
-        k_lo, probs = process._poisson_table(lam)
-        yield f"poisson {lam}", probs, np.arange(k_lo, k_lo + probs.size)
+        probs, ks = process._poisson_table(lam)
+        yield f"poisson {lam}", probs, ks
     zeros = {"start": [0, 0, 3, 1, 2], "middle": [1, 0, 0, 2, 0, 5], "end": [2, 7, 1, 0, 0]}
     for where, weights in zeros.items():
         probs = np.array(weights, dtype=float)
@@ -425,18 +410,6 @@ def test_guide_tables_equal_the_searchsorted_builder():
             assert m == want_m and (cdf53 == want_cdf53).all(), name
             want = np.where(index < 0, -1, vals.take(index))
             assert guide.dtype == np.int64 and (guide == want).all(), name
-
-
-def test_label_is_the_first_dual_basis_element():
-    # pi^(-L) has digits (1, 0, ..., 0) on the dual quotient, so its index
-    # is |G| / p, the label the phase sampler reads without field arithmetic
-    laws = list(_oracle_laws())
-    assert len(laws) == 84
-    for name, law in laws:
-        quotient, level = law.quotient, law.level
-        L = law.cutoff - level.s0 + 1
-        b = quotient.dual().index_of_element(level.uniformizer_pow(-L))
-        assert b == quotient.size // quotient.p, name
 
 
 def test_guide_table_holds_no_second_guide_sized_array():
@@ -473,12 +446,12 @@ def test_sampling_runs_past_the_old_table_cap():
     assert 0 < counts.sum()
     # the same draws again; chi_b(endpoint) = prod chi_b(jump) for every b
     rng = process._rng(5, 0)
-    expect_counts = process._count_sampler(law, t)(rng, n_paths)
+    expect_counts = process._count_sampler(law.level, law.rate * t)(rng, n_paths)
     jumps = process._jump_sampler(law)(rng, int(expect_counts.sum()))
     owner = np.repeat(np.arange(n_paths), expect_counts)
     assert (counts == expect_counts).all()
     for b in (1, 1000, 8191):
-        phases, kappa = quotient.character_phases(b)
+        phases, kappa = _character_phases(quotient, b)
         sums = np.bincount(owner, weights=phases[jumps], minlength=n_paths)
         assert (phases[states] == sums.astype(np.int64) % kappa).all()
     # and by field arithmetic on every path that jumps
@@ -557,9 +530,10 @@ POISSON_RATES = [2.5, 2.625, 9.0, 0.01, 0.3, 1.0, 4.7, 17.25, 33.0, 60.0]
 @pytest.mark.parametrize("lam", POISSON_RATES + [1e3, 1e6])
 def test_count_table_is_the_poisson_cdf(lam):
     stats = pytest.importorskip("scipy.stats")
-    k_lo, probs = process._poisson_table(lam)
+    probs, ks = process._poisson_table(lam)
     cdf53, _, _ = process._guide_table(probs, np.arange(probs.size))
-    ks = np.arange(k_lo, k_lo + probs.size)
+    k_lo = ks[0]
+    assert (ks == np.arange(k_lo, k_lo + probs.size)).all()
     # float cumsum rounding, at most one unit per entry; at lam = 1e6
     # scipy's own incomplete gamma is off by up to 4e-11
     atol = probs.size * 2.0**-53 if lam <= 1e3 else 1e-10
@@ -577,7 +551,7 @@ def test_sample_endpoints_refuses_a_count_table_over_budget():
     for t in (1e10, 1e300):
         with pytest.raises(ValueError, match="size budget"):
             sample_endpoints(law, t, 10, seed=1)
-    assert 16 * len(process._poisson_table(1e9)[1]) <= process.MAX_DIGIT_ENTRIES
+    assert 16 * len(process._poisson_table(1e9)[0]) <= process.MAX_DIGIT_ENTRIES
 
 
 def test_path_sums_refuse_paths_over_the_entry_budget(monkeypatch):
@@ -596,13 +570,13 @@ def test_count_sampler_on_cdf_ties(lam):
     # uniforms on a cdf53 breakpoint or one step below it
     law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
     t = lam / law.rate
-    k_lo, probs = process._poisson_table(law.rate * t)
+    probs, ks = process._poisson_table(law.rate * t)
     cdf53, _, _ = process._guide_table(probs, np.arange(probs.size))
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     u53 = _tie_uniforms(cdf53)
-    got, _ = _draw_each(process._count_sampler(law, t), probs, u53)
-    assert (got == cdf.searchsorted(u53 * 2.0**-53, side="right") + k_lo).all()
+    got, _ = _draw_each(process._count_sampler(law.level, law.rate * t), probs, u53)
+    assert (got == cdf.searchsorted(u53 * 2.0**-53, side="right") + ks[0]).all()
 
 
 @pytest.mark.parametrize("lam", [0.05, 2.5, 9.0, 40.0])
@@ -756,14 +730,15 @@ def test_chi2_sf_does_not_underflow_at_large_df():
 # characteristic function
 
 
+@pytest.mark.parametrize("level", [Q2, *ODD_LEVELS.values()], ids=["Q_2", *ODD_LEVELS])
 @pytest.mark.parametrize(
     "alpha, lam_valuation, t",
     [(1.0, -1, 1.0), (1.0, -2, 0.5), (2.0, -1, 1.0)],
 )
-def test_mc_characteristic_hits_the_closed_form(alpha, lam_valuation, t):
-    target = expected_characteristic(Q2, alpha, lam_valuation, t)
+def test_mc_characteristic_hits_the_closed_form(level, alpha, lam_valuation, t):
+    target = expected_characteristic(level, alpha, lam_valuation, t)
     estimate, stderr = mc_characteristic(
-        Q2, alpha, lam_valuation, t, n_paths=4000, seed=101
+        level, alpha, lam_valuation, t, n_paths=4000, seed=101
     )
     assert 0 < stderr < 0.03
     assert abs(estimate.real - target) <= 3 * stderr
@@ -809,23 +784,167 @@ def test_mc_characteristic_is_reproducible():
     assert c != a
 
 
-def _mc_oracle(level, alpha, lam_valuation, t, n_paths, seed, stream):
-    # the same estimate from path endpoints and the character table, on the
-    # law cut at the boundary shell s0 + L - 1
-    L = -lam_valuation
-    law = build_jump_law(level, alpha, cutoff_valuation=level.s0 + L - 1)
-    states, counts = sample_endpoints(law, t, n_paths, seed, stream)
-    b = law.quotient.dual().index_of_element(level.uniformizer_pow(-L))
-    phases, kappa = law.quotient.character_phases(b)
-    # the kappa-bin histogram of the endpoints' phases, and the estimate
-    # and its standard error read from it
-    h = np.bincount(phases[states], minlength=kappa)
+def _fresh(level):
+    """The same level with an empty cache (its parent's is shared)."""
+    return Level(level.p, level.steps, parent=level.parent)
+
+
+def _residue_probs(monkeypatch, level, alpha, L):
+    """(rate, probs, kappa): the phase law of a label of valuation -L, as
+    the weights ``_residue_law`` hands its sampler on a fresh copy of the
+    level."""
+    kappa = level.p ** -(-L // level.e)
+    seen = []
+    sampler = process._sampler
+
+    def kept(probs, values):
+        seen.append(probs.copy())
+        return sampler(probs, values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(process, "_sampler", kept)
+        rate, _ = process._residue_law(_fresh(level), alpha, L, kappa)
+    (probs,) = seen
+    return rate, probs, kappa
+
+
+def _prototype_laws():
+    """(name, level, alpha, L) for every phase law whose coset law has at
+    most 2^14 cosets, over 18 levels, alpha in {0.5, 1, 2} and L = 1..7."""
+    levels = {}
+    for p in (2, 3, 5, 7):
+        base = base_level(p)
+        levels[f"Q_{p}"] = base
+        levels[f"Q_{p}-u2"] = base.extend_unramified(2)
+        levels[f"Q_{p}-e2"] = base.extend_eisenstein([-p, 0])
+    levels["Q_2-u2-e2"] = U.extend_eisenstein([-2, 0])
+    levels["Q_2-e3"] = Q2.extend_eisenstein([-2, 0, 0])
+    levels["factorial:p=2 level 4"] = W
+    levels["factorial:p=3 level 3"] = resolve_tower("factorial:p=3,depth=3").level(3)
+    for name, level in levels.items():
+        for alpha in (0.5, 1.0, 2.0):
+            for L in range(1, 8):
+                if level.q**L <= 1 << 14:
+                    yield f"{name} alpha={alpha} L={L}", level, alpha, L
+
+
+def test_phase_law_is_the_push_forward_of_the_coset_law(monkeypatch):
+    # the closed form against the coset law pushed through the label's
+    # character row, found by field arithmetic, each residue's mass an fsum
+    laws = list(_prototype_laws())
+    assert len(laws) == 276
+    for name, level, alpha, L in laws:
+        rate, probs, kappa = _residue_probs(monkeypatch, level, alpha, L)
+        law = build_jump_law(level, alpha, cutoff_valuation=level.s0 + L - 1)
+        phases, label_kappa = _label_phases(law)
+        assert kappa == label_kappa == law.quotient._pairing()[1], name
+        order = np.argsort(phases, kind="stable")
+        starts = np.searchsorted(phases[order], np.arange(kappa + 1))
+        runs = zip(starts, starts[1:])
+        want = np.array([math.fsum(law.coset_probs[order[a:b]]) for a, b in runs])
+        got = probs / math.fsum(probs)
+        assert ((got == 0) == (want == 0)).all(), name
+        hit = want > 0
+        assert (abs(got[hit] - want[hit]) <= 1e-14 * want[hit]).all(), name
+        assert abs(rate - law.rate) <= 1e-14 * law.rate, name
+
+
+DEEP_LEVELS = {
+    # the default simulate's level, q = 2^24, and q = 2^1458
+    "default-top": resolve_tower(DEFAULT_TOWER).horizon,
+    "q=2^1458": resolve_tower("unramified:p=2,f=1-2-6-18-54-162-486-1458").level(8),
+}
+
+
+@pytest.mark.parametrize(
+    "level",
+    [Q2, Q3, U, E, W, *ODD_LEVELS.values(), *DEEP_LEVELS.values()],
+    ids=["Q_2", "Q_3", "Q_2-u2", "Q_2-e2", "W", *ODD_LEVELS, *DEEP_LEVELS],
+)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_phase_law_gives_the_log_characteristic(monkeypatch, level, alpha):
+    # rate (E omega^phase - 1) is the log characteristic of the process at
+    # the label, by the shell bookkeeping of levy_log_characteristic; at any
+    # depth, as no quotient is formed
+    for L in range(1, 8):
+        rate, probs, kappa = _residue_probs(monkeypatch, level, alpha, L)
+        mean = (probs / math.fsum(probs)) @ np.exp((2j * np.pi / kappa) * np.arange(kappa))
+        want = levy_log_characteristic(level, alpha, -L)
+        assert abs(rate * (mean - 1) - want) <= 1e-13 * abs(want), L
+
+
+@pytest.mark.parametrize(
+    "level",
+    [Level(2), E, W, UE5, *DEEP_LEVELS.values()],
+    ids=["Q_2", "Q_2-e2", "W", "Q_5-u2-e2", *DEEP_LEVELS],
+)
+def test_a_cold_mc_characteristic_forms_no_quotient(monkeypatch, level):
+    # the phase law needs no field arithmetic: no pairing angle, no
+    # quotient table and no coset law in the level's cache
+    def no_pairing(*args):
+        raise AssertionError("no pairing angle may be formed")
+
+    monkeypatch.setattr(padic, "pairing_angle", no_pairing)
+    monkeypatch.setattr(funcspace, "pairing_angle", no_pairing)
+    level = _fresh(level)
+    for alpha in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mc_characteristic(level, alpha, -2, 1.0, 100, seed=1)
+    assert not level._cache
+    target = expected_characteristic(level, 1.0, -2, 0.5)
+    estimate, stderr = mc_characteristic(level, 1.0, -2, 0.5, 4000, seed=5)
+    assert abs(estimate.real - target) <= 4 * stderr and abs(estimate.imag) <= 4 * stderr
+    kinds = {key[0] for key in level._cache if isinstance(key, tuple)}
+    assert kinds == {"residue_law", "count_sampler"}
+
+
+def test_count_tables_are_keyed_by_their_poisson_mean():
+    # a coset law and the phase law of the same shells sum their masses in
+    # different orders: each count table is the one of its own rate
+    level = Level(3)
+    law = build_jump_law(level, 0.5, cutoff_valuation=2)
+    sample_counts(law, 1.0, 10, seed=1)
+    mc_characteristic(level, 0.5, -3, 1.0, 10, seed=1)
+    rate, _ = process._residue_law(level, 0.5, 3, 27)
+    means = {key[1] for key in level._cache if key[0] == "count_sampler"}
+    assert means == {law.rate, rate}
+
+
+def _histogram(residues, kappa):
+    """(estimate, stderr) of the mean of omega^residue, read from the
+    kappa-bin histogram of the residues."""
+    n = residues.size
+    h = np.bincount(residues, minlength=kappa)
     (residues,) = np.nonzero(h)
     hits = h[residues]
     z = np.exp((2j * np.pi / kappa) * residues)
-    estimate = (hits @ z) / n_paths
-    stderr = float(np.sqrt((hits @ (np.abs(z - estimate) ** 2)) / ((n_paths - 1) * n_paths)))
-    return (complex(estimate), stderr), int(counts.sum())
+    estimate = (hits @ z) / n
+    stderr = float(np.sqrt((hits @ (np.abs(z - estimate) ** 2)) / ((n - 1) * n)))
+    return complex(estimate), stderr
+
+
+def _mc_oracle(level, alpha, lam_valuation, t, n_paths, seed, stream):
+    # the estimate from path endpoints and the label's character row, on
+    # the coset law cut at the boundary shell s0 + L - 1
+    L = -lam_valuation
+    law = build_jump_law(level, alpha, cutoff_valuation=level.s0 + L - 1)
+    states, counts = sample_endpoints(law, t, n_paths, seed, stream)
+    phases, kappa = _label_phases(law)
+    return _histogram(phases[states], kappa), int(counts.sum())
+
+
+def _residue_totals(level, alpha, L, t, n_paths, seed, stream):
+    """(totals, counts): the counts and phases mc_characteristic draws,
+    from its samplers, and the phases summed path by path in a plain loop."""
+    rate, draw = process._residue_law(level, alpha, L, level.p ** -(-L // level.e))
+    rng = process._rng(seed, stream)
+    counts = process._count_sampler(level, rate * t)(rng, n_paths)
+    if draw.only is not None:
+        return counts * draw.only, counts
+    phases = draw(rng, int(counts.sum())).tolist()
+    ends = np.cumsum(counts).tolist()
+    totals = [sum(phases[end - count : end]) for end, count in zip(ends, counts.tolist())]
+    return np.array(totals, dtype=np.int64), counts
 
 
 @pytest.mark.parametrize(
@@ -843,13 +962,22 @@ def _mc_oracle(level, alpha, lam_valuation, t, n_paths, seed, stream):
 def test_mc_characteristic_matches_the_endpoint_oracle(
     level, alpha, lam_valuation, t, n_paths
 ):
+    # the estimate is the histogram of its phase totals, and it agrees in
+    # law with the endpoint route, which draws other words: within four
+    # standard errors of the difference
     got = mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed=17, stream=3)
+    kappa = level.p ** -(lam_valuation // level.e)  # p^ceil(L / e)
+    totals, counts = _residue_totals(level, alpha, -lam_valuation, t, n_paths, 17, 3)
+    assert got == _histogram(totals % kappa, kappa)
     want, jumps = _mc_oracle(level, alpha, lam_valuation, t, n_paths, 17, 3)
-    assert got == want
+    if n_paths >= 300:
+        gap = 4 * math.hypot(got[1], want[1])
+        assert abs(got[0].real - want[0].real) <= gap
+        assert abs(got[0].imag - want[0].imag) <= gap
     if n_paths == 10_000:
-        assert jumps > 4 * process._BLOCK_DRAWS  # several path blocks
+        assert counts.sum() > 4 * process._BLOCK_DRAWS  # several path blocks
     if t < 1e-6:
-        assert jumps == 0 and got == (1.0, 0.0)
+        assert jumps == counts.sum() == 0 and got == want == (1.0, 0.0)
 
 
 BENCH_LEVELS = {"Q_2": Q2, "Q_2-u2": U, "Q_2-e2": E, "Q_3": Q3}
@@ -879,7 +1007,7 @@ HISTOGRAM_CASES = (
 def test_histogram_estimate_is_the_per_path_formula(
     monkeypatch, level, alpha, lam_valuation, t, n_paths, seed, stream
 ):
-    level = level or Level(2)  # a fresh cache for the 2^19-coset law
+    level = level or Level(2)  # a fresh cache for the 2^19-residue law
     seen = []
     estimate_of = process._histogram_estimate
 
@@ -899,16 +1027,12 @@ def test_histogram_estimate_is_the_per_path_formula(
     got = mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream)
     monkeypatch.setattr(np, "bincount", bincount)
     ((total, kappa),) = seen
-    # the totals are the phases of the index draws, summed path by path
-    law = build_jump_law(level, alpha, cutoff_valuation=level.s0 - lam_valuation - 1)
-    phases, label_kappa = _label_phases(law)
-    assert kappa == label_kappa
-    rng = process._rng(seed, stream)
-    counts = process._count_sampler(law, t)(rng, n_paths)
-    jumps = process._jump_sampler(law)(rng, int(counts.sum()))
-    ends = np.cumsum(counts)
-    acc = np.concatenate([[0], np.cumsum(phases[jumps])])
-    assert (total == acc[ends] - acc[ends - counts]).all()
+    # the totals are the phase draws summed path by path, mod the kappa of
+    # the pairing table of the quotient the coset law would need
+    L = -lam_valuation
+    assert kappa == BallQuotient(level, level.s0, level.s0 + L)._pairing()[1]
+    want, _ = _residue_totals(level, alpha, L, t, n_paths, seed, stream)
+    assert (total == want).all()
     if t < 1e-6:
         assert not total.any() and got == (1.0, 0.0)
     # both folds run: the bincount of the totals themselves, and past the
@@ -927,7 +1051,9 @@ def test_histogram_estimate_is_the_per_path_formula(
     assert abs(got[1] - stderr) <= tol
 
 
-@pytest.mark.parametrize("level", [Q2, U, E, W, Q3], ids=["Q2", "U", "E", "W", "Q3"])
+@pytest.mark.parametrize(
+    "level", [Q2, U, E, W, Q3, *ODD_LEVELS.values()], ids=["Q2", "U", "E", "W", "Q3", *ODD_LEVELS]
+)
 @pytest.mark.parametrize("L", [1, 2, 3])
 def test_cosets_past_the_boundary_shell_pair_trivially(level, L):
     # the premise of cutting the jump law at s0 + L - 1: on the quotient the
@@ -937,22 +1063,27 @@ def test_cosets_past_the_boundary_shell_pair_trivially(level, L):
     boundary = level.s0 + L - 1
     quotient = BallQuotient(level, level.s0, max(L, boundary) + 1)
     b = quotient.dual().index_of_element(level.uniformizer_pow(-L))
-    phases, _ = quotient.character_phases(b)
-    vals = quotient.val_pi_vector
+    # the cosets of valuation >= boundary, whose digits above its row are 0:
+    # all the assertions read, so the quotient itself need not be enumerable
+    inner = BallQuotient(level, boundary, quotient.s)
+    dig = np.zeros((inner.size, quotient.D), dtype=np.int64)
+    dig[:, quotient.D - inner.D :] = inner.digit_matrix
+    phases, _ = _character_phases(quotient, b, dig)
+    vals = inner.val_pi_vector
     assert not phases[vals > boundary].any()
     assert phases[vals == boundary].any()
     if level.s0 <= 0:  # the old cutoff drew jumps past the boundary
         assert (vals[1:] > boundary).any()
 
 
-# the four benchmark cases on Q_2-u2 at seed 1: there s0 = 1, so cutting the
-# jump law at the boundary shell left their draws as they were; the last
-# bits are those of the histogram estimate
+# the four benchmark cases on Q_2-u2 at seed 1: there s0 = 1, so the
+# boundary shell s0 + L - 1 was the old cutoff max(L, s0 + L - 1) too; the
+# bits are those of the phase law's draws
 U_PINS = [
-    (1.0, -1, 1.0, 5, "((0.132+5.314967108299513e-17j), 0.009912992824706082)"),
-    (1.0, -2, 0.5, 6, "((0.1551-0.0034999999999999775j), 0.009879419734651897)"),
-    (2.0, -1, 1.0, 7, "((0.001+6.11711076174103e-17j), 0.010000495037251856)"),
-    (0.5, -3, 1.0, 8, "((0.046855634918610375+0.00027157287525383255j), 0.00998951583486989)"),
+    (1.0, -1, 1.0, 5, "((0.1346+5.299046699910598e-17j), 0.00990949563854695)"),
+    (1.0, -2, 0.5, 6, "((0.14159999999999998-0.0029999999999999775j), 0.009899689105443588)"),
+    (2.0, -1, 1.0, 7, "((0.031+5.933413741868926e-17j), 0.00999569364222108)"),
+    (0.5, -3, 1.0, 8, "((0.0543053823869162-0.002312994231491143j), 0.009985716248875185)"),
 ]
 
 
@@ -967,38 +1098,43 @@ def test_mc_characteristic_is_unchanged_where_s0_is_positive(
 
 
 def test_mc_characteristic_runs_past_the_table_caps():
+    # a label of valuation -20 on Q_2: the coset law it once needed has 2^20
+    # cosets of 20 digits, past the digit-matrix budget; its phase law has
+    # kappa = 2^20 residues, at the edge of the budget
     level = Level(2)  # a fresh cache, so every table below is built here
-    t = 1.0 / 4096
-    estimate, stderr = mc_characteristic(level, 1.0, -12, t, 20_000, seed=23)
-    quotient = build_jump_law(level, 1.0, cutoff_valuation=12).quotient
-    assert quotient.size == 8192 > 4096
-    target = expected_characteristic(level, 1.0, -12, t)
+    with pytest.raises(ValueError, match="too large to enumerate"):
+        BallQuotient(level, level.s0, level.s0 + 20).check_enumerable()
+    t = 2.0**-20
+    estimate, stderr = mc_characteristic(level, 1.0, -20, t, 20_000, seed=23)
+    target = expected_characteristic(level, 1.0, -20, t)
     assert 0 < stderr and abs(estimate.real - target) <= 3 * stderr
     assert abs(estimate.imag) <= 3 * stderr
-    names = {key[1] for key in level._cache if isinstance(key, tuple)}
-    assert not names & {"U", "sub", "neg", "digits"}
-    # the label's phases are drawn from the phase sampler's guide alone
-    assert not any(key[0] == "label" for key in level._cache)
+    kinds = {key[0] for key in level._cache if isinstance(key, tuple)}
+    assert kinds == {"residue_law", "count_sampler"}
+    with pytest.raises(ValueError, match="phase table exceeds the size budget"):
+        mc_characteristic(level, 1.0, -21, t, 20_000, seed=23)
+    # 3^(10^9) would take minutes to form: the refusal forms no such power
+    with pytest.raises(ValueError, match="phase table exceeds the size budget"):
+        mc_characteristic(Level(3), 1e-9, -10**9, t, 20_000, seed=23)
 
 
 def test_mc_characteristic_builds_its_law_once(monkeypatch):
     level = Level(2)  # a fresh cache
-    laws = []
-    make_law = process.JumpLaw
+    built = []
+    masses_of = process._jump_shell_masses
 
-    def counted(**fields):
-        laws.append(fields["alpha"])
-        return make_law(**fields)
+    def counted(level, alpha, valuations):
+        built.append(alpha)
+        return masses_of(level, alpha, valuations)
 
-    monkeypatch.setattr(process, "JumpLaw", counted)
+    monkeypatch.setattr(process, "_jump_shell_masses", counted)
     first = mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3)
     assert mc_characteristic(level, 1.0, -2, 0.5, 1000, seed=3) == first
-    assert laws == [1.0]
-    # a direct call with the same (alpha, cutoff) gets the kept law
-    assert build_jump_law(level, 1.0, cutoff_valuation=level.s0 + 1) is build_jump_law(
-        level, 1.0, cutoff_valuation=level.s0 + 1
-    )
-    assert laws == [1.0]
+    # a new horizon draws on a new count table from the same law
+    assert mc_characteristic(level, 1.0, -2, 0.25, 1000, seed=3) != first
+    assert built == [1.0] and ("residue_law", 1.0, 2) in level._cache
+    mc_characteristic(level, 2.0, -2, 0.5, 1000, seed=3)
+    assert built == [1.0, 2.0]
     # the cached law draws what a freshly built one draws
     monkeypatch.undo()
     assert mc_characteristic(Level(2), 1.0, -2, 0.5, 1000, seed=3) == first
@@ -1007,42 +1143,44 @@ def test_mc_characteristic_builds_its_law_once(monkeypatch):
 @pytest.mark.parametrize(
     "p, alpha, lam_valuation, stream, pinned",
     [
-        # Q_3 at alpha = 1: the law's two cosets of mass 1/2 put its cdf
+        # Q_3 at alpha = 1: phases 1 and 2 of mass 1/2 each put the cdf
         # breakpoint on a guide-table bucket edge
         (3, 1.0, -1, 13, "((0.05259999999999996+0.0071014083110325105j), 0.009986403447957756)"),
-        # Q_2 at L = 1: one jump coset, so the count draws alone move the bits
+        # Q_2 at L = 1: one phase, so the count draws alone move the bits
         (2, 2.0, -1, 3, "((0.0036000000000000003+6.101190353352114e-17j), 0.010000435234052918)"),
-        # Q_2 at L = 3: seven cosets over three shells, whose breakpoints
-        # fall inside guide buckets, so the jump draws read fresh words
-        (2, 0.5, -3, 4, "((0.06668578643762686-0.005162741699796948j), 0.009978105604656598)"),
+        # Q_2 at L = 3: phases over three shells, whose breakpoints fall
+        # inside guide buckets, so the phase draws read fresh words
+        (2, 0.5, -3, 4, "((0.06559081169079628+0.0029636038969321136j), 0.009978920990456925)"),
     ],
     ids=["Q_3-alpha1", "Q_2-alpha2", "Q_2-alpha0.5"],
 )
 def test_mc_characteristic_stream_is_pinned(p, alpha, lam_valuation, stream, pinned):
     # cases of the benchmark's first timed cycle at seed 1 (10,000 paths
-    # each): a change that moves any draw of the jump or count samplers
+    # each): a change that moves any draw of the phase or count samplers
     # changes these bits
     got = mc_characteristic(base_level(p), alpha, lam_valuation, 1.0, 10_000, 1, stream)
     assert repr(got) == pinned
 
 
 def test_one_coset_law_draws_no_jumps(monkeypatch):
-    # Q_2 at L = 1: the jump law's one coset, so a path's phase sum is its
-    # count times that coset's phase, read with no jump drawn
-    def no_draws(sampler_of):
-        def sampler(law):
-            draw = sampler_of(law)
+    # Q_2 at L = 1: the jump law's one coset, of phase 1 mod 2, so a path's
+    # endpoint is its count mod 2 and its phase total its count, read with no
+    # jump drawn
+    def no_draws(draw):
+        def no_jumps(rng, n):
+            raise AssertionError("a law of one value must draw no jumps")
 
-            def no_jumps(rng, n):
-                raise AssertionError("a one-coset law must draw no jumps")
+        no_jumps.only = draw.only
+        return no_jumps
 
-            no_jumps.only = draw.only
-            return no_jumps
+    jump_sampler, residue_law = process._jump_sampler, process._residue_law
 
-        return sampler
+    def residue_law_without_draws(*args):
+        rate, draw = residue_law(*args)
+        return rate, no_draws(draw)
 
-    for name in ("_jump_sampler", "_phase_sampler"):
-        monkeypatch.setattr(process, name, no_draws(getattr(process, name)))
+    monkeypatch.setattr(process, "_jump_sampler", lambda law: no_draws(jump_sampler(law)))
+    monkeypatch.setattr(process, "_residue_law", residue_law_without_draws)
     level = Level(2)
     law = build_jump_law(level, 2.0, cutoff_valuation=0)
     states, counts = sample_endpoints(law, 1.0, 1000, seed=1)
@@ -1057,9 +1195,10 @@ def test_one_coset_law_draws_no_jumps(monkeypatch):
 )
 def test_mc_characteristic_rejects_bad_paths_and_horizons(monkeypatch, t, n_paths):
     def no_law(*args, **kwargs):
-        raise AssertionError("the law must not be built")
+        raise AssertionError("no law may be built")
 
-    monkeypatch.setattr(process, "build_jump_law", no_law)
+    monkeypatch.setattr(process, "_residue_law", no_law)
+    monkeypatch.setattr(process, "_count_sampler", no_law)
     with pytest.raises(ValueError):
         mc_characteristic(Q2, 1.0, -1, t, n_paths, seed=1)
 

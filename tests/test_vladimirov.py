@@ -25,6 +25,8 @@ from padicfrac.vladimirov import (
     semigroup_apply,
 )
 
+from test_funcspace import _character_table
+
 Q2 = base_level(2)
 Q3 = base_level(3)
 U = Q2.extend_unramified(2)
@@ -44,13 +46,6 @@ QUOTIENTS = [
 ]
 
 ALPHAS = [0.5, 1.0, 2.0]
-
-
-def _character_table(quotient):
-    """The dense oracle U[b, g] = chi_b(g), |G| x |G|, from the exact
-    phases, one label's row at a time."""
-    rows = [quotient.character_phases(b) for b in range(quotient.size)]
-    return np.array([np.exp((2j * np.pi / kappa) * phases) for phases, kappa in rows])
 
 
 def _jump_masses(quotient, alpha):
