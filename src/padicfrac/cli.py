@@ -130,6 +130,16 @@ def _check_t(args):
         raise CommandError("--t must be positive and finite")
 
 
+def _check_renders(factor, q, k, what, remedy):
+    """Refuse a run whose output holds factor * q**k (1 <= factor < q) past
+    the int-to-str digit limit, before anything is formed: the log bound
+    first, so that no power past the limit is ever formed, then the exact
+    compare.  Rendering refuses exactly the integers >= 10**limit."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if k * math.log10(q) > limit + 1 or factor * q**k >= 10**limit:
+        raise CommandError(f"{what} of more than {limit} decimal digits; {remedy}")
+
+
 def _load_function(args, level):
     """Resolve the function input for apply/levy: an explicit JSON file
     ({"lo": int, "s": int, "values": [[re, im], ...]}) or a seeded random
@@ -189,14 +199,11 @@ def cmd_spectrum(args):
     # the largest multiplicity, (q - 1) q^(N - 1) at N = cap e on the horizon
     # level, must render: refuse it before spectrum() visits every exponent
     H = tower.level(horizon)
-    top = cap * H.e
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if (top - 1) * math.log10(H.q) > limit + 1 or (H.q - 1) * H.q ** (top - 1) >= 10**limit:
-        raise CommandError(
-            f"--alpha {args.alpha!r} and --max-value {args.max_value!r} reach "
-            f"multiplicities of more than {limit} decimal digits; raise --alpha "
-            "or lower --max-value"
-        )
+    _check_renders(
+        H.q - 1, H.q, cap * H.e - 1,
+        f"--alpha {args.alpha!r} and --max-value {args.max_value!r} reach multiplicities",
+        "raise --alpha or lower --max-value",
+    )
     entries = [
         en
         for en in spectrum(tower, args.alpha, exponent_cap=cap, horizon=horizon)
@@ -352,6 +359,13 @@ def cmd_heat(args):
     if args.N < 0:
         raise CommandError("--N must be nonnegative")
     _check_t(args)
+    # the widest shell's coset count, (q - 1) q^(span - 1), and the invariant
+    # mass's denominator q^(N e) must render; the masses cost O(span + N e)
+    if args.span >= 1:  # else the quotient below refuses it
+        _check_renders(level.q - 1, level.q, args.span - 1,
+                       f"--span {args.span} reaches coset counts", "lower --span")
+    _check_renders(1, level.q, args.N * level.e,
+                   f"--N {args.N} reaches an invariant mass denominator", "lower --N")
     closed = heat_cylinder_mass(level, args.alpha, args.t, args.N)
     lo = level.s0
     quotient = BallQuotient(level, lo, lo + args.span)

@@ -191,6 +191,18 @@ def heat_lower_bound(level, alpha, t, N):
     )
 
 
+def _reciprocal_underflows(q, k):
+    """Whether float(Fraction(1, q**k)) is 0.0, that is q**k >= 2**1075.
+    Read from the bit length b of q, as 2^((b-1) k) <= q^k < 2^(b k); q**k
+    is formed only where those bounds leave it open, below 2^(1075 + k)."""
+    b = q.bit_length()
+    if (b - 1) * k >= 1075:
+        return True
+    if b * k <= 1075:
+        return False
+    return q**k >= 1 << 1075
+
+
 def singularity_report(tower, alpha, t, N):
     """Per-level comparison of cylinder masses under mu and under heat.
 
@@ -203,10 +215,12 @@ def singularity_report(tower, alpha, t, N):
     """
     rows = []
     for n, lvl in enumerate(tower, start=1):
+        # q^(-N e) below float range puts the ratio past it; decided before
+        # either mass is formed, as the heat mass's cost grows with N e
+        if _reciprocal_underflows(lvl.q, N * lvl.e):
+            raise OverflowError(f"the invariant cylinder mass of level {n} underflows")
         mu = mu_cylinder_mass(lvl, N)
         pi = heat_cylinder_mass(lvl, alpha, t, N)
-        if not float(mu):  # q^(-N e) below float range puts the ratio past it
-            raise OverflowError(f"the invariant cylinder mass of level {n} underflows")
         ratio = pi / float(mu)
         rows.append(
             {

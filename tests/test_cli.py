@@ -142,14 +142,21 @@ def test_apply_constant_function_maps_to_zero(tmp_path):
                     assert abs(val) <= 1e-12
 
 
-def test_apply_random_routes_agree(tmp_path):
-    code, doc = run(
-        tmp_path, "apply", "--tower", Q2_TOWER, "--lo", "-2", "--span", "4",
-        "--seed", "12", "--alpha", "0.5",
-    )
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["--tower", Q2_TOWER, "--lo", "-2", "--span", "4", "--seed", "12"], 16),
+        # q = 4: block sums of four entries, where the matrix-vector product
+        # sums in another order than a plain reduction
+        (["--tower", "unramified:p=2,f=1-2", "--level", "2", "--span", "5"], 1024),
+    ],
+    ids=["Q_2", "q=4"],
+)
+def test_apply_random_routes_agree(tmp_path, argv, size):
+    code, doc = run(tmp_path, "apply", *argv, "--alpha", "0.5")
     assert code == 0
     assert doc["config"]["max_pairwise_deviation"] <= 1e-9
-    assert len(doc["rows"]) == 16
+    assert len(doc["rows"]) == size
 
 
 Q3_APPLY = ("apply", "--tower", "qp:p=3", "--level", "1", "--alpha", "2", "--span", "9")
@@ -319,11 +326,18 @@ def test_levy_function_must_vanish_at_the_origin(tmp_path):
     assert code == 2
 
 
-def test_levy_integrate_random_routes_agree(tmp_path):
-    code, doc = run(
-        tmp_path, "levy", "--tower", Q2_TOWER, "--integrate", "--seed", "9",
-        "--alpha", "2",
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tower", Q2_TOWER, "--seed", "9", "--alpha", "2"],
+        ["--tower", "qp:p=3", "--alpha", "0.5", "--span", "4"],
+        # q = 4: the shell sums against the ball sums at the origin
+        ["--tower", "unramified:p=2,f=1-2", "--level", "2", "--alpha", "0.5", "--span", "5"],
+    ],
+    ids=["Q_2", "Q_3", "q=4"],
+)
+def test_levy_integrate_random_routes_agree(tmp_path, argv):
+    code, doc = run(tmp_path, "levy", "--integrate", *argv)
     assert code == 0
     assert doc["config"]["integral_route_gap"] <= 1e-9
 
@@ -446,7 +460,11 @@ def test_heat_runs_at_a_small_alpha(tmp_path, alpha):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("argv", [["heat", "--span", "596"], ["heat", "--N", "700"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv",
+    [["heat", "--span", "596"], ["heat", "--N", "596"], ["heat", "--N", "700"]],
+    ids=" ".join,
+)
 def test_numbers_past_the_digit_limit_are_a_config_error(capsys, argv, fmt):
     # a coset count, or the invariant mass's denominator, past the
     # 4,300-digit int-to-str limit: one record, and nothing half written
@@ -481,15 +499,27 @@ def test_simulate_inside_the_unit_ball_is_exact(tmp_path):
     assert row["stderr"] == 0.0 and row["expected"] == 1.0
 
 
-def test_simulate_seeded_run_matches_the_closed_form(tmp_path):
-    code, doc = run(
-        tmp_path, "simulate", "--tower", Q2_TOWER, "--lam-valuation", "-1",
-        "--paths", "4000", "--seed", "101",
-    )
+@pytest.mark.parametrize(
+    "argv, log_expected",
+    [
+        (["--tower", Q2_TOWER, "--lam-valuation", "-1", "--paths", "4000", "--seed", "101"],
+         -2.0),
+        # q = 2^1458: the label's phase law forms no power of q
+        (["--tower", "unramified:p=2,f=1-2-6-18-54-162-486-1458"], -2.0),
+        # kappa = 9 residues: the phase histogram folds on an odd prime
+        (["--tower", "qp:p=3", "--alpha", "0.5", "--lam-valuation", "-2"], -3.0),
+        # kappa = 3^9 residues: the guide is capped at 2^16 buckets on an odd prime
+        (["--tower", "qp:p=3", "--lam-valuation", "-9", "--t", "1e-3"], -19.683),
+    ],
+    ids=["Q_2", "q=2^1458", "Q_3", "Q_3 kappa=3^9"],
+)
+def test_simulate_seeded_run_matches_the_closed_form(tmp_path, argv, log_expected):
+    # log_expected = -t p^(alpha L / e) at the label of valuation -L
+    code, doc = run(tmp_path, "simulate", *argv)
     assert code == 0
     (row,) = doc["rows"]
     assert row["z_score"] <= 4.0
-    assert abs(row["expected"] - math.exp(-2.0)) < 1e-15
+    assert abs(row["expected"] - math.exp(log_expected)) < 1e-15
 
 
 @pytest.mark.parametrize("flags", [("--paths", "1"), ("--paths", "0"), ("--t", "0")])
@@ -601,6 +631,41 @@ def test_oversized_random_function_fails_fast_within_a_memory_limit(argv):
     assert json.loads(proc.stderr.strip().splitlines()[-1]) == {
         "command": argv[0], "error": "quotient too large to enumerate",
     }
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # the invariant mass of level 1 underflows, and the heat mass would
+        # take one term per unit of N e: refused before either is formed
+        (["singularity", "--N", "30000000"], 2),
+        # the widest shell's (q - 1) q^(span - 1) cosets, or the invariant
+        # mass's denominator q^(N e), past the int-to-str digit limit:
+        # refused before the O(span + N e) masses are formed
+        (["heat", "--tower", "qp:p=3", "--span", "30000000"], 2),
+        (["heat", "--tower", "qp:p=3", "--N", "100000000"], 2),
+        # the largest span and N that still render at q = 2^24
+        (["heat", "--span", "595"], 0),
+        (["heat", "--N", "595"], 0),
+        (["spectrum"], 0),
+        (["singularity"], 0),
+        (["levy"], 0),
+        (["verify-all"], 0),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else f"exit {value}",
+)
+def test_runs_end_or_are_refused_within_a_memory_limit(argv, code):
+    start = time.perf_counter()
+    proc = _run_capped([*argv, "--format", "json"], 1536 << 20, timeout=120)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert elapsed < 2.0
+        assert proc.stdout == ""
+        (line,) = proc.stderr.strip().splitlines()
+        assert json.loads(line)["command"] == argv[0]
+    else:
+        assert json.loads(proc.stdout)["rows"]
 
 
 # ---------------------------------------------------------------------------

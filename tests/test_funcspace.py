@@ -279,13 +279,15 @@ STACKED_ROUTES = {
 }
 
 
-@pytest.mark.parametrize("bq", QUOTIENTS, ids=repr)
+@pytest.mark.parametrize(
+    "bq", QUOTIENTS + [BallQuotient(U, 0, 5), BallQuotient(U, 1, 6)], ids=repr
+)
 @pytest.mark.parametrize("route", sorted(STACKED_ROUTES))
 def test_a_stacked_row_is_the_function_alone(bq, route):
     # every row of a stack comes out byte for byte as the row alone: the
     # block sums, the shell sums and the J-term dot products take each row
-    # in its own order.  lo = s0 on Q_2 (0, 4), Q_2-u2 (1, 3) and
-    # Q_2-u2-e2 (2, 4), where a single function's coarsest block sum is
+    # in its own order.  lo = s0 on Q_2 (0, 4), Q_2-u2 (1, 3) and (1, 6)
+    # and Q_2-u2-e2 (2, 4), where a single function's coarsest block sum is
     # one dot product and a flat stack's would sum in another order at q = 4
     run = STACKED_ROUTES[route]
     rng = np.random.default_rng(21)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from padicfrac import base_level
 from padicfrac.funcspace import BallQuotient, random_function
 from padicfrac.measures import (
+    _reciprocal_underflows,
     heat_ball_mass,
     heat_coset_vector,
     heat_cylinder_mass,
@@ -308,6 +309,21 @@ def test_singular_vs_mu_report():
     assert all(b > a for a, b in zip(ratios, ratios[1:]))
     assert rows[-1]["log10_ratio"] > 6.0
     assert all(r["lower_bound"] >= 0.5 * u - 1e-12 for r in rows)
+
+
+FIELD_SIZES = {
+    "2": 2, "3": 3, "4": 4, "5": 5, "7": 7, "9": 9, "3^5": 3**5, "2^24-3": 2**24 - 3,
+    "2^24": 2**24, "2^269-1": 2**269 - 1, "3^162": 3**162, "2^1458": 2**1458,
+}
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES.values(), ids=FIELD_SIZES.keys())
+def test_reciprocal_underflow_is_read_from_bit_lengths(q):
+    # every k on both sides of the bit-length bounds, the exact compare
+    # between them included, agrees with the float of the exact mass
+    b = q.bit_length()
+    for k in range(max(1075 // b - 2, 0), 1075 // (b - 1) + 3):
+        assert _reciprocal_underflows(q, k) == (float(Fraction(1, q**k)) == 0.0), k
 
 
 def test_heat_lower_bound_is_level_uniform():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicfrac.cli import DEFAULT_TOWER
+from padicfrac.cli import DEFAULT_TOWER, main
 from padicfrac.funcspace import BallQuotient
 from padicfrac.tower import (
     TowerSpec,
@@ -216,10 +216,10 @@ def test_dump_load_round_trip():
 
 
 @pytest.mark.parametrize("preset, n", [("unramified:p=2,f=1-2", 2), (DEFAULT_TOWER, 3)])
-def test_arithmetic_leaves_level_keys_and_dumps_unchanged(preset, n):
+def test_arithmetic_leaves_level_keys_and_dumps_unchanged(tmp_path, preset, n):
     # a searched step polynomial is kept in the cache of the level it tops,
     # not on the step: keys, hashes, dict membership and the dumped file
-    # stay as the level was made
+    # stay as the level was made, and the file gives the preset's rows
     t = resolve_tower(preset)  # fresh levels above Q_p, nothing computed yet
     level = t.level(n)
     key, digest, blob = level.key(), hash(level), json.dumps(dump_tower(t))
@@ -230,6 +230,16 @@ def test_arithmetic_leaves_level_keys_and_dumps_unchanged(preset, n):
     assert level in seen and seen[level] == n
     assert "poly" in level._cache
     assert load_tower(json.loads(json.dumps(dump_tower(t)))).levels == t.levels
+    path = tmp_path / "tower.json"
+    path.write_text(blob)
+    for argv in (["spectrum"], ["heat", "--level", str(n)]):
+        tables = []
+        for tower in (preset, str(path)):
+            out = tmp_path / "out.csv"
+            assert main([*argv, "--tower", tower, "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            tables.append([line for line in lines if not line.startswith("# tower=")])
+        assert tables[0] == tables[1]
 
 
 def test_a_dump_with_searched_polynomials_loads_as_the_preset():
