@@ -27,6 +27,7 @@ from .funcspace import (
 from .measures import (
     heat_cylinder_mass,
     heat_density,
+    levy_cutoff_valuation,
     levy_integral,
     levy_log_characteristic,
     mu_ball_mass,
@@ -313,7 +314,7 @@ def check_monte_carlo():
         zs.append(z)
         ok = ok and z <= 3.0 and abs(est.imag) <= 3.0 * stderr
 
-        law = build_jump_law(q2, alpha, delta=Fraction(1, 2 ** (-v)))
+        law = build_jump_law(q2, alpha, levy_cutoff_valuation(q2, Fraction(1, 2 ** (-v))))
         counts = sample_counts(law, t_val, n_paths, seed)
         pval = poisson_gof_pvalue(counts, law.rate * t_val)
         pvals.append(pval)

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import acceptance
-from .funcspace import BallQuotient, random_function
+from .funcspace import MAX_DIGIT_ENTRIES, BallQuotient, random_function
 from .measures import (
     heat_cylinder_mass,
     heat_shell_masses,
@@ -318,6 +318,9 @@ def cmd_levy(args):
     cutoff = args.cutoff if args.cutoff is not None else level.s0 + 2
     if cutoff < level.s0:
         raise CommandError(f"--cutoff {cutoff} lies below the first shell {level.s0}")
+    # each output row charged 16 entries, as residues and counts are
+    if 16 * (cutoff - level.s0 + 1) > MAX_DIGIT_ENTRIES:
+        raise CommandError(f"--cutoff {cutoff}: its shell rows exceed the size budget")
     config = {
         "command": "levy", "tower": args.tower, "level": n,
         "alpha": args.alpha, "cutoff": cutoff, "tolerance": args.tolerance,

@@ -185,10 +185,13 @@ def heat_lower_bound(level, alpha, t, N):
 
         (1 - 1/q) exp(-t p^(alpha N)),
 
-    a level-uniform floor under heat_cylinder_mass."""
-    return (1 - 1 / level.q) * math.exp(
-        -float(t) * float(level.p) ** (float(alpha) * N)
-    )
+    a level-uniform floor under heat_cylinder_mass.  Where p^(alpha N) is
+    past float range, exp(-t p^(alpha N)) is 0.0, and so is the floor."""
+    try:
+        power = float(level.p) ** (float(alpha) * N)
+    except OverflowError:
+        return 0.0
+    return (1 - 1 / level.q) * math.exp(-float(t) * power)
 
 
 def _reciprocal_underflows(q, k):

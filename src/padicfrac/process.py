@@ -5,8 +5,12 @@ total rate, and the process restricted to those jumps is compound Poisson:
 exponential inter-arrival times, jump values drawn shell by shell from the
 truncated measure.  Everything a character can see of the running sum lives
 in a finite ball quotient, so paths are simulated exactly as coset indices.
-The digit system is linear, so ``sample_endpoints`` finds a path's endpoint
-as the carry normalisation of the summed digit vectors of its jumps.
+The truncated measure is radial, so a jump is drawn shell first: its shell
+from the shell masses, then a uniform coset of that shell, which in block
+order is a uniform integer in the shell's index run.  No per-coset array is
+formed.  The digit system is linear, so ``sample_endpoints`` finds a path's
+endpoint as the carry normalisation of the summed digit vectors of its
+jumps, each read off the jump's index in base p.
 
 The characteristic function needs no states and no quotient.  A character
 is a homomorphism, chi_b(sum of jumps) = prod chi_b(jump), so
@@ -33,23 +37,23 @@ sums are read from the counts alone.
 ``_path_sums`` reads, so a reader of the counts alone (the Poisson test)
 gets the same counts with no jump drawn and no endpoint formed.
 
-Jump cosets, jump phases and the per-path jump counts come from one
+Jump shells, jump phases and the per-path jump counts come from one
 integer inverse-cdf sampler, ``_sampler``, whose guide table holds the
-drawn values themselves (a coset index, a phase, or a count), so a draw
-needs no lookup after it.  The cdf breakpoints alone fix that table: each
-value fills the run of buckets between its breakpoints, one ``np.repeat``,
-and a bucket that a breakpoint splits is marked for the search.  A guide
-has at most 2^16 buckets, so a draw reads a 16-bit chunk of a raw Philox
-word and a word serves four draws; only the draws whose chunk falls in a
-marked bucket read a fresh word for the rest of their 53-bit uniform.  The
-law is exactly that of inverting the cdf rounded up to multiples of 2^-53,
-as ``Generator.choice`` does; the stream is the sampler's own, and the
-same whichever values it hands out.  The counts are drawn on a
-Poisson(rate * t) table.  A coset law and its jump sampler are kept in the
-cache of its level under (alpha, cutoff), a phase law under (alpha, L),
-and a count sampler under the Poisson mean rate * t it draws from: each is
-built once, and two laws whose rates differ in the last bits never share
-a count table.
+drawn values themselves (a shell's first coset index, a phase, or a
+count), so a draw needs no lookup after it.  The cdf breakpoints alone fix
+that table: each value fills the run of buckets between its breakpoints,
+one ``np.repeat``, and a bucket that a breakpoint splits is marked for the
+search.  A guide has at most 2^16 buckets, so a draw reads a 16-bit chunk
+of a raw Philox word and a word serves four draws; only the draws whose
+chunk falls in a marked bucket read a fresh word for the rest of their
+53-bit uniform.  The law is exactly that of inverting the cdf rounded up to
+multiples of 2^-53, as ``Generator.choice`` does; the stream is the
+sampler's own, and the same whichever values it hands out.  The counts are
+drawn on a Poisson(rate * t) table.  A jump law and its jump sampler are
+kept in the cache of its level under (alpha, cutoff), a phase law under
+(alpha, L), and a count sampler under the Poisson mean rate * t it draws
+from: each is built once, and two laws whose rates differ in the last bits
+never share a count table.
 
 The truncation is also exact in law for characteristic-function purposes:
 a label of valuation -L pairs trivially with every shell past s0 + L - 1
@@ -75,8 +79,7 @@ import numpy as np
 from numpy.random import Generator, Philox  # numpy loads numpy.random lazily: pay it at import
 
 from .funcspace import MAX_DIGIT_ENTRIES, BallQuotient
-from .measures import levy_cutoff_valuation
-from .vladimirov import _eigenvalue, _jump_coset_masses, _jump_shell_masses
+from .vladimirov import _eigenvalue, _jump_shell_masses
 
 __all__ = [
     "JumpLaw",
@@ -103,39 +106,36 @@ class JumpLaw:
     """Truncated jump distribution on a ball quotient.
 
     ``quotient`` resolves the group down to pi^(cutoff+1), so every kept
-    shell splits into whole cosets; ``coset_probs[g]`` is the probability
-    that a single jump lands in coset g (zero for the zero coset), and
-    ``rate`` is the total jump intensity.  Its jump sampler
-    (``_jump_sampler``) is kept in its level's cache, keyed by
-    ``(alpha, cutoff)`` as the law itself is, and its count samplers by
-    their Poisson mean rate * t.
+    shell splits into whole cosets.  ``shell_masses`` holds the jump masses
+    of the shells s0 .. cutoff, and ``rate``, their fsum, is the total jump
+    intensity: a jump lands in a shell with probability its mass over the
+    rate, and then on a uniform coset of that shell.  Its jump sampler
+    (``_jump_sampler``) draws it so, shell first, and is kept in its
+    level's cache, keyed by ``(alpha, cutoff)`` as the law itself is, and
+    its count samplers by their Poisson mean rate * t.
     """
 
     alpha: float
     cutoff: int
     quotient: BallQuotient
     rate: float
-    coset_probs: np.ndarray = field(repr=False)
+    shell_masses: tuple = field(repr=False)
 
     @property
     def level(self):
         return self.quotient.level
 
 
-def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
+def build_jump_law(level, alpha, cutoff_valuation):
     """Truncate the jump measure of the operator to shells of valuation
-    at most ``cutoff_valuation`` (equivalently, jumps of size >= ``delta``).
+    at most ``cutoff_valuation``.
 
-    Exactly one of the two cutoffs must be given; the resulting law keeps
-    the shells s0 .. cutoff and errors out when the cutoff excludes even
-    the outermost shell.  The law is built once per (alpha, cutoff) and
-    kept in the level's cache.
+    The law keeps the shells s0 .. cutoff and errors out when the cutoff
+    excludes even the outermost shell.  It holds the J shell masses and no
+    per-coset array, and is built once per (alpha, cutoff) and kept in the
+    level's cache.
     """
     _check_positive(alpha, "the operator exponent")
-    if (cutoff_valuation is None) == (delta is None):
-        raise ValueError("give exactly one of cutoff_valuation and delta")
-    if delta is not None:
-        cutoff_valuation = levy_cutoff_valuation(level, delta)
     cutoff_valuation = int(cutoff_valuation)
     if cutoff_valuation < level.s0:
         raise ValueError(
@@ -145,11 +145,8 @@ def build_jump_law(level, alpha, cutoff_valuation=None, delta=None):
 
     def build():
         quotient = BallQuotient(level, level.s0, cutoff_valuation + 1)
-        probs = quotient.from_shells(_jump_coset_masses(quotient, alpha))
-        rate = probs.sum()
-        probs /= rate
-        probs.flags.writeable = False  # every caller shares the kept law
-        return JumpLaw(float(alpha), cutoff_valuation, quotient, float(rate), probs)
+        masses = tuple(_jump_shell_masses(level, alpha, range(level.s0, cutoff_valuation + 1)))
+        return JumpLaw(float(alpha), cutoff_valuation, quotient, math.fsum(masses), masses)
 
     return level._memo(("jump_law", float(alpha), cutoff_valuation), build)
 
@@ -228,9 +225,30 @@ def _sampler(probs, values):
 
 
 def _jump_sampler(law):
-    """The law's sampler of jump coset indices, built once."""
-    key = ("jump_sampler", law.alpha, law.cutoff)
-    return law.level._memo(key, lambda: _sampler(law.coset_probs, np.arange(law.quotient.size)))
+    """The law's sampler of jump coset indices, built once.
+
+    In block order the shell of valuation cutoff - k is the index run
+    [q^k, q^(k+1)).  So each block of ``_BLOCK_DRAWS`` jumps draws its
+    shells first, through ``_sampler`` on the shell masses with the run
+    starts q^k as values, and then one uniform integer in each drawn run.
+    A block reads the same words whether ``draw`` is called once or once a
+    block.  ``draw.only`` is 1 on the law of one coset (q = 2, one shell)."""
+
+    def build():
+        q, J = law.quotient.q, law.quotient.J
+        shell = _sampler(np.array(law.shell_masses), np.array([q**k for k in range(J)][::-1]))
+
+        def draw(rng, n):
+            out = np.empty(n, dtype=np.int64)
+            for a in range(0, n, _BLOCK_DRAWS):
+                start = shell(rng, min(_BLOCK_DRAWS, n - a))
+                out[a : a + start.size] = rng.integers(start, start * q)
+            return out
+
+        draw.only = 1 if law.quotient.size == 2 else None
+        return draw
+
+    return law.level._memo(("jump_sampler", law.alpha, law.cutoff), build)
 
 
 def _residue_law(level, alpha, L, kappa):
@@ -306,15 +324,16 @@ def _path_sums(level, law_of, t, n_paths, seed, stream, rows):
     first the n_paths counts from the count sampler of the mean rate * t,
     then the jumps in path order from ``draw``, in blocks of
     ``_BLOCK_DRAWS`` jumps however the paths fall.  The two readers draw
-    different values: ``sample_endpoints`` a coset index per jump, summed
-    as digit rows, and ``mc_characteristic`` a phase per jump from the
+    different values: ``sample_endpoints`` a coset index per jump, drawn
+    shell first by ``_jump_sampler`` and summed as the D base-p digit rows
+    of the index, and ``mc_characteristic`` a phase per jump from the
     closed-form phase law of ``_residue_law``, one row, whose path sum mod
     kappa has the law of the endpoint's phase, as the character is a
     homomorphism and a jump's phase law is the Haar push-forward of its
-    shell.  ``rows(values)`` gives one array of entries per summand row for a block
-    of drawn values.  A block's prefix sums are read at every path end it
-    holds, and a path's sum is the difference between its end and the
-    previous path's, which may lie in an earlier block.  A sampler whose
+    shell.  ``rows(values)`` gives one array of entries per summand row
+    for a block of drawn values.  A block's prefix sums are read at every
+    path end it holds, and a path's sum is the difference between its end
+    and the previous path's, which may lie in an earlier block.  A sampler whose
     law has a single value (``draw.only``) draws no jumps: sums[:, i] is
     counts[i] times that value's rows.
 
@@ -359,14 +378,18 @@ def sample_endpoints(law, t, n_paths, seed, stream=0):
 
     Returns (states, counts): the final coset index of each path and its
     jump count.  Jump counts are Poisson(rate * t); endpoints are the
-    group sums of the jumps, one digit-sum normalisation per path.
+    group sums of the jumps, one digit-sum normalisation per path, with
+    digit t of a jump's index g read as g // p^(D-1-t) mod p.  A law whose
+    coset indices overflow int64 is refused before anything is drawn.
     """
     _check_positive(t, "time horizon")
-    columns = np.ascontiguousarray(law.quotient.digit_matrix.T)
-    # one take per digit column is faster than a fancy-indexed columns[:, g]
+    quotient, p = law.quotient, law.quotient.p
+    if quotient.size + p >= 1 << 63:
+        raise ValueError("jump law too large: its coset indices overflow int64")
+    powers = [p**d for d in range(quotient.D - 1, -1, -1)]
     sums, counts = _path_sums(law.level, lambda: (law.rate, _jump_sampler(law)), t, n_paths,
-                              seed, stream, lambda g: [c.take(g) for c in columns])
-    return law.quotient.index_of_digits(sums), counts
+                              seed, stream, lambda g: [g // w % p for w in powers])
+    return quotient.index_of_digits(sums), counts
 
 
 def sample_counts(law, t, n_paths, seed, stream=0):

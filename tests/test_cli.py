@@ -251,11 +251,16 @@ def test_singularity_passes_on_a_tower_that_repeats_a_level(tmp_path):
     assert rows[1]["log10_ratio"] < rows[2]["log10_ratio"] < rows[3]["log10_ratio"]
 
 
-def test_singularity_without_a_degree_step_is_indeterminate(tmp_path):
-    code, doc = run(tmp_path, "singularity", "--tower", "qp:p=2,depth=3")
+@pytest.mark.parametrize("N", [1, 1023, 1024, 1074])
+def test_singularity_without_a_degree_step_is_indeterminate(tmp_path, N):
+    # from N = 1024 on p^(alpha N) is past float range, and the floor
+    # exp(-t p^(alpha N)) is 0.0; past N = 1074 mu's mass underflows
+    code, doc = run(tmp_path, "singularity", "--tower", "qp:p=2,depth=3", "--N", str(N))
     assert code == 0
     assert doc["config"]["witness"] == "indeterminate"
     assert [r["degree"] for r in doc["rows"]] == [1, 1, 1]
+    if N > 1:
+        assert all(r["lower_bound"] == 0.0 for r in doc["rows"])
 
 
 def _perturbed_report(n, factor):
@@ -305,6 +310,22 @@ def test_levy_shell_table(tmp_path):
     shells = [float(r["shell_mass"]) for r in doc["rows"]]
     assert shells == [1.0, 1.5, 2.75]
     assert float(doc["rows"][-1]["mass_through_shell"]) == 5.25
+
+
+def test_levy_refuses_shell_rows_past_the_entry_budget(tmp_path, capsys, monkeypatch):
+    # 16 entries a row: 2^20 rows fill the budget, one more is refused
+    # before any shell mass is formed (s0 = 0 on Q_3)
+    def no_masses(*args):
+        raise AssertionError("no shell mass may be formed")
+
+    monkeypatch.setattr(cli, "_jump_shell_masses", no_masses)
+    rows = MAX_DIGIT_ENTRIES // 16 + 1
+    code, doc = run(tmp_path, "levy", "--tower", "qp:p=3", "--cutoff", str(rows - 1))
+    assert code == 2 and doc is None
+    assert json.loads(capsys.readouterr().err.strip()) == {
+        "command": "levy",
+        "error": f"--cutoff {rows - 1}: its shell rows exceed the size budget",
+    }
 
 
 def test_levy_zero_function_integrates_to_zero(tmp_path):
@@ -644,6 +665,9 @@ def test_oversized_random_function_fails_fast_within_a_memory_limit(argv):
         # refused before the O(span + N e) masses are formed
         (["heat", "--tower", "qp:p=3", "--span", "30000000"], 2),
         (["heat", "--tower", "qp:p=3", "--N", "100000000"], 2),
+        # 16 entries charged per output row: 3 * 10^7 shell rows are
+        # refused before any mass is formed
+        (["levy", "--tower", "qp:p=3", "--cutoff", "30000000", "--alpha", "1e-8"], 2),
         # the largest span and N that still render at q = 2^24
         (["heat", "--span", "595"], 0),
         (["heat", "--N", "595"], 0),
@@ -759,6 +783,7 @@ def test_gates_fail_a_nan(tmp_path, monkeypatch, capsys, argv, route, nan_route,
     [
         ["levy", "--tower", "qp:p=2", "--cutoff", "1100"],
         ["singularity", "--tower", "qp:p=2,depth=2", "--N", "2000"],
+        ["singularity", "--tower", "qp:p=2,depth=3", "--N", "1075"],
         ["spectrum", "--tower", "qp:p=2", "--max-value", "1e308"],
         ["simulate", "--tower", "qp:p=2", "--lam-valuation", "-1100"],
         # lambda_1 stays in range, but a jump shell mass is past it

@@ -423,7 +423,8 @@ def test_levy_cutoff_valuation_exact():
 
 def _coset_masses(quotient, alpha):
     """The oracle jump-measure mass of every coset: each shell's mass over
-    its exact coset count, and 0.0 on the zero coset."""
+    its exact coset count, and 0.0 on the zero coset.  Divided by its sum,
+    it is the coset law a jump of ``build_jump_law`` follows."""
     shells = range(quotient.lo, quotient.s)
     per_shell = [
         levy_shell_mass(quotient.level, alpha, w) / n for w, n in zip(shells, quotient.shell_sizes())
@@ -434,7 +435,7 @@ def _coset_masses(quotient, alpha):
 def test_levy_tail_masses():
     # the rate of the law truncated at size delta is the tail mass
     def tail(level, alpha, delta):
-        return build_jump_law(level, alpha, delta=delta).rate
+        return build_jump_law(level, alpha, levy_cutoff_valuation(level, delta)).rate
 
     assert abs(tail(Q2, 1.0, 1) - 1.0) < 1e-14
     assert abs(tail(Q2, 1.0, Fraction(1, 2)) - 2.5) < 1e-14
@@ -446,16 +447,20 @@ def test_levy_tail_masses():
 
 
 def test_jump_law_coset_structure():
+    # the law's shell masses are the oracle's coset masses summed per shell,
+    # and its rate their fsum
     law = build_jump_law(Q2, 1.0, cutoff_valuation=2)
     q = law.quotient
     assert q == BallQuotient(Q2, 0, 3)
-    vec = law.coset_probs * law.rate
+    vec = _coset_masses(q, 1.0)
     assert vec[0] == 0.0
     assert (vec[1:] > 0).all()
     vals = q.val_pi_vector
-    for w in range(3):
+    for w, mass in zip(range(3), law.shell_masses):
         got = vec[(vals == w) & (np.arange(q.size) != 0)].sum()
-        assert abs(got - levy_shell_mass(Q2, 1.0, w)) < 1e-13
+        assert mass == levy_shell_mass(Q2, 1.0, w)
+        assert abs(got - mass) < 1e-13
+    assert law.rate == math.fsum(law.shell_masses)
 
 
 def test_levy_shell_masses_positive():

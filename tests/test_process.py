@@ -1,6 +1,12 @@
 import bisect
+import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +16,12 @@ from padicfrac import base_level, funcspace, padic, process
 from padicfrac.cli import DEFAULT_TOWER
 from padicfrac.funcspace import BallQuotient
 from padicfrac.padic import Level
-from padicfrac.measures import levy_log_characteristic, levy_shell_mass
+from padicfrac.measures import (
+    heat_shell_masses,
+    levy_cutoff_valuation,
+    levy_log_characteristic,
+    levy_shell_mass,
+)
 from padicfrac.process import (
     build_jump_law,
     expected_characteristic,
@@ -23,8 +34,10 @@ from padicfrac.process import (
     sample_endpoints,
 )
 from padicfrac.tower import resolve_tower
+from padicfrac.vladimirov import _eigenvalue
 
 from test_funcspace import _character_phases
+from test_measures import _coset_masses
 
 Q2 = base_level(2)
 U = Q2.extend_unramified(2)
@@ -36,8 +49,17 @@ Q7 = base_level(7)
 E5 = Q5.extend_eisenstein([-5, 0])
 U7 = Q7.extend_unramified(2)
 UE5 = Q5.extend_unramified(2).extend_eisenstein([-5, 0])
+# q = 64: its jump laws reach 2^36, 2^60 and 2^72 cosets at 6, 10 and 12 shells
+LEVEL3 = resolve_tower(DEFAULT_TOWER).level(3)
 # the levels no test built before the phase law had a closed form
 ODD_LEVELS = {"Q_5": Q5, "Q_7": Q7, "Q_5-e2": E5, "Q_7-u2": U7, "Q_5-u2-e2": UE5}
+
+
+def _coset_law(law):
+    """The law of one jump's coset, from the tests' coset-mass oracle: each
+    shell's mass spread evenly over its cosets, divided by their total."""
+    probs = _coset_masses(law.quotient, law.alpha)
+    return probs / probs.sum()
 
 
 def _add_table(quotient):
@@ -53,19 +75,12 @@ def _add_table(quotient):
 
 def test_build_jump_law_validates_exponent(monkeypatch):
     # NaN and infinity fail every comparison but one: each must be refused
-    # before a quotient or a coset mass is built
+    # before a quotient or a shell mass is built
     monkeypatch.setattr(process, "BallQuotient", _no_table)
-    monkeypatch.setattr(process, "_jump_coset_masses", _no_table)
+    monkeypatch.setattr(process, "_jump_shell_masses", _no_table)
     for alpha in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             build_jump_law(Q2, alpha, cutoff_valuation=1)
-
-
-def test_build_jump_law_needs_exactly_one_cutoff():
-    with pytest.raises(ValueError):
-        build_jump_law(Q2, 1.0)
-    with pytest.raises(ValueError):
-        build_jump_law(Q2, 1.0, cutoff_valuation=1, delta=Fraction(1, 2))
 
 
 def test_build_jump_law_rejects_cutoff_below_first_shell():
@@ -73,14 +88,6 @@ def test_build_jump_law_rejects_cutoff_below_first_shell():
         build_jump_law(Q2, 1.0, cutoff_valuation=-1)
     with pytest.raises(ValueError):
         build_jump_law(W, 1.0, cutoff_valuation=3)  # shells start at 4
-
-
-def test_delta_and_cutoff_valuation_agree():
-    by_delta = build_jump_law(Q2, 1.0, delta=Fraction(1, 2))
-    by_cut = build_jump_law(Q2, 1.0, cutoff_valuation=1)
-    assert by_delta.cutoff == by_cut.cutoff == 1
-    assert by_delta.rate == by_cut.rate
-    assert by_delta.cutoff == 1 and by_delta.rate == 2.5
 
 
 @pytest.mark.parametrize(
@@ -99,7 +106,8 @@ def test_rate_is_the_shell_mass_sum(level, alpha, cutoff, delta, rate):
         levy_shell_mass(level, alpha, w) for w in range(level.s0, cutoff + 1)
     )
     assert abs(law.rate - shells) < 1e-12
-    assert abs(law.rate - build_jump_law(level, alpha, delta=delta).rate) < 1e-12
+    assert law.rate == math.fsum(law.shell_masses)
+    assert levy_cutoff_valuation(level, delta) == cutoff
 
 
 @pytest.mark.parametrize("level, cutoff", [(Q2, 2), (U, 3), (E, 1), (W, 4)])
@@ -108,18 +116,6 @@ def test_law_quotient_resolves_all_kept_shells(level, cutoff):
     assert law.quotient.lo == level.s0
     assert law.quotient.s == cutoff + 1
     assert law.level is level
-
-
-def test_coset_probs_are_a_symmetric_distribution():
-    for level, cutoff in [(Q2, 2), (E, 2), (W, 4)]:
-        law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
-        probs = law.coset_probs
-        assert probs[0] == 0.0
-        assert (probs[1:] > 0).all()
-        assert abs(probs.sum() - 1.0) < 1e-12
-        # the jump measure is invariant under negation, coset by coset
-        neg = law.quotient.index_of_digits(-law.quotient.digit_matrix.T)
-        assert (probs == probs[neg]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +168,7 @@ def test_sample_endpoints_matches_per_path_walk(monkeypatch, level, cutoff, t, n
     states, counts = sample_endpoints(law, t, n_paths, seed=9, stream=2)
     # the jumps are drawn in blocks of at most _BLOCK_DRAWS, however long a
     # path, and not at all on a law of one jump coset
-    if np.count_nonzero(law.coset_probs) == 1:
+    if law.quotient.size == 2:
         assert asked == [] and counts.sum() > 0
     else:
         assert sum(asked) == counts.sum() and max(asked, default=0) <= process._BLOCK_DRAWS
@@ -227,39 +223,129 @@ def _decode(probs, rng, n):
 )
 @pytest.mark.parametrize("n", [0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
 def test_jump_sampler_matches_the_chunk_decoder(level, cutoff, n):
-    # 16-bit chunks on every law; the 8,192 and 2^16 cosets of the last two
-    # get the capped guide of m = 16 bits, the whole chunk
+    # ``_sampler`` on the coset law of each jump law, the largest tables it
+    # is tested on: 16-bit chunks on every law; the 8,192 and 2^16 cosets of
+    # the last two get the capped guide of m = 16 bits, the whole chunk
     law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
-    _, m, _ = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
-    assert m == min((16 * law.coset_probs.size - 1).bit_length(), 16)
+    probs = _coset_law(law)
+    _, m, _ = process._guide_table(probs, np.arange(probs.size))
+    assert m == min((16 * probs.size - 1).bit_length(), 16)
     assert (m == 16) == (cutoff >= 11)
     rng_a, rng_b = process._rng(4, 1), process._rng(4, 1)
-    got = process._jump_sampler(law)(rng_a, n)
+    got = process._sampler(probs, np.arange(probs.size))(rng_a, n)
     assert got.dtype == np.int64 and got.shape == (n,)
-    assert got.tolist() == _decode(law.coset_probs, rng_b, n)
+    assert got.tolist() == _decode(probs, rng_b, n)
     # the generator is left where the decoder leaves it
     assert rng_a.bit_generator.random_raw() == rng_b.bit_generator.random_raw()
 
 
 @pytest.mark.parametrize("cutoff", [11, 12])
 def test_jump_draws_pass_a_chi_square_against_the_coset_law(cutoff):
-    # 4,096 and 8,192 cosets, both on 2^16 buckets (m = 16, the whole chunk):
-    # 16 buckets a coset, then 8
+    # 4,096 and 8,192 cosets, drawn shell first: every coset against the
+    # oracle's coset law
     stats = pytest.importorskip("scipy.stats")
     law = build_jump_law(Q2, 1.0, cutoff_valuation=cutoff)
-    _, m, _ = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
-    assert m == 16
     n = 1 << 20
     draws = process._jump_sampler(law)(process._rng(31, 0), n)
     assert draws.min() > 0  # the zero coset is no jump
     # runs of consecutive cosets pooled to about 5 expected hits a bin;
     # Cochran's rule: none expects below 1, at most a fifth below 5
-    expected = law.coset_probs[1:] * n
+    expected = _coset_law(law)[1:] * n
     _, pool = np.unique(np.cumsum(expected) // 5, return_inverse=True)
     expected = np.bincount(pool, weights=expected)
     assert expected.min() >= 1 and (expected < 5).mean() <= 0.2
     observed = np.bincount(pool[draws - 1], minlength=expected.size)
     assert stats.chisquare(observed, expected).pvalue > 0.01
+
+
+def _decode_jumps(law, rng, n):
+    """n jumps of the shell-first layout, block by block: each block of
+    _BLOCK_DRAWS jumps decodes its shells from the chunks of the shell
+    masses' sampler, then draws one uniform index in each drawn shell's
+    run [q^k, q^(k+1)), k = cutoff - shell."""
+    q, J = law.quotient.q, law.quotient.J
+    probs = np.array(law.shell_masses)
+    out = []
+    for a in range(0, n, process._BLOCK_DRAWS):
+        shells = _decode(probs, rng, min(process._BLOCK_DRAWS, n - a))
+        starts = np.array([q ** (J - 1 - i) for i in shells], dtype=np.int64)
+        out += rng.integers(starts, starts * q).tolist()
+    return out
+
+
+@pytest.mark.parametrize(
+    "level, cutoff",
+    [(Q2, 2), (U, 2), (E, 2), (W, 6), (Q3, 1), (Q2, 15), (LEVEL3, LEVEL3.s0 + 9)],
+    ids=["Q_2-2", "Q_2-u2", "Q_2-e2", "W", "Q_3", "Q_2-15", "level3-2^60"],
+)
+@pytest.mark.parametrize("n", [0, 1, process._BLOCK_DRAWS, 2 * process._BLOCK_DRAWS + 3])
+def test_jump_sampler_draws_shells_then_offsets(level, cutoff, n):
+    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    draw = process._jump_sampler(law)
+    rng_a, rng_b, rng_c = process._rng(4, 1), process._rng(4, 1), process._rng(4, 1)
+    got = draw(rng_a, n)
+    assert got.dtype == np.int64 and got.shape == (n,)
+    assert got.tolist() == _decode_jumps(law, rng_b, n)
+    # one call reads what one call a block reads
+    B = process._BLOCK_DRAWS
+    blocks = [draw(rng_c, min(B, n - a)) for a in range(0, n, B)]
+    assert got.tolist() == np.concatenate([np.empty(0, np.int64), *blocks]).tolist()
+    words = [rng.bit_generator.random_raw() for rng in (rng_a, rng_b, rng_c)]
+    assert words[0] == words[1] == words[2]
+    assert n == 0 or 0 < got.min() and got.max() < law.quotient.size
+
+
+def _pooled_pvalue(observed, expected):
+    """Pearson chi-square p-value, consecutive bins pooled until each
+    expects at least 5 hits (a short remainder joins the last pool)."""
+    obs, exp, o, e = [], [], 0.0, 0.0
+    for x, y in zip(observed, expected):
+        o, e = o + x, e + y
+        if e >= 5:
+            obs.append(o)
+            exp.append(e)
+            o, e = 0.0, 0.0
+    obs[-1] += o
+    exp[-1] += e
+    obs, exp = np.array(obs), np.array(exp)
+    return chi2_sf(float(((obs - exp) ** 2 / exp).sum()), exp.size - 1)
+
+
+def _run_index(quotient, g):
+    """k with q^k <= g < q^(k+1): the shell of valuation s - 1 - k; -1 for
+    the zero coset."""
+    starts = quotient.q ** np.arange(quotient.J)
+    return starts.searchsorted(g, side="right") - 1
+
+
+@pytest.mark.parametrize(
+    "level, cutoff",
+    [(Q2, 12), (Q3, 5), (U, 4), (E, 6), (W, 7), (LEVEL3, 6), (LEVEL3, 10)],
+    ids=["Q_2", "Q_3", "Q_2-u2", "Q_2-e2", "W", "level3-2^36", "level3-2^60"],
+)
+def test_jump_draws_pass_chi_squares_against_the_shell_masses(level, cutoff):
+    # the shells drawn against the shell masses, then the offsets within
+    # each shell against the uniform law on its run, in B equal bins, B the
+    # largest divisor of the run's length up to 64
+    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    q, J = law.quotient.q, law.quotient.J
+    n = 1 << 18
+    draws = process._jump_sampler(law)(process._rng(37, 0), n)
+    assert 0 < draws.min() and draws.max() < law.quotient.size
+    k = _run_index(law.quotient, draws)
+    observed = np.bincount(J - 1 - k, minlength=J)  # shell s0 + i at i = J - 1 - k
+    assert _pooled_pvalue(observed, n * np.array(law.shell_masses) / law.rate) > 0.01
+    stat, df = 0.0, 0
+    for run in range(J):
+        length = (q - 1) * q**run
+        bins = max(b for b in range(1, 65) if length % b == 0)
+        offsets = draws[k == run] - q**run
+        if bins < 2 or offsets.size < 5 * bins:
+            continue
+        hits = np.bincount(offsets // (length // bins), minlength=bins)
+        stat += float(((hits - offsets.size / bins) ** 2).sum() / (offsets.size / bins))
+        df += bins - 1
+    assert df > 0 and chi2_sf(stat, df) > 0.01
 
 
 @pytest.mark.parametrize("n", [1, 5, 1000])
@@ -286,8 +372,8 @@ class _FixedWords:
         return out
 
 
-def _cdf(law):
-    cdf = law.coset_probs.cumsum()
+def _cdf(probs):
+    cdf = probs.cumsum()
     return cdf / cdf[-1]
 
 
@@ -319,13 +405,13 @@ def _draw_each(draw, probs, u53):
 
 @pytest.mark.parametrize("level, cutoff", [(Q2, 2), (E, 2), (Q3, 1)])
 def test_jump_sampler_on_cdf_ties(level, cutoff):
-    # the lookup must agree with numpy's searchsorted(cdf, u, side="right")
-    # on uniforms where the cdf steps
-    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
-    cdf = _cdf(law)
-    cdf53, m, guide = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
+    # the lookup of ``_sampler`` on a coset law must agree with numpy's
+    # searchsorted(cdf, u, side="right") on uniforms where the cdf steps
+    probs = _coset_law(build_jump_law(level, 1.0, cutoff_valuation=cutoff))
+    cdf = _cdf(probs)
+    cdf53, m, guide = process._guide_table(probs, np.arange(probs.size))
     u53 = _tie_uniforms(cdf53)
-    got, fresh = _draw_each(process._jump_sampler(law), law.coset_probs, u53)
+    got, fresh = _draw_each(process._sampler(probs, np.arange(probs.size)), probs, u53)
     assert (got == cdf.searchsorted(u53 * 2.0**-53, side="right")).all()
     # exactly the draws in buckets that hold no single coset read a fresh
     # word, and the ties fall in some of them
@@ -346,9 +432,9 @@ def _label_phases(law):
 def test_guide_buckets_are_pure(level, cutoff):
     # a bucket either defers to the search or holds the coset of both of its
     # ends, and so of every word between them
-    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
-    cdf = _cdf(law)
-    cdf53, m, guide = process._guide_table(law.coset_probs, np.arange(law.coset_probs.size))
+    probs = _coset_law(build_jump_law(level, 1.0, cutoff_valuation=cutoff))
+    cdf = _cdf(probs)
+    cdf53, m, guide = process._guide_table(probs, np.arange(probs.size))
     assert guide.size == 1 << m >= 16 * cdf.size
     assert (cdf53 == np.ceil(cdf * 2.0**53)).all()
     width = 2 ** (53 - m)
@@ -387,7 +473,7 @@ def _oracle_tables():
     """(name, probs, values) for jump laws with their label's phases as
     values, Poisson count tables, weights with zeros and a one-entry law."""
     for name, law in _oracle_laws():
-        yield name, law.coset_probs, _label_phases(law)[0]
+        yield name, _coset_law(law), _label_phases(law)[0]
     for lam in (0.5, 3.0, 60.0, 1e4):
         probs, ks = process._poisson_table(lam)
         yield f"poisson {lam}", probs, ks
@@ -414,8 +500,8 @@ def test_guide_tables_equal_the_searchsorted_builder():
 
 def test_guide_table_holds_no_second_guide_sized_array():
     # 4,096 cosets, M = 16 |G| = 2^16 buckets: the guide is the only M-long array
-    law = build_jump_law(Q2, 1.0, cutoff_valuation=11)
-    probs, values = law.coset_probs, np.arange(law.coset_probs.size)
+    probs = _coset_law(build_jump_law(Q2, 1.0, cutoff_valuation=11))
+    values = np.arange(probs.size)
     assert probs.size == 1 << 12
     tracemalloc.start()
     try:
@@ -465,6 +551,92 @@ def test_sampling_runs_past_the_old_table_cap():
     assert max(_entries(v) for v in level._cache.values()) <= limit
 
 
+@pytest.mark.parametrize(
+    "level, cutoff, t",
+    [
+        (Q2, 7, 0.03),
+        (Q3, 4, 0.02),
+        (E, 6, 0.1),
+        (U, 4, 0.05),
+        (LEVEL3, LEVEL3.s0 + 5, 0.02),
+        (LEVEL3, LEVEL3.s0 + 9, 0.002),
+    ],
+    ids=["Q_2", "Q_3", "Q_2-e2", "Q_2-u2", "level3-2^36", "level3-2^60"],
+)
+def test_endpoint_shells_follow_the_heat_measure(level, cutoff, t):
+    # the jumps past the cutoff stay in the zero coset of the law's
+    # quotient, so the endpoint coset has exactly the heat measure's law
+    # pushed to that quotient, whose shell masses are heat_shell_masses
+    law = build_jump_law(level, 1.0, cutoff_valuation=cutoff)
+    quotient, n = law.quotient, 100_000
+    if quotient.size <= 1 << 16:
+        # the run index reads the valuation off the index, as block order lays it out
+        cosets = np.arange(quotient.size)
+        assert (quotient.s - 1 - _run_index(quotient, cosets) == quotient.val_pi_vector).all()
+    states, _ = sample_endpoints(law, t, n, seed=3)
+    # shell s0 + i at i = J - 1 - k, the zero coset (k = -1) last
+    observed = np.bincount(quotient.J - 1 - _run_index(quotient, states), minlength=quotient.J + 1)
+    expected = n * np.array(heat_shell_masses(quotient, 1.0, t))
+    assert _pooled_pvalue(observed, expected) > 0.01
+
+
+# sample_endpoints on the 2^60-coset law of level 3 of the default tower,
+# then the largest number of entries any cache entry of the level holds;
+# a sampler's entries are those its closure holds
+_CAPPED_ENDPOINTS = """
+import json, numpy as np
+from padicfrac import process
+from padicfrac.cli import DEFAULT_TOWER
+from padicfrac.tower import resolve_tower
+
+def entries(value):
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, (list, tuple)):
+        return sum(map(entries, value))
+    if callable(value) and getattr(value, "__closure__", None):
+        return sum(entries(cell.cell_contents) for cell in value.__closure__)
+    return 1
+
+level = resolve_tower(DEFAULT_TOWER).level(3)
+law = process.build_jump_law(level, 1.0, level.s0 + 9)
+states, counts = process.sample_endpoints(law, 0.002, 100_000, seed=3)
+print(json.dumps({"size": law.quotient.size, "jumps": int(counts.sum()),
+                  "largest": max(map(entries, level._cache.values()))}))
+"""
+
+
+def test_a_2_60_coset_law_samples_within_a_memory_limit():
+    # no |G|-sized array: the shell sampler's guide of at most 2^16 buckets
+    # is the largest table, under a 1.5 GiB address-space limit
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_ENDPOINTS], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["size"] == 1 << 60 and doc["jumps"] > 100_000
+    assert doc["largest"] <= 1 << 16
+
+
+def test_sample_endpoints_refuses_indices_past_int64(monkeypatch):
+    # 2^72 cosets at level 3, and 2^63 on Q_2, whose indices and carries
+    # could wrap int64: refused before any digit power, table or draw
+    monkeypatch.setattr(process, "_path_sums", _no_table)
+    monkeypatch.setattr(process, "_jump_sampler", _no_table)
+    for law in (build_jump_law(LEVEL3, 1.0, LEVEL3.s0 + 11), build_jump_law(Q2, 1.0, 62)):
+        with pytest.raises(ValueError, match="overflow int64"):
+            sample_endpoints(law, 1.0, 10, seed=1)
+    monkeypatch.undo()
+    # 2^62 cosets run
+    states, counts = sample_endpoints(build_jump_law(Q2, 1.0, 61), 1e-18, 10, seed=1)
+    assert states.shape == counts.shape == (10,)
+
+
 def test_sample_endpoints_is_reproducible_and_stream_separated():
     law = build_jump_law(Q2, 1.0, cutoff_valuation=1)
     s_a, c_a = sample_endpoints(law, 1.0, 500, seed=42)
@@ -507,7 +679,7 @@ def test_check_monte_carlo_pvalues_are_pinned():
     # its counts gave when they were drawn through sample_endpoints
     pinned = [0.34543288882340806, 0.504428841453127, 0.18428113681814318]
     for (alpha, v, t), pval in zip([(1.0, -1, 1.0), (1.0, -2, 0.5), (2.0, -1, 1.0)], pinned):
-        law = build_jump_law(Q2, alpha, delta=Fraction(1, 2 ** (-v)))
+        law = build_jump_law(Q2, alpha, levy_cutoff_valuation(Q2, Fraction(1, 2 ** (-v))))
         counts = sample_counts(law, t, 100_000, 2718)
         assert poisson_gof_pvalue(counts, law.rate * t) == pval
 
@@ -841,7 +1013,8 @@ def test_phase_law_is_the_push_forward_of_the_coset_law(monkeypatch):
         order = np.argsort(phases, kind="stable")
         starts = np.searchsorted(phases[order], np.arange(kappa + 1))
         runs = zip(starts, starts[1:])
-        want = np.array([math.fsum(law.coset_probs[order[a:b]]) for a, b in runs])
+        coset_law = _coset_law(law)
+        want = np.array([math.fsum(coset_law[order[a:b]]) for a, b in runs])
         got = probs / math.fsum(probs)
         assert ((got == 0) == (want == 0)).all(), name
         hit = want > 0
@@ -871,6 +1044,19 @@ def test_phase_law_gives_the_log_characteristic(monkeypatch, level, alpha):
         mean = (probs / math.fsum(probs)) @ np.exp((2j * np.pi / kappa) * np.arange(kappa))
         want = levy_log_characteristic(level, alpha, -L)
         assert abs(rate * (mean - 1) - want) <= 1e-13 * abs(want), L
+        if kappa > 4096:
+            continue
+        # at frequency j the label is j times pi^(-L), of valuation
+        # -(L - e v_p(j)): rate (phi(j) - 1) = -lambda_(L - e v_p(j)), with
+        # lambda_k = 0 for k <= 0; phi(j) = sum_r P(r) omega^(r j)
+        phi = np.conj(np.fft.fft(probs / math.fsum(probs)))
+        for j in range(1, kappa):
+            v = 0
+            while j % level.p**(v + 1) == 0:
+                v += 1
+            k = L - level.e * v
+            want = -_eigenvalue(level, alpha, k) if k > 0 else 0.0
+            assert abs(rate * (phi[j] - 1) - want) <= 1e-13 * rate, (L, j)
 
 
 @pytest.mark.parametrize(
@@ -899,15 +1085,18 @@ def test_a_cold_mc_characteristic_forms_no_quotient(monkeypatch, level):
 
 
 def test_count_tables_are_keyed_by_their_poisson_mean():
-    # a coset law and the phase law of the same shells sum their masses in
-    # different orders: each count table is the one of its own rate
+    # a jump law and the phase law of the same shells both fsum the same
+    # shell masses, so they share the count table of their one rate; a
+    # horizon that changes the mean gets a table of its own
     level = Level(3)
     law = build_jump_law(level, 0.5, cutoff_valuation=2)
     sample_counts(law, 1.0, 10, seed=1)
     mc_characteristic(level, 0.5, -3, 1.0, 10, seed=1)
     rate, _ = process._residue_law(level, 0.5, 3, 27)
+    assert rate == law.rate
+    sample_counts(law, 0.5, 10, seed=1)
     means = {key[1] for key in level._cache if key[0] == "count_sampler"}
-    assert means == {law.rate, rate}
+    assert means == {law.rate, law.rate * 0.5}
 
 
 def _histogram(residues, kappa):
