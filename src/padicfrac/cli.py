@@ -18,7 +18,6 @@ numbers out of floating-point range.
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -71,32 +70,45 @@ def _jsonable(value):
     return value
 
 
-def _render(config, columns, rows, fmt):
+def _write(out, config, columns, rows, fmt):
+    """Write the output document to ``out`` row by row, so no more than one
+    row of it is held as text.  The JSON bytes are those of
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\n"`` for the whole
+    document {"columns", "config", "rows"}: "rows" sorts last, so the head
+    is the document with no rows, and each row is encoded alone and
+    indented two levels deeper."""
     if fmt == "json":
-        doc = {
+        encode = json.JSONEncoder(sort_keys=True, indent=2).encode
+        head = encode({
             "config": {k: _jsonable(v) for k, v in config.items()},
             "columns": columns,
-            "rows": [{k: _jsonable(row[k]) for k in columns} for row in rows],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    buf = io.StringIO()
+            "rows": [],
+        })
+        if not rows:
+            out.write(head + "\n")
+            return
+        out.write(head[: -len("[]\n}")])
+        sep = "[\n    "
+        for row in rows:
+            out.write(sep + encode({k: _jsonable(row[k]) for k in columns}).replace("\n", "\n    "))
+            sep = ",\n    "
+        out.write("\n  ]\n}\n")
+        return
     for key in sorted(config):
-        buf.write(f"# {key}={_fmt(config[key])}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+        out.write(f"# {key}={_fmt(config[key])}\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(row[key]) for key in columns])
-    return buf.getvalue()
 
 
 def _emit(args, config, columns, rows):
-    text = _render(config, columns, rows, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write(fh, config, columns, rows, args.format)
         print(f"wrote {args.out}", file=sys.stderr)
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, config, columns, rows, args.format)
 
 
 def _fail(command, reason, **details):

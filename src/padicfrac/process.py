@@ -30,12 +30,22 @@ masses into one kappa-entry law with exact rational weights, and
 phases along each path, and forms its estimate from the kappa-bin
 histogram of the path totals mod kappa: O(n) integer work and complex
 work on at most kappa residues.  Both samplers share one block loop,
-``_path_sums``, driven by the law's sampler.  A law with a single value
-needs no jump draws: a path of N jumps sums to N times that value, so its
-sums are read from the counts alone.
-``sample_counts`` draws only the counts, the first draws of the stream
-``_path_sums`` reads, so a reader of the counts alone (the Poisson test)
-gets the same counts with no jump drawn and no endpoint formed.
+``_path_sums``, driven by the law's sampler.  It deals the drawn jumps
+round by round: the paths are ranked by count, largest first, ties in
+draw order, and round r hands jump r to every path with more than r jumps,
+so the paths of a round are a prefix of the ranked slots and each path
+total is a run of contiguous slice adds, with no prefix sum.  The counts
+and the jumps are independent and the jumps exchangeable (Kingman 1993,
+ch. 5), so this assignment, blind to the values drawn, gives each path its
+compound-Poisson law.  ``mc_characteristic`` reads the totals in rank
+order, as its histogram ignores order; ``sample_endpoints`` returns the
+states in draw order, beside their counts, put back with one stable
+argsort of the counts.  A law with a single value needs no jump draws: a
+path of N jumps sums to N times that value, so its sums are read from the
+counts alone.  ``sample_counts`` draws only the counts, the first draws of
+the stream ``_path_sums`` reads, so a reader of the counts alone (the
+Poisson test) gets the same counts with no jump drawn and no endpoint
+formed.
 
 Jump shells, jump phases and the per-path jump counts come from one
 integer inverse-cdf sampler, ``_sampler``, whose guide table holds the
@@ -319,57 +329,98 @@ def _check_paths(n_paths, per_path):
 def _path_sums(level, law_of, t, n_paths, seed, stream, rows):
     """(sums, counts) for n_paths paths on [0, t] of the law that
     ``law_of()`` builds or finds in the cache of ``level`` as (rate, draw):
-    counts are the Poisson(rate * t) jump counts and sums[r, i] the sum of
-    row r of the values path i's jumps draw.  Both come from one stream:
-    first the n_paths counts from the count sampler of the mean rate * t,
-    then the jumps in path order from ``draw``, in blocks of
-    ``_BLOCK_DRAWS`` jumps however the paths fall.  The two readers draw
-    different values: ``sample_endpoints`` a coset index per jump, drawn
-    shell first by ``_jump_sampler`` and summed as the D base-p digit rows
-    of the index, and ``mc_characteristic`` a phase per jump from the
-    closed-form phase law of ``_residue_law``, one row, whose path sum mod
-    kappa has the law of the endpoint's phase, as the character is a
-    homomorphism and a jump's phase law is the Haar push-forward of its
-    shell.  ``rows(values)`` gives one array of entries per summand row
-    for a block of drawn values.  A block's prefix sums are read at every
-    path end it holds, and a path's sum is the difference between its end
-    and the previous path's, which may lie in an earlier block.  A sampler whose
-    law has a single value (``draw.only``) draws no jumps: sums[:, i] is
-    counts[i] times that value's rows.
+    counts are the Poisson(rate * t) jump counts of the paths in draw
+    order, and sums[:, i] sums the rows of the values drawn for the path
+    of rank i, the paths ranked by count, largest first, ties in draw
+    order.  Both come from one stream: first the n_paths counts from the
+    count sampler of the mean rate * t, then every jump from ``draw``, in
+    blocks of ``_BLOCK_DRAWS`` jumps however the paths fall.  The two
+    readers draw different values: ``sample_endpoints`` a coset index per
+    jump, drawn shell first by ``_jump_sampler`` and summed as the D
+    base-p digit rows of the index, and ``mc_characteristic`` a phase per
+    jump from the closed-form phase law of ``_residue_law``, one row, whose
+    path sum mod kappa has the law of the endpoint's phase, as the
+    character is a homomorphism and a jump's phase law is the Haar
+    push-forward of its shell.  ``rows(values)`` gives the R x k array of
+    summand rows of a block of k drawn values.
 
-    The per-path arrays peak at no more than 2 R + 5 int64 entries a path,
-    R rows: the counts, their ends, the sums and the path ends of a block
-    here, then what the callers add, a copy of the sums, the indices and a
-    carry row in ``index_of_digits``, or the histogram fold of
-    ``mc_characteristic`` (its totals mod kappa, or a bincount at most
-    n_paths + kappa long).  An n_paths whose peak exceeds the entry budget
-    is refused before any draw or table is built."""
+    The jumps are laid out round by round: round r holds jump r of every
+    path with more than r jumps, in rank order, so the paths of a round
+    are the first slots and each path total is built from contiguous
+    slice adds.  Counts and jumps are independent and the jumps
+    exchangeable, so any assignment blind to the drawn values gives the
+    paths the same law.  The rounds between two consecutive distinct
+    counts have one width, the number of paths whose count reaches the
+    larger, so the rounds are walked as runs read off a bincount over
+    [min count, max count], inside the count table's support: a block's
+    draws in a run are a partial round at each end and the whole rounds
+    between, summed as one (rounds x width) array.  The Python steps are
+    O(blocks + distinct counts), whatever the largest count.  A sampler
+    whose law has a single value (``draw.only``) draws no jumps: the slot
+    of rank i sums its count times that value's rows.
+
+    The per-path arrays stay within 2 R + 5 int64 entries a path: here
+    the counts, their shifted copy for the bincount and the R rows of
+    sums; then what the readers add, in
+    ``sample_endpoints`` a copy of the sums, the indices and a carry row
+    in ``index_of_digits``, then the argsort of the counts that puts the
+    states back in draw order, its key and the states, or in
+    ``mc_characteristic`` the histogram fold (the totals mod kappa, or a
+    bincount at most n_paths + kappa long).  An n_paths whose peak exceeds
+    the entry budget is refused before any draw or table is built."""
     n_rows = len(rows(np.empty(0, dtype=np.int64)))
     _check_paths(n_paths, 2 * n_rows + 5)
     rate, draw = law_of()
     rng = _rng(seed, stream)
     counts = _count_sampler(level, rate * t)(rng, n_paths)
     if draw.only is not None:
-        return np.array(rows(np.array([draw.only]))) * counts, counts
-    ends = np.cumsum(counts)
-    total = int(counts.sum())
-    # acc[1 + j] sums a row through jump j of the block, and last[r] is the
-    # latest path end on that row, carried from block to block; int64
-    # wraparound in them cancels in the differences
+        # the slot of rank i holds the i-th largest count times the value's
+        # rows, which are nonnegative, so each row sorts as the counts do;
+        # sorted descending in place, with no second per-path array
+        sums = rows(np.array([draw.only])) * counts
+        np.negative(sums, out=sums)
+        sums.sort(axis=1)
+        return np.negative(sums, out=sums), counts
     sums = np.zeros((n_rows, n_paths), dtype=np.int64)
-    acc = np.zeros(min(_BLOCK_DRAWS, total) + 1, dtype=np.int64)
-    last = np.zeros((n_rows, 1), dtype=np.int64)
-    i0 = 0
+    total = int(counts.sum())
+    if not total:
+        return sums, counts
+    # (width, jumps) of each run: the rounds from the previous distinct
+    # count up to the next, as wide as the paths whose count reaches it
+    low = int(counts.min())
+    hits = np.bincount(counts - low)
+    (tops,) = np.nonzero(hits)
+    runs, reach, below = [], n_paths, 0
+    for top, paths in zip((tops + low).tolist(), hits[tops].tolist()):
+        runs.append((reach, reach * (top - below)))
+        reach -= paths
+        below = top
+    runs = iter(runs)
+    width = left = slot = 0  # the run being filled, its jumps still to come, the next slot
     for a in range(0, total, _BLOCK_DRAWS):
         k = min(_BLOCK_DRAWS, total - a)
-        i1 = int(ends.searchsorted(a + k, side="right"))
-        end = ends[i0:i1] - a
-        for row, entries, prev in zip(sums, rows(draw(rng, k)), last):
-            np.cumsum(entries, out=acc[1 : k + 1])
-            at = np.concatenate([prev, acc[end]])
-            np.subtract(at[1:], at[:-1], out=row[i0:i1])
-            np.subtract(at[-1:], acc[k], out=prev)
-        i0 = i1
+        values = rows(draw(rng, k))
+        j = 0
+        while j < k:
+            while not left:
+                width, left = next(runs)
+            m = min(k - j, left)
+            # the rest of the current round, then whole rounds, then a partial one
+            first = min(width - slot, m)
+            sums[:, slot : slot + first] += values[:, j : j + first]
+            whole, tail = divmod(m - first, width)
+            j += first
+            if whole:
+                # einsum sums over the rounds at a few ns a value however
+                # narrow the run; sum(axis=1) takes 10 ns at width 2
+                rounds = values[:, j : j + whole * width].reshape(n_rows, whole, width)
+                sums[:, :width] += np.einsum("rwk->rk", rounds)
+                j += whole * width
+            if tail:
+                sums[:, :tail] += values[:, j : j + tail]
+                j += tail
+            left -= m
+            slot = (slot + m) % width
     return sums, counts
 
 
@@ -377,19 +428,23 @@ def sample_endpoints(law, t, n_paths, seed, stream=0):
     """Endpoints of n_paths independent trajectories at time t.
 
     Returns (states, counts): the final coset index of each path and its
-    jump count.  Jump counts are Poisson(rate * t); endpoints are the
-    group sums of the jumps, one digit-sum normalisation per path, with
-    digit t of a jump's index g read as g // p^(D-1-t) mod p.  A law whose
-    coset indices overflow int64 is refused before anything is drawn.
+    jump count, both in draw order.  Jump counts are Poisson(rate * t);
+    endpoints are the group sums of the jumps, one digit-sum normalisation
+    per path, with digit t of a jump's index g read as g // p^(D-1-t) mod
+    p.  ``_path_sums`` hands the sums over in rank order, and one stable
+    argsort of the counts, largest first, puts the states back.  A law
+    whose coset indices overflow int64 is refused before anything is drawn.
     """
     _check_positive(t, "time horizon")
     quotient, p = law.quotient, law.quotient.p
     if quotient.size + p >= 1 << 63:
         raise ValueError("jump law too large: its coset indices overflow int64")
-    powers = [p**d for d in range(quotient.D - 1, -1, -1)]
+    powers = p ** np.arange(quotient.D - 1, -1, -1, dtype=np.int64)[:, None]
     sums, counts = _path_sums(law.level, lambda: (law.rate, _jump_sampler(law)), t, n_paths,
-                              seed, stream, lambda g: [g // w % p for w in powers])
-    return quotient.index_of_digits(sums), counts
+                              seed, stream, lambda g: g // powers % p)
+    states = np.empty(n_paths, dtype=np.int64)
+    states[np.argsort(-counts, kind="stable")] = quotient.index_of_digits(sums)
+    return states, counts
 
 
 def sample_counts(law, t, n_paths, seed, stream=0):
@@ -435,7 +490,7 @@ def mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream=0):
     if 16 * kappa > MAX_DIGIT_ENTRIES:
         raise ValueError("label too deep: its phase table exceeds the size budget")
     (total,), _ = _path_sums(level, lambda: _residue_law(level, alpha, L, kappa), t, n_paths,
-                             seed, stream, lambda v: [v])
+                             seed, stream, lambda v: v[None])
     return _histogram_estimate(total, kappa)
 
 

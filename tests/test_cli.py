@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -930,3 +932,72 @@ def test_stdout_emission(capsys):
     captured = capsys.readouterr()
     assert "valuation,shell_mass,mass_through_shell" in captured.out
     assert "# command=levy" in captured.out
+
+
+def _one_dumps(config, columns, rows):
+    doc = {
+        "config": {k: cli._jsonable(v) for k, v in config.items()},
+        "columns": columns,
+        "rows": [{k: cli._jsonable(row[k]) for k in columns} for row in rows],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--tower", UNRAM_TOWER, "--max-value", "16"],
+        ["levy", "--tower", Q2_TOWER, "--integrate", "--span", "4"],
+        ["heat", "--tower", "qp:p=2", "--span", "5"],
+        ["singularity"],
+        ["simulate", "--tower", Q2_TOWER, "--lam-valuation", "-1", "--paths", "2000"],
+        ["apply", "--tower", "qp:p=2", "--span", "4"],
+        ["verify-all", "--only", "heat_ball_mass,log_characteristic"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_written_row_by_row_is_one_dumps(argv):
+    # the JSON document is written a row at a time, byte for byte the
+    # indented dumps of the whole document
+    args = cli._build_parser().parse_args([*argv, "--format", "json"])
+    config, columns, rows, _ = args.func(args)
+    out = io.StringIO()
+    cli._write(out, config, columns, rows, "json")
+    assert out.getvalue() == _one_dumps(config, columns, rows)
+
+
+def test_json_rows_of_every_value_kind_are_one_dumps():
+    config = {"b": Fraction(3, 4), "a": np.float64(0.5), "c": np.int64(7), "note": 'say "x"\ny'}
+    rows = [
+        {"x": math.nan, "y": -math.inf, "z": "a,b\n", "w": None, "v": True},
+        {"x": 10**40, "y": Fraction(-1, 3), "z": "", "w": [1, 2], "v": {"k": 1}},
+    ]
+    for columns, kept in [(["z", "x", "y", "w", "v"], rows), (["x"], rows[:1]), (["x"], []), ([], [{}])]:
+        for cfg in (config, {}):
+            out = io.StringIO()
+            cli._write(out, cfg, columns, kept, "json")
+            assert out.getvalue() == _one_dumps(cfg, columns, kept)
+
+
+_PEAK = """
+import resource, sys
+from padicfrac.cli import main
+code = main(["levy", "--tower", "qp:p=3", "--cutoff", "99999", "--alpha", "1e-8",
+             "--format", sys.argv[1], "--out", sys.argv[2]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_json_at_many_rows_peaks_near_csv(tmp_path):
+    # 10^5 levy rows: the JSON writer holds a row of text at a time, as CSV
+    # does, so its peak stays within 1.2 times the CSV peak
+    peaks = {}
+    for fmt in ("csv", "json"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK, fmt, str(tmp_path / f"out.{fmt}")],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        code, peaks[fmt] = map(int, proc.stdout.split())
+        assert proc.returncode == 0 and code == 0, proc.stderr
+    assert len(json.loads((tmp_path / "out.json").read_text())["rows"]) == 100_000
+    assert peaks["json"] <= 1.2 * peaks["csv"]

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padicfrac import base_level, funcspace, padic, process
 from padicfrac.cli import DEFAULT_TOWER
@@ -53,6 +55,21 @@ UE5 = Q5.extend_unramified(2).extend_eisenstein([-5, 0])
 LEVEL3 = resolve_tower(DEFAULT_TOWER).level(3)
 # the levels no test built before the phase law had a closed form
 ODD_LEVELS = {"Q_5": Q5, "Q_7": Q7, "Q_5-e2": E5, "Q_7-u2": U7, "Q_5-u2-e2": UE5}
+
+
+def _ranked(counts):
+    """The paths in rank order: count descending, ties in draw order."""
+    return np.argsort(-np.asarray(counts), kind="stable")
+
+
+def _owners(counts):
+    """The path of each drawn jump, in draw order, when the jumps are dealt
+    round by round: round r hands jump r to every path with more than r
+    jumps, in rank order."""
+    rounds = [_ranked(counts)]
+    for r in range(int(np.max(counts, initial=0))):
+        rounds.append(rounds[-1][counts[rounds[-1]] > r])
+    return np.concatenate([np.empty(0, np.int64), *rounds[1:]])
 
 
 def _coset_law(law):
@@ -175,24 +192,139 @@ def test_sample_endpoints_matches_per_path_walk(monkeypatch, level, cutoff, t, n
     if t > 1000:
         assert counts.min() > 2 * process._BLOCK_DRAWS
     monkeypatch.undo()
-    # the same draws in the same order, folded path by path
+    # the same draws in the same order, dealt round by round and folded
+    # path by path
     rng = process._rng(9, 2)
     expect_counts = process._count_sampler(law.level, law.rate * t)(rng, n_paths)
     jumps = process._jump_sampler(law)(rng, int(expect_counts.sum()))
+    owner = _owners(expect_counts)
     add = _add_table(law.quotient)
     expect = []
-    pos = 0
-    for count in expect_counts:
+    for i in range(n_paths):
         state = 0
-        for j in jumps[pos : pos + count]:
+        for j in jumps[owner == i]:
             state = add[state, j]
         expect.append(state)
-        pos += count
     assert (counts == expect_counts).all()
     assert (states == np.array(expect)).all()
     assert states.shape == (n_paths,)
     if t < 1e-6:
         assert (counts == 0).all() and (states == 0).all()
+
+
+_B = process._BLOCK_DRAWS
+
+
+def _scattered(n, top, huge, seed):
+    """n counts up to top, zeros and ties among them, and one count of
+    ``huge`` at a random path when it is positive."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, top + 1, n)
+    if huge:
+        counts[rng.integers(n)] = huge
+    return counts.tolist()
+
+
+# 1 to 3 paths whose counts end in, at or past block edges; then rounds
+# wider than a block, with at most one huge count
+_COUNTS = st.one_of(
+    st.lists(st.one_of(st.integers(0, 3), st.integers(_B - 2, _B + 2), st.integers(0, 2 * _B + 3)),
+             min_size=1, max_size=3),
+    st.builds(_scattered, st.integers(1, 2 * _B + 3), st.integers(0, 4),
+              st.one_of(st.just(0), st.integers(_B, 2 * _B + 3)), st.integers(0, 2**32 - 1)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_COUNTS)
+# a round of three paths split by a block edge, and a huge path alone
+# past its peers' rounds
+@example([_B, _B, _B])
+@example([2 * _B + 3, _B - 1, 0])
+def test_path_sums_deal_each_round_to_the_ranked_paths(counts):
+    # a stub sampler hands out distinct values in draw order; each slot of
+    # the sums must hold the rows of its ranked path's values as _owners
+    # deals them, drawn in blocks of at most _BLOCK_DRAWS
+    counts = np.array(counts, dtype=np.int64)
+    total = int(counts.sum())
+    values = np.arange(total, dtype=np.int64) * 7919 % 1_000_003
+    asked = []
+
+    def draw(rng, n):
+        asked.append(n)
+        return values[sum(asked) - n : sum(asked)].copy()
+
+    draw.only = None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(process, "_count_sampler", lambda level, lam: lambda rng, n: counts.copy())
+        sums, got = process._path_sums(Q2, lambda: (1.0, draw), 1.0, counts.size, 1, 0,
+                                       lambda v: np.stack([v, v % 5]))
+    assert (got == counts).all()
+    assert sum(asked) == total and max(asked, default=0) <= _B
+    want = np.zeros((2, counts.size), dtype=np.int64)
+    owner = _owners(counts)
+    np.add.at(want[0], owner, values)
+    np.add.at(want[1], owner, values % 5)
+    assert (sums == want[:, _ranked(counts)]).all()
+    # a law of one value draws nothing, and still hands its sums over in
+    # rank order
+    draw.only = 7
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(process, "_count_sampler", lambda level, lam: lambda rng, n: counts.copy())
+        sums, got = process._path_sums(Q2, lambda: (1.0, draw), 1.0, counts.size, 1, 0,
+                                       lambda v: np.stack([v, v % 5]))
+    assert (got == counts).all() and sum(asked) == total
+    assert (sums == np.array([[7], [2]]) * counts[_ranked(counts)]).all()
+
+
+# a label of valuation -1 on Q_3 at t = 5 10^6, and endpoints of a Q_2 law
+# at a comparable mean: two paths of about 10^7 jumps each
+_HUGE_MEAN = """
+import json, time
+from padicfrac import base_level, process
+
+seen = []
+path_sums = process._path_sums
+
+def kept(*args):
+    seen.append(path_sums(*args))
+    return seen[-1]
+
+process._path_sums = kept
+Q2, Q3 = base_level(2), base_level(3)
+start = time.perf_counter()
+process.mc_characteristic(Q3, 1.0, -1, 5e6, 2, seed=1, stream=1)
+mc_s = time.perf_counter() - start
+law = process.build_jump_law(Q2, 1.0, cutoff_valuation=1)
+start = time.perf_counter()
+_, counts = process.sample_endpoints(law, 2e6, 2, seed=1, stream=1)
+endpoints_s = time.perf_counter() - start
+mc_counts = seen[0][1]
+print(json.dumps({
+    "mc_s": mc_s, "endpoints_s": endpoints_s,
+    "mc_counts": mc_counts.tolist(), "endpoint_counts": counts.tolist(),
+    "mc_expect": process.sample_counts(process.build_jump_law(Q3, 1.0, 0), 5e6, 2, 1, 1).tolist(),
+    "endpoint_expect": process.sample_counts(law, 2e6, 2, 1, 1).tolist(),
+}))
+"""
+
+
+def test_few_paths_at_a_huge_poisson_mean_run_within_limits():
+    # nothing is sized by or loops over the largest count: the rounds are
+    # walked as runs between distinct counts, under a 1.5 GiB address space
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _HUGE_MEAN], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src), preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["mc_s"] < 2.0 and doc["endpoints_s"] < 2.0
+    assert doc["mc_counts"] == doc["mc_expect"] and doc["endpoint_counts"] == doc["endpoint_expect"]
+    assert min(doc["mc_counts"]) > 9 * 10**6 and min(doc["endpoint_counts"]) > 4 * 10**6
 
 
 def _decode(probs, rng, n):
@@ -534,17 +666,16 @@ def test_sampling_runs_past_the_old_table_cap():
     rng = process._rng(5, 0)
     expect_counts = process._count_sampler(law.level, law.rate * t)(rng, n_paths)
     jumps = process._jump_sampler(law)(rng, int(expect_counts.sum()))
-    owner = np.repeat(np.arange(n_paths), expect_counts)
+    owner = _owners(expect_counts)
     assert (counts == expect_counts).all()
     for b in (1, 1000, 8191):
         phases, kappa = _character_phases(quotient, b)
         sums = np.bincount(owner, weights=phases[jumps], minlength=n_paths)
         assert (phases[states] == sums.astype(np.int64) % kappa).all()
     # and by field arithmetic on every path that jumps
-    ends = np.cumsum(expect_counts)
     for i in np.flatnonzero(expect_counts):
         state = quotient.representative(0)
-        for j in jumps[ends[i] - expect_counts[i] : ends[i]]:
+        for j in jumps[owner == i]:
             state = state + quotient.representative(j)
         assert states[i] == quotient.index_of_element(state)
     limit = quotient.size * quotient.D
@@ -1124,15 +1255,17 @@ def _mc_oracle(level, alpha, lam_valuation, t, n_paths, seed, stream):
 
 def _residue_totals(level, alpha, L, t, n_paths, seed, stream):
     """(totals, counts): the counts and phases mc_characteristic draws,
-    from its samplers, and the phases summed path by path in a plain loop."""
+    from its samplers, and the phases dealt round by round and summed path
+    by path in a plain loop; both in draw order."""
     rate, draw = process._residue_law(level, alpha, L, level.p ** -(-L // level.e))
     rng = process._rng(seed, stream)
     counts = process._count_sampler(level, rate * t)(rng, n_paths)
     if draw.only is not None:
         return counts * draw.only, counts
     phases = draw(rng, int(counts.sum())).tolist()
-    ends = np.cumsum(counts).tolist()
-    totals = [sum(phases[end - count : end]) for end, count in zip(ends, counts.tolist())]
+    totals = [0] * n_paths
+    for path, phase in zip(_owners(counts).tolist(), phases):
+        totals[path] += phase
     return np.array(totals, dtype=np.int64), counts
 
 
@@ -1171,7 +1304,7 @@ def test_mc_characteristic_matches_the_endpoint_oracle(
 
 BENCH_LEVELS = {"Q_2": Q2, "Q_2-u2": U, "Q_2-e2": E, "Q_3": Q3}
 BENCH_CASES = [(1.0, -1, 1.0), (1.0, -2, 0.5), (2.0, -1, 1.0), (0.5, -3, 1.0)]
-HISTOGRAM_CASES = (
+LAW_CASES = (
     # the monte_carlo benchmark's 16 cases, on its first cycle's streams
     [
         pytest.param(BENCH_LEVELS[name], *case, 10_000, 1, 1 + 4 * i + j, id=f"{name}-{j}")
@@ -1183,6 +1316,9 @@ HISTOGRAM_CASES = (
         pytest.param(Q2, *case, 100_000, 2718, 0, id=f"check-{j}")
         for j, case in enumerate(BENCH_CASES[:3])
     ]
+)
+HISTOGRAM_CASES = (
+    LAW_CASES
     + [
         # a zero-jump horizon: every total is 0
         pytest.param(Q3, 1.0, -1, 1e-9, 300, 17, 3, id="no-jumps"),
@@ -1216,17 +1352,19 @@ def test_histogram_estimate_is_the_per_path_formula(
     got = mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream)
     monkeypatch.setattr(np, "bincount", bincount)
     ((total, kappa),) = seen
-    # the totals are the phase draws summed path by path, mod the kappa of
-    # the pairing table of the quotient the coset law would need
+    # the totals are the phase draws dealt round by round and summed path
+    # by path, in rank order, mod the kappa of the pairing table of the
+    # quotient the coset law would need
     L = -lam_valuation
     assert kappa == BallQuotient(level, level.s0, level.s0 + L)._pairing()[1]
-    want, _ = _residue_totals(level, alpha, L, t, n_paths, seed, stream)
-    assert (total == want).all()
+    want, counts = _residue_totals(level, alpha, L, t, n_paths, seed, stream)
+    assert (total == want[_ranked(counts)]).all()
     if t < 1e-6:
         assert not total.any() and got == (1.0, 0.0)
     # both folds run: the bincount of the totals themselves, and past the
-    # bound that of their residues
-    (folded,) = binned
+    # bound that of their residues; it is the last bincount, after the one
+    # of the counts that lays out the rounds
+    folded = binned[-1]
     assert (total.max() < n_paths + kappa) == (kappa < 1 << 19)
     assert (folded == (total if kappa < 1 << 19 else total % kappa)).all()
     assert (folded == total).all() == (kappa < 1 << 19)
@@ -1238,6 +1376,62 @@ def test_histogram_estimate_is_the_per_path_formula(
     assert abs(got[0].real - estimate.real) <= tol
     assert abs(got[0].imag - estimate.imag) <= tol
     assert abs(got[1] - stderr) <= tol
+
+
+def _total_law(level, alpha, L, t):
+    """The exact law of a path's phase total mod kappa = p^ceil(L / e):
+    P(r) = (1 / kappa) sum_j omega^(-r j) exp(-t lambda_(L - e v_p(j))),
+    lambda_k = 0 for k <= 0, as at frequency j the label is j times
+    pi^(-L), of valuation -(L - e v_p(j))."""
+    n = -(-L // level.e)
+    kappa = level.p**n
+    j = np.arange(kappa)
+    v = sum((j % level.p**i == 0).astype(int) for i in range(1, n + 1))  # v_p(j), n at 0
+    decay = [math.exp(-t * _eigenvalue(level, alpha, L - level.e * i)) if L > level.e * i else 1.0
+             for i in range(n + 1)]
+    return np.fft.fft(np.array(decay)[v]).real / kappa
+
+
+@pytest.mark.parametrize("level, alpha, lam_valuation, t, n_paths, seed, stream", LAW_CASES)
+def test_histogram_follows_the_exact_law_of_the_totals(
+    monkeypatch, level, alpha, lam_valuation, t, n_paths, seed, stream
+):
+    # the whole kappa-bin histogram, not only the mean of omega^r that the
+    # z-gate reads: a chi-square at the 1 % level against the exact law
+    seen = []
+    estimate_of = process._histogram_estimate
+
+    def kept(total, kappa):
+        seen.append((total, kappa))
+        return estimate_of(total, kappa)
+
+    monkeypatch.setattr(process, "_histogram_estimate", kept)
+    mc_characteristic(level, alpha, lam_valuation, t, n_paths, seed, stream)
+    ((total, kappa),) = seen
+    law = _total_law(level, alpha, -lam_valuation, t)
+    assert law.size == kappa and abs(math.fsum(law) - 1) <= 1e-15
+    omega = np.exp((2j * np.pi / kappa) * np.arange(kappa))
+    assert abs(law @ omega - expected_characteristic(level, alpha, lam_valuation, t)) <= 1e-15
+    observed = np.bincount(total % kappa, minlength=kappa)
+    assert _pooled_pvalue(observed, n_paths * law) > 0.01
+
+
+def test_the_chi_square_refuses_a_law_the_z_gate_passes():
+    # at kappa = 8 (Q_2, L = 3), equal mass moved from residues 0 and 4 to
+    # residues 2 and 6 keeps the mean of omega^r, as omega^0 + omega^4 =
+    # omega^2 + omega^6 = 0, but not the law: totals drawn from it pass the
+    # z-gate of check_monte_carlo and fail the chi-square
+    alpha, L, t, n = 0.5, 3, 1.0, 10_000
+    law = _total_law(Q2, alpha, L, t)
+    assert law.size == 8
+    planted = law + min(law[0], law[4]) / 2 * np.array([-1, 0, 1, 0, -1, 0, 1, 0])
+    omega = np.exp((2j * np.pi / 8) * np.arange(8))
+    assert abs(planted @ omega - law @ omega) <= 1e-15
+    total = process._sampler(planted, np.arange(8))(process._rng(1, 4), n)
+    estimate, stderr = process._histogram_estimate(total, 8)
+    target = expected_characteristic(Q2, alpha, -L, t)
+    assert abs(estimate.real - target) <= 3 * stderr and abs(estimate.imag) <= 3 * stderr
+    assert _pooled_pvalue(np.bincount(total, minlength=8), n * law) < 0.01
 
 
 @pytest.mark.parametrize(
@@ -1267,12 +1461,12 @@ def test_cosets_past_the_boundary_shell_pair_trivially(level, L):
 
 # the four benchmark cases on Q_2-u2 at seed 1: there s0 = 1, so the
 # boundary shell s0 + L - 1 was the old cutoff max(L, s0 + L - 1) too; the
-# bits are those of the phase law's draws
+# bits are those of the phase law's draws, dealt to the paths round by round
 U_PINS = [
-    (1.0, -1, 1.0, 5, "((0.1346+5.299046699910598e-17j), 0.00990949563854695)"),
-    (1.0, -2, 0.5, 6, "((0.14159999999999998-0.0029999999999999775j), 0.009899689105443588)"),
-    (2.0, -1, 1.0, 7, "((0.031+5.933413741868926e-17j), 0.00999569364222108)"),
-    (0.5, -3, 1.0, 8, "((0.0543053823869162-0.002312994231491143j), 0.009985716248875185)"),
+    (1.0, -1, 1.0, 5, "((0.1306+5.323539635893545e-17j), 0.009914847170755681)"),
+    (1.0, -2, 0.5, 6, "((0.13019999999999998-0.0013999999999999774j), 0.009915363404492259)"),
+    (2.0, -1, 1.0, 7, "((0.028200000000000003+5.95055879705699e-17j), 0.009996522847815869)"),
+    (0.5, -3, 1.0, 8, "((0.04814730880654185-0.018248528137423843j), 0.009987234716040162)"),
 ]
 
 
@@ -1334,19 +1528,19 @@ def test_mc_characteristic_builds_its_law_once(monkeypatch):
     [
         # Q_3 at alpha = 1: phases 1 and 2 of mass 1/2 each put the cdf
         # breakpoint on a guide-table bucket edge
-        (3, 1.0, -1, 13, "((0.05259999999999996+0.0071014083110325105j), 0.009986403447957756)"),
+        (3, 1.0, -1, 13, "((0.06399999999999996+0.008140638795573805j), 0.009979665944972172)"),
         # Q_2 at L = 1: one phase, so the count draws alone move the bits
         (2, 2.0, -1, 3, "((0.0036000000000000003+6.101190353352114e-17j), 0.010000435234052918)"),
         # Q_2 at L = 3: phases over three shells, whose breakpoints fall
         # inside guide buckets, so the phase draws read fresh words
-        (2, 0.5, -3, 4, "((0.06559081169079628+0.0029636038969321136j), 0.009978920990456925)"),
+        (2, 0.5, -3, 4, "((0.06181213203435593-0.0038535533905932656j), 0.009981302704874347)"),
     ],
     ids=["Q_3-alpha1", "Q_2-alpha2", "Q_2-alpha0.5"],
 )
 def test_mc_characteristic_stream_is_pinned(p, alpha, lam_valuation, stream, pinned):
     # cases of the benchmark's first timed cycle at seed 1 (10,000 paths
-    # each): a change that moves any draw of the phase or count samplers
-    # changes these bits
+    # each): a change that moves any draw of the phase or count samplers,
+    # or the path a draw is dealt to, changes these bits
     got = mc_characteristic(base_level(p), alpha, lam_valuation, 1.0, 10_000, 1, stream)
     assert repr(got) == pinned
 
